@@ -20,12 +20,11 @@ from .maxlik import (Dataset, ReconstructionResult, RescaledPovm, SolverConfig,
                      born_residual, expected_probabilities, extremal_residual,
                      log_likelihood, maxlik_solve, r_operator, rescale_to_support,
                      restrict_to_subspace)
-from .povm import (Effect, GramAnalysis, HomodyneConfig, PovmSet, build_homodyne_povm,
+from .povm import (GramAnalysis, HomodyneConfig, PovmSet, build_homodyne_povm,
                    effective_rank, gram_matrix_operator_space, gram_matrix_state_space,
-                   gram_operator, gram_spectrum)
+                   gram_operator, gram_spectrum, subspace_basis)
 from .simulate import (NoiseModel, StabilityResult, SweepResult, dimension_sweep,
-                       expected_probabilities, generate_counts, stability_study,
-                       trial_generator)
+                       generate_counts, stability_study, trial_generator)
 
 __version__ = "0.1.0"
 
@@ -43,9 +42,9 @@ __all__ = [
     "born_residual", "expected_probabilities", "extremal_residual",
     "log_likelihood", "maxlik_solve", "r_operator", "rescale_to_support",
     "restrict_to_subspace",
-    "Effect", "GramAnalysis", "HomodyneConfig", "PovmSet", "build_homodyne_povm",
+    "GramAnalysis", "HomodyneConfig", "PovmSet", "build_homodyne_povm",
     "effective_rank", "gram_matrix_operator_space", "gram_matrix_state_space",
-    "gram_operator", "gram_spectrum",
+    "gram_operator", "gram_spectrum", "subspace_basis",
     "NoiseModel", "StabilityResult", "SweepResult", "dimension_sweep",
     "generate_counts", "stability_study", "trial_generator",
     "__version__",

@@ -32,8 +32,9 @@ from .fock import PhaseSpaceGrid, cat_state, coherent_state, fidelity, fock_stat
 from .frames import (dual_frame, hadamard_identity_check, linear_inversion,
                      modal_weighting, operator_frame, operator_frame_apply)
 from .maxlik import Dataset, SolverConfig, maxlik_solve
-from .povm import (HomodyneConfig, PovmSet, build_homodyne_povm, effective_rank,
-                   gram_matrix_operator_space, gram_operator, gram_spectrum)
+from .povm import (HomodyneConfig, PovmSet, born_probabilities, build_homodyne_povm,
+                   effective_rank, gram_matrix_operator_space, gram_operator, gram_spectrum,
+                   subspace_basis)
 from .serialize import (decode_povm, encode_reconstruction, write_csv, write_json,
                         write_wigner_csv)
 from .simulate import (NoiseModel, dimension_sweep, generate_counts, stability_study,
@@ -239,10 +240,13 @@ def build_povm_from_config(config: dict) -> PovmSet:
     pc = config["povm"]
     dim = config["dim"]
     if pc.get("file"):
-        data = json.loads(Path(pc["file"]).read_text())
+        try:
+            data = json.loads(Path(pc["file"]).read_text())
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(f"POVM file is not valid JSON: {exc}") from exc
         return decode_povm(data)
     if pc["kind"] == "projective":
-        return PovmSet.from_vectors(np.eye(dim, dtype=complex))
+        return PovmSet(np.eye(dim, dtype=complex))
     if pc.get("phases") is not None:
         hconf = HomodyneConfig(phases=tuple(float(v) for v in pc["phases"]),
                                bins=pc["bins"], x_range=tuple(pc["range"]))
@@ -266,12 +270,7 @@ def build_target_from_config(config: dict) -> np.ndarray:
 
 
 def build_solver_config(config: dict, subspace: np.ndarray | None = None) -> SolverConfig:
-    sc = config["solver"]
-    return SolverConfig(dilution=sc["dilution"], dilution_floor=sc["dilution_floor"],
-                        probability_floor=sc["probability_floor"],
-                        max_iterations=sc["max_iterations"],
-                        tol_likelihood=sc["tol_likelihood"], tol_born=sc["tol_born"],
-                        subspace=subspace)
+    return SolverConfig(**config["solver"], subspace=subspace)
 
 
 def build_noise_from_config(config: dict) -> NoiseModel:
@@ -309,17 +308,6 @@ def load_counts_file(path: str, povm: PovmSet, config: dict) -> Dataset:
             raise InvalidInputError(f"count file row {ln!r} addresses no POVM outcome")
         counts[idx] = count
     return Dataset(counts=counts)
-
-
-def _subspace_basis(config: dict, povm: PovmSet) -> np.ndarray | None:
-    rc = config["reconstruction"]
-    if rc["basis"] == "full" or rc["dimension"] is None:
-        return None
-    d = rc["dimension"]
-    if rc["basis"] == "fock":
-        return np.eye(povm.dim, dtype=complex)[:, :d]
-    analysis = gram_spectrum(gram_operator(povm))
-    return analysis.eigenvectors[:, :d]
 
 
 def _echo(config: dict) -> dict:
@@ -364,7 +352,10 @@ def cmd_reconstruct(config: dict, outdir: Path) -> list[Path]:
         dataset = load_counts_file(config["counts_file"], povm, config)
     else:
         dataset = generate_counts(rho_true, povm, build_noise_from_config(config))
-    basis = _subspace_basis(config, povm)
+    rc = config["reconstruction"]
+    basis = None
+    if rc["basis"] != "full" and rc["dimension"] is not None:
+        basis = subspace_basis(rc["basis"], rc["dimension"], povm)
     solver = build_solver_config(config, subspace=basis)
     start = time.perf_counter()
     result = maxlik_solve(dataset, povm, solver)
@@ -495,7 +486,7 @@ def cmd_frames_check(config: dict, outdir: Path) -> list[Path]:
     V = frame.eigenvectors[:, : frame.rank]
     proj_coords = V @ (V.T @ coords)
     C_proj = np.einsum("a,amn->mn", proj_coords, frame.basis)
-    p = np.einsum("im,mn,in->i", povm.vectors.conj(), C_proj, povm.vectors).real
+    p = born_probabilities(C_proj, povm)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         C_rec = linear_inversion(p, povm, frame)

@@ -24,12 +24,13 @@ float64 rounding alone would exceed the per-step monotonicity tolerance.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyDataError, EmptyMeasurementError, InvalidInputError
-from .povm import Effect, GramAnalysis, PovmSet, gram_operator, gram_spectrum
+from .povm import (GramAnalysis, PovmSet, born_probabilities, gram_operator, gram_spectrum,
+                   weighted_effect_sum)
 
 
 @dataclass(frozen=True)
@@ -128,12 +129,9 @@ def expected_probabilities(rho: np.ndarray, povm: PovmSet) -> np.ndarray:
 
     Not normalized: for incomplete POVMs sum p_i = Tr(rho G) < Tr(rho).
     """
-    rho = np.asarray(rho, dtype=complex)
-    Y = povm.vectors
-    if rho.shape != (povm.dim, povm.dim):
+    if np.shape(rho) != (povm.dim, povm.dim):
         raise InvalidInputError("state dimension does not match the POVM")
-    p = np.einsum("im,mn,in->i", Y.conj(), rho, Y).real
-    return np.maximum(p, 0.0)
+    return np.maximum(born_probabilities(rho, povm), 0.0)
 
 
 def log_likelihood(rho: np.ndarray, dataset: Dataset, povm: PovmSet) -> float:
@@ -161,17 +159,15 @@ def log_likelihood(rho: np.ndarray, dataset: Dataset, povm: PovmSet) -> float:
 def r_operator(rho: np.ndarray, dataset: Dataset, povm: PovmSet,
                probability_floor: float = 1e-14) -> np.ndarray:
     """R(rho) = sum_i (f_i/p_i) |y_i><y_i| over outcomes with f_i > 0."""
-    Y = povm.vectors
     if dataset.counts.size != povm.n_outcomes:
         raise InvalidInputError("dataset length does not match POVM outcome count")
     f = dataset.frequencies
-    p = np.einsum("im,mn,in->i", Y.conj(), np.asarray(rho, dtype=complex), Y).real
+    p = born_probabilities(rho, povm)
     mask = f > 0
     floor = probability_floor * max(p.max(), 0.0)
     w = np.zeros_like(f)
     w[mask] = f[mask] / np.maximum(p[mask], floor)
-    R = np.einsum("i,im,in->mn", w, Y, Y.conj())
-    return 0.5 * (R + R.conj().T)
+    return weighted_effect_sum(w, povm)
 
 
 def rescale_to_support(povm: PovmSet, analysis: GramAnalysis) -> RescaledPovm:
@@ -198,19 +194,12 @@ def restrict_to_subspace(povm: PovmSet, basis: np.ndarray) -> PovmSet:
     d = basis.shape[1]
     if np.abs(basis.conj().T @ basis - np.eye(d)).max() > 1e-10:
         raise InvalidInputError("basis columns must be orthonormal")
-    projected = povm.vectors @ basis.conj()
-    effects = tuple(
-        Effect(vector=projected[i], phase_index=e.phase_index, bin_index=e.bin_index,
-               bin_center=e.bin_center, bin_width=e.bin_width)
-        for i, e in enumerate(povm.effects)
-    )
-    return PovmSet(effects=effects, dim=d)
+    return PovmSet(povm.vectors @ basis.conj())
 
 
 def born_residual(rho: np.ndarray, dataset: Dataset, povm: PovmSet) -> float:
     """max_i |p_i / sum_k p_k - f_i|, the fixed-point Born-rule mismatch."""
-    Y = povm.vectors
-    p = np.einsum("im,mn,in->i", Y.conj(), np.asarray(rho, dtype=complex), Y).real
+    p = born_probabilities(rho, povm)
     total = p.sum()
     if total <= 0:
         raise InvalidInputError("state assigns zero probability to every outcome")

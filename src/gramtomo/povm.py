@@ -14,8 +14,7 @@ testable quantity rather than a hidden model ingredient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,52 +65,33 @@ class HomodyneConfig:
         return lo + (np.arange(self.bins) + 0.5) * self.bin_width
 
 
-@dataclass(frozen=True)
-class Effect:
-    """One rank-1 POVM effect |y><y| with its outcome metadata."""
-
-    vector: np.ndarray
-    phase_index: int | None = None
-    bin_index: int | None = None
-    bin_center: float | None = None
-    bin_width: float | None = None
-
-    def __post_init__(self):
-        if self.bin_width is not None and self.bin_width <= 0:
-            raise InvalidInputError("bin width must be positive")
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PovmSet:
-    """Ordered collection of rank-1 effects sharing one ambient dimension."""
+    """Rank-1 measurement as the rows of one read-only (N, dim) array.
 
-    effects: tuple[Effect, ...]
-    dim: int
+    Row i is the effect ket |y_i>, so the array is the frame's synthesis
+    matrix and the outcome order is its row order. dim and n_outcomes are
+    read off the shape.
+    """
+
+    vectors: np.ndarray
 
     def __post_init__(self):
-        if len(self.effects) == 0:
-            raise InvalidInputError("POVM must contain at least one effect")
-        for e in self.effects:
-            if e.vector.shape != (self.dim,):
-                raise InvalidInputError("all effects must share the ambient dimension")
-
-    @classmethod
-    def from_vectors(cls, vectors: np.ndarray) -> "PovmSet":
-        """Wrap an (N, dim) array of effect vectors without outcome metadata."""
-        vectors = np.asarray(vectors, dtype=complex)
+        vectors = np.array(self.vectors, dtype=complex, order="C")
         if vectors.ndim != 2:
-            raise InvalidInputError("expected a 2-d array of effect vectors")
-        effects = tuple(Effect(vector=v) for v in vectors)
-        return cls(effects=effects, dim=vectors.shape[1])
+            raise InvalidInputError("expected a 2-d (N, dim) array of effect vectors")
+        if vectors.shape[0] == 0:
+            raise InvalidInputError("POVM must contain at least one effect")
+        vectors.setflags(write=False)
+        object.__setattr__(self, "vectors", vectors)
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.effects)
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        """All effect vectors stacked as an (N, dim) array of ket components."""
-        return np.array([e.vector for e in self.effects])
+        return self.vectors.shape[0]
 
 
 @dataclass(frozen=True)
@@ -157,23 +137,29 @@ def build_homodyne_povm(config: HomodyneConfig, dim: int) -> PovmSet:
     psi = hermite_functions(config.bin_centers, dim - 1)  # (dim, bins)
     root_dx = np.sqrt(config.bin_width)
     n = np.arange(dim)
-    effects = []
-    for j, theta in enumerate(config.phases):
-        # conjugate of <x_theta|n> = e^{-i n theta} psi_n(x)
-        phase = np.exp(1j * n * theta)
-        for b in range(config.bins):
-            vec = root_dx * phase * psi[:, b]
-            effects.append(Effect(vector=vec, phase_index=j, bin_index=b,
-                                  bin_center=float(config.bin_centers[b]),
-                                  bin_width=config.bin_width))
-    return PovmSet(effects=tuple(effects), dim=dim)
+    theta = np.asarray(config.phases)[:, None, None]
+    # conjugate of <x_theta|n> = e^{-i n theta} psi_n(x); axes (phase, bin, n)
+    phase = np.exp(1j * n * theta)
+    vectors = root_dx * phase * psi.T
+    return PovmSet(vectors.reshape(-1, dim))
+
+
+def born_probabilities(rho: np.ndarray, povm: PovmSet) -> np.ndarray:
+    """Born-rule values <y_i|rho|y_i> of every outcome, unclamped."""
+    Y = povm.vectors
+    return np.einsum("im,mn,in->i", Y.conj(), np.asarray(rho, dtype=complex), Y).real
+
+
+def weighted_effect_sum(weights: np.ndarray, povm: PovmSet) -> np.ndarray:
+    """Hermitian part of sum_i w_i |y_i><y_i|."""
+    Y = povm.vectors
+    S = np.einsum("i,im,in->mn", weights, Y, Y.conj())
+    return 0.5 * (S + S.conj().T)
 
 
 def gram_operator(povm: PovmSet) -> np.ndarray:
     """Gram operator G = sum_i |y_i><y_i| on the ambient space."""
-    Y = povm.vectors
-    G = np.einsum("im,in->mn", Y, Y.conj())
-    return 0.5 * (G + G.conj().T)
+    return weighted_effect_sum(np.ones(povm.n_outcomes), povm)
 
 
 def gram_spectrum(G: np.ndarray, threshold: float = 1e-12) -> GramAnalysis:
@@ -206,6 +192,18 @@ def gram_spectrum(G: np.ndarray, threshold: float = 1e-12) -> GramAnalysis:
             vecs[:, k] = col * (ref.conj() / abs(ref))
     rank = int(np.sum(vals > tau))
     return GramAnalysis(eigenvalues=vals, eigenvectors=vecs, rank=rank, threshold=tau)
+
+
+def subspace_basis(kind: str, d: int, povm: PovmSet) -> np.ndarray:
+    """Orthonormal (dim, d) columns: the top-d Gram modes or the first d Fock states."""
+    if kind not in ("gram", "fock"):
+        raise InvalidInputError("basis kind must be 'gram' or 'fock'")
+    if not 1 <= d <= povm.dim:
+        noun = "Gram modes" if kind == "gram" else "Fock states"
+        raise InvalidInputError(f"requested {d} {noun} of a dim-{povm.dim} space")
+    if kind == "fock":
+        return np.eye(povm.dim, dtype=complex)[:, :d]
+    return gram_spectrum(gram_operator(povm)).eigenvectors[:, :d]
 
 
 def gram_matrix_state_space(povm: PovmSet) -> np.ndarray:

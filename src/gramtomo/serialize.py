@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .maxlik import ReconstructionResult
-from .povm import Effect, GramAnalysis, PovmSet
+from .povm import PovmSet
 
 
 def encode_complex_vector(v: np.ndarray) -> list[list[float]]:
@@ -32,47 +32,24 @@ def decode_complex_vector(pairs) -> np.ndarray:
         raise InvalidInputError(f"malformed complex vector encoding: {exc}") from exc
 
 
-def decode_complex_matrix(rows) -> np.ndarray:
-    return np.array([decode_complex_vector(r) for r in rows])
-
-
 def encode_povm(povm: PovmSet) -> dict:
-    return {
-        "dim": povm.dim,
-        "effects": [
-            {
-                "vector": encode_complex_vector(e.vector),
-                "phase_index": e.phase_index,
-                "bin_index": e.bin_index,
-                "bin_center": e.bin_center,
-                "bin_width": e.bin_width,
-            }
-            for e in povm.effects
-        ],
-    }
+    return {"dim": povm.dim,
+            "effects": [{"vector": encode_complex_vector(v)} for v in povm.vectors]}
 
 
 def decode_povm(data: dict) -> PovmSet:
+    """Inverse of encode_povm; other per-effect keys are accepted and ignored."""
     try:
         dim = int(data["dim"])
-        effects = tuple(
-            Effect(vector=decode_complex_vector(e["vector"]),
-                   phase_index=e.get("phase_index"), bin_index=e.get("bin_index"),
-                   bin_center=e.get("bin_center"), bin_width=e.get("bin_width"))
-            for e in data["effects"]
-        )
-    except (KeyError, TypeError) as exc:
+        effects = data["effects"]
+        vectors = [decode_complex_vector(e["vector"]) for e in effects]
+        if any(e.get("bin_width") is not None and e["bin_width"] <= 0 for e in effects):
+            raise InvalidInputError("bin width must be positive")
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed POVM encoding: {exc}") from exc
-    return PovmSet(effects=effects, dim=dim)
-
-
-def encode_gram_analysis(analysis: GramAnalysis) -> dict:
-    return {
-        "eigenvalues": [float(v) for v in analysis.eigenvalues],
-        "eigenvectors": encode_complex_matrix(analysis.eigenvectors),
-        "rank": analysis.rank,
-        "threshold": float(analysis.threshold),
-    }
+    if dim < 1 or any(v.shape != (dim,) for v in vectors):
+        raise InvalidInputError("all effects must share the ambient dimension")
+    return PovmSet(np.reshape(vectors, (len(vectors), dim)))
 
 
 def encode_reconstruction(result: ReconstructionResult, config_echo: dict) -> dict:

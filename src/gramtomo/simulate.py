@@ -8,7 +8,7 @@ parallel without reordering draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .errors import EmptyDataError, InvalidInputError
 from .fock import PhaseSpaceGrid, fidelity, pure_density, wigner
 from .maxlik import (Dataset, ReconstructionResult, SolverConfig,
                      expected_probabilities, maxlik_solve)
-from .povm import PovmSet, gram_operator, gram_spectrum
+from .povm import PovmSet, subspace_basis
 
 NOISE_KINDS = ("exact", "multinomial", "poisson")
 
@@ -113,28 +113,6 @@ def generate_counts(rho_true: np.ndarray, povm: PovmSet, noise: NoiseModel,
     return Dataset(counts=counts)
 
 
-def _basis_columns(kind: str, d: int, povm: PovmSet) -> np.ndarray:
-    if kind == "gram":
-        analysis = gram_spectrum(gram_operator(povm))
-        if d > analysis.eigenvectors.shape[1]:
-            raise InvalidInputError(f"requested {d} Gram modes of a dim-{povm.dim} space")
-        return analysis.eigenvectors[:, :d]
-    if kind == "fock":
-        if d > povm.dim:
-            raise InvalidInputError(f"requested {d} Fock states of a dim-{povm.dim} space")
-        return np.eye(povm.dim, dtype=complex)[:, :d]
-    raise InvalidInputError("basis kind must be 'gram' or 'fock'")
-
-
-def _solver_with_subspace(config: SolverConfig | None, basis: np.ndarray) -> SolverConfig:
-    base = config if config is not None else SolverConfig()
-    return SolverConfig(dilution=base.dilution, dilution_floor=base.dilution_floor,
-                        probability_floor=base.probability_floor,
-                        max_iterations=base.max_iterations,
-                        tol_likelihood=base.tol_likelihood, tol_born=base.tol_born,
-                        subspace=basis)
-
-
 def dimension_sweep(target: np.ndarray, povm: PovmSet, basis_kind: str,
                     dims: list[int] | tuple[int, ...], noise: NoiseModel, trials: int,
                     solver_config: SolverConfig | None = None) -> SweepResult:
@@ -156,8 +134,8 @@ def dimension_sweep(target: np.ndarray, povm: PovmSet, basis_kind: str,
     fidelities = np.zeros((len(dims), trials))
     converged = np.zeros((len(dims), trials), dtype=bool)
     for k, d in enumerate(dims):
-        basis = _basis_columns(basis_kind, d, povm)
-        config = _solver_with_subspace(solver_config, basis)
+        config = replace(solver_config or SolverConfig(),
+                         subspace=subspace_basis(basis_kind, d, povm))
         for t in range(trials):
             result = maxlik_solve(datasets[t], povm, config)
             fidelities[k, t] = fidelity(target, result.rho)
@@ -183,8 +161,8 @@ def stability_study(target: np.ndarray, povm: PovmSet, basis_kind: str, d: int,
         grid = PhaseSpaceGrid(x_range=(-5.0, 5.0), p_range=(-5.0, 5.0),
                               x_points=81, p_points=81)
     rho_true = pure_density(target)
-    basis = _basis_columns(basis_kind, d, povm)
-    config = _solver_with_subspace(solver_config, basis)
+    config = replace(solver_config or SolverConfig(),
+                     subspace=subspace_basis(basis_kind, d, povm))
     fidelities = np.zeros(trials)
     converged = np.zeros(trials, dtype=bool)
     grids = []

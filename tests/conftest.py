@@ -35,6 +35,6 @@ def make_random_povm():
 
     def make(rng: np.random.Generator, dim: int, n_outcomes: int) -> PovmSet:
         v = rng.normal(size=(n_outcomes, dim)) + 1j * rng.normal(size=(n_outcomes, dim))
-        return PovmSet.from_vectors(v / np.sqrt(2.0 * dim))
+        return PovmSet(v / np.sqrt(2.0 * dim))
 
     return make

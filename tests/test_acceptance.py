@@ -154,7 +154,7 @@ def test_criterion_02_hadamard_identity(reference_povm, make_random_povm, capsys
 def test_criterion_03_commuting_fixed_point(capsys):
     start = time.perf_counter()
     dim = 7
-    povm = PovmSet.from_vectors(np.eye(dim, dtype=complex))
+    povm = PovmSet(np.eye(dim, dtype=complex))
     counts = np.random.default_rng(3).integers(1, 1000, size=dim).astype(float)
     dataset = Dataset(counts=counts)
     result = maxlik_solve(dataset, povm)

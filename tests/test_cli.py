@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from gramtomo import NoiseModel, cat_state, generate_counts, pure_density
 from gramtomo.cli import CONFIG_SCHEMA, build_povm_from_config, load_config, main
+from gramtomo.serialize import encode_povm
 
 SMALL = {
     "dim": 4,
@@ -148,6 +150,19 @@ class TestReconstructCommand:
         assert outs[0]["config"]["noise"]["seed"] == 1
         assert outs[1]["config"]["noise"]["seed"] == 2
 
+    @pytest.mark.parametrize("basis", ["fock", "gram"])
+    def test_subspace_dimension_beyond_ambient_rejected(self, basis, small_config,
+                                                        tmp_path, capsys):
+        conf = json.loads(small_config.read_text())
+        conf["reconstruction"] = {"basis": basis, "dimension": 9}
+        path = small_config.parent / "too-big.json"
+        path.write_text(json.dumps(conf))
+        code, _, err = run(["reconstruct", "--config", str(path), "--out",
+                            str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert "invalid input" in err
+        assert not (tmp_path / "out" / "reconstruction.json").exists()
+
     def test_subspace_embeds_in_ambient(self, small_config, tmp_path, capsys):
         conf = json.loads(small_config.read_text())
         conf["reconstruction"] = {"basis": "fock", "dimension": 2}
@@ -223,16 +238,50 @@ class TestCountsFile:
 
 class TestPovmFile:
     def test_corrupted_povm_file_rejected(self, tmp_path, capsys):
-        povm_path = tmp_path / "povm.json"
-        povm_path.write_text(json.dumps(
-            {"dim": 2, "effects": [{"vector": [[1.0, 0.0], [0.0]]}]}))
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"dim": 2, "povm": {"kind": "homodyne",
-                                                       "file": str(povm_path)}}))
-        code, _, err = run(["gram-spectrum", "--config", str(conf), "--out",
-                            str(tmp_path / "out")], capsys)
-        assert code == 1
-        assert "invalid input" in err
+        unit = [[1.0, 0.0], [0.0, 0.0]]
+        corrupted = [json.dumps(data) for data in (
+            {"dim": 2, "effects": [{"vector": [[1.0, 0.0], [0.0]]}]},
+            {"dim": 2, "effects": [{"vector": unit + [[0.0, 0.0]]}]},
+            {"dim": 2, "effects": []},
+            {"dim": 2, "effects": [{"vector": unit, "bin_width": 0.0}]},
+            {"dim": "two", "effects": [{"vector": unit}]},
+        )] + ['{"dim": 2, "effects": [']
+        for k, text in enumerate(corrupted):
+            povm_path = tmp_path / f"povm{k}.json"
+            povm_path.write_text(text)
+            conf = tmp_path / f"conf{k}.json"
+            conf.write_text(json.dumps({"dim": 2, "povm": {"kind": "homodyne",
+                                                           "file": str(povm_path)}}))
+            code, _, err = run(["gram-spectrum", "--config", str(conf), "--out",
+                                str(tmp_path / "out")], capsys)
+            assert code == 1, text
+            assert "invalid input" in err
+
+    def test_round_trip_matches_inline(self, tmp_path, capsys):
+        # the reference POVM written by encode_povm, and the same file with the
+        # per-effect metadata an older writer added, give the inline spectra
+        data = encode_povm(build_povm_from_config(load_config(None)))
+        with_metadata = copy.deepcopy(data)
+        for i, effect in enumerate(with_metadata["effects"]):
+            effect.update(phase_index=i // 51, bin_index=i % 51,
+                          bin_center=-5.0 + (i % 51 + 0.5) * 10.0 / 51, bin_width=10.0 / 51)
+
+        def spectra(name, povm_config):
+            conf = tmp_path / f"{name}-conf.json"
+            conf.write_text(json.dumps({"povm": povm_config}))
+            out = tmp_path / name
+            assert run(["gram-spectrum", "--config", str(conf), "--out", str(out)],
+                       capsys)[0] == 0
+            # drop the config echo, which names the POVM file
+            return [(out / f).read_text().splitlines()[1:]
+                    for f in ("g_spectrum.csv", "q_spectrum.csv")]
+
+        inline = spectra("inline", {})
+        assert len(inline[0]) == 16
+        for name, encoded in (("file", data), ("metadata", with_metadata)):
+            povm_path = tmp_path / f"{name}.json"
+            povm_path.write_text(json.dumps(encoded))
+            assert spectra(name, {"file": str(povm_path)}) == inline
 
 
 class TestDeterminism:

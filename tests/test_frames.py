@@ -45,7 +45,7 @@ class TestHermitianBasis:
 
 class TestDualFrame:
     def test_orthonormal_self_dual(self):
-        povm = PovmSet.from_vectors(np.eye(3, dtype=complex))
+        povm = PovmSet(np.eye(3, dtype=complex))
         analysis = gram_spectrum(gram_operator(povm))
         dual = dual_frame(povm, analysis)
         assert np.abs(dual.vectors - povm.vectors).max() < 1e-12
@@ -53,7 +53,7 @@ class TestDualFrame:
     def test_hand_computed_duals(self):
         e0 = np.array([1.0, 0.0], dtype=complex)
         e1 = np.array([0.0, 1.0], dtype=complex)
-        povm = PovmSet.from_vectors(np.array([e0, e0, e1]))
+        povm = PovmSet(np.array([e0, e0, e1]))
         analysis = gram_spectrum(gram_operator(povm))
         dual = dual_frame(povm, analysis)
         expected = np.array([e0 / 2, e0 / 2, e1])
@@ -69,7 +69,7 @@ class TestDualFrame:
         assert np.abs(left - right).max() < 1e-10
 
     def test_zero_support(self):
-        povm = PovmSet.from_vectors(np.zeros((2, 3), dtype=complex))
+        povm = PovmSet(np.zeros((2, 3), dtype=complex))
         analysis = gram_spectrum(gram_operator(povm))
         with pytest.raises(EmptyMeasurementError):
             dual_frame(povm, analysis)
@@ -77,7 +77,7 @@ class TestDualFrame:
 
 class TestFrameReconstruct:
     def test_orthonormal_frame_identity(self):
-        povm = PovmSet.from_vectors(np.eye(4, dtype=complex))
+        povm = PovmSet(np.eye(4, dtype=complex))
         analysis = gram_spectrum(gram_operator(povm))
         dual = dual_frame(povm, analysis)
         rng = np.random.default_rng(7)
@@ -86,7 +86,7 @@ class TestFrameReconstruct:
         assert np.abs(frame_reconstruct(psi, povm, dual) - psi).max() < 1e-12
 
     def test_orthogonal_to_span_gives_zero(self):
-        povm = PovmSet.from_vectors(np.eye(3, dtype=complex)[:2])
+        povm = PovmSet(np.eye(3, dtype=complex)[:2])
         analysis = gram_spectrum(gram_operator(povm))
         dual = dual_frame(povm, analysis)
         psi = np.array([0.0, 0.0, 1.0], dtype=complex)
@@ -104,7 +104,7 @@ class TestFrameReconstruct:
 
 class TestOperatorFrame:
     def test_complete_projectors_fix_diagonals(self):
-        povm = PovmSet.from_vectors(np.eye(3, dtype=complex))
+        povm = PovmSet(np.eye(3, dtype=complex))
         A = np.diag([0.2, 0.5, 0.3]).astype(complex)
         assert np.abs(operator_frame_apply(A, povm) - A).max() < 1e-14
 
@@ -157,13 +157,13 @@ class TestOperatorFrame:
         for i in (0, 17, 44):
             pi_tilde = dual_effect(frame, i)
             back = operator_frame_apply(pi_tilde, povm)
-            y = povm.effects[i].vector
+            y = povm.vectors[i]
             assert np.abs(back - np.outer(y, y.conj())).max() < 1e-9
 
 
 class TestLinearInversion:
     def test_complete_projective_recovers_diagonal(self):
-        povm = PovmSet.from_vectors(np.eye(4, dtype=complex))
+        povm = PovmSet(np.eye(4, dtype=complex))
         rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         p = expected_probabilities(rho, povm)
         # rank 4 < 16: only the diagonal band is recoverable
@@ -240,7 +240,7 @@ class TestHadamardIdentity:
             assert hadamard_identity_check(povm) < 1e-14
 
     def test_orthonormal_frame_both_identity(self):
-        povm = PovmSet.from_vectors(np.eye(5, dtype=complex))
+        povm = PovmSet(np.eye(5, dtype=complex))
         assert hadamard_identity_check(povm) == 0.0
 
     def test_reference_povm(self, reference_povm):
@@ -249,7 +249,7 @@ class TestHadamardIdentity:
 
 class TestModalWeighting:
     def test_identity_gram(self):
-        povm = PovmSet.from_vectors(np.eye(3, dtype=complex))
+        povm = PovmSet(np.eye(3, dtype=complex))
         analysis = gram_spectrum(gram_operator(povm))
         rng = np.random.default_rng(3)
         rho = random_hermitian(rng, 3)

@@ -8,8 +8,8 @@ import pytest
 from gramtomo import (Dataset, EmptyDataError, EmptyMeasurementError, InvalidInputError,
                       PovmSet, SolverConfig, born_residual, expected_probabilities,
                       extremal_residual, fidelity, gram_operator, gram_spectrum,
-                      log_likelihood, maxlik_solve, r_operator, rescale_to_support,
-                      restrict_to_subspace)
+                      hermite_functions, log_likelihood, maxlik_solve, r_operator,
+                      rescale_to_support, restrict_to_subspace)
 from gramtomo.simulate import NoiseModel, generate_counts
 
 
@@ -43,7 +43,7 @@ class TestDataset:
 
 class TestExpectedProbabilities:
     def test_projector_on_own_state(self):
-        povm = PovmSet.from_vectors(np.eye(3, dtype=complex)[:1])
+        povm = PovmSet(np.eye(3, dtype=complex)[:1])
         rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
         assert expected_probabilities(rho, povm)[0] == pytest.approx(1.0, abs=1e-15)
 
@@ -60,26 +60,26 @@ class TestExpectedProbabilities:
 
 class TestLogLikelihood:
     def test_single_outcome_is_zero(self):
-        povm = PovmSet.from_vectors(np.eye(2, dtype=complex)[:1])
+        povm = PovmSet(np.eye(2, dtype=complex)[:1])
         ds = Dataset(counts=np.array([5.0]))
         rho = np.diag([0.3, 0.7]).astype(complex)
         assert log_likelihood(rho, ds, povm) == 0.0
 
     def test_two_projector_closed_form(self):
-        povm = PovmSet.from_vectors(np.eye(2, dtype=complex))
+        povm = PovmSet(np.eye(2, dtype=complex))
         ds = Dataset(counts=np.array([3.0, 1.0]))
         rho = np.diag([0.75, 0.25]).astype(complex)
         ref = 3 * math.log(0.75) + math.log(0.25)
         assert log_likelihood(rho, ds, povm) == pytest.approx(ref, abs=1e-14)
 
     def test_scaling_invariance_exact(self):
-        povm = PovmSet.from_vectors(np.eye(3, dtype=complex))
+        povm = PovmSet(np.eye(3, dtype=complex))
         ds = Dataset(counts=np.array([2.0, 3.0, 5.0]))
         rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
         assert log_likelihood(2.0 * rho, ds, povm) == log_likelihood(rho, ds, povm)
 
     def test_impossible_observation_sentinel(self):
-        povm = PovmSet.from_vectors(np.eye(2, dtype=complex))
+        povm = PovmSet(np.eye(2, dtype=complex))
         ds = Dataset(counts=np.array([1.0, 1.0]))
         rho = np.diag([1.0, 0.0]).astype(complex)
         with pytest.warns(RuntimeWarning):
@@ -88,7 +88,7 @@ class TestLogLikelihood:
 
 class TestROperator:
     def test_exact_data_complete_povm_gives_gram(self):
-        povm = PovmSet.from_vectors(np.eye(4, dtype=complex))
+        povm = PovmSet(np.eye(4, dtype=complex))
         rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         ds = Dataset(counts=expected_probabilities(rho, povm))
         R = r_operator(rho, ds, povm)
@@ -96,7 +96,7 @@ class TestROperator:
 
     def test_single_projector(self):
         y = np.array([0.6, 0.8], dtype=complex)
-        povm = PovmSet.from_vectors(np.array([y]))
+        povm = PovmSet(np.array([y]))
         rho = np.diag([0.5, 0.5]).astype(complex)
         ds = Dataset(counts=np.array([7.0]))
         R = r_operator(rho, ds, povm)
@@ -105,8 +105,8 @@ class TestROperator:
 
     def test_zero_count_outcomes_contribute_nothing(self):
         vecs = np.eye(3, dtype=complex)
-        povm_all = PovmSet.from_vectors(vecs)
-        povm_used = PovmSet.from_vectors(vecs[:2])
+        povm_all = PovmSet(vecs)
+        povm_used = PovmSet(vecs[:2])
         rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
         ds_all = Dataset(counts=np.array([2.0, 1.0, 0.0]))
         ds_used = Dataset(counts=np.array([2.0, 1.0]))
@@ -122,28 +122,28 @@ class TestROperator:
 
 class TestRescaleToSupport:
     def test_identity_gram_is_noop(self):
-        povm = PovmSet.from_vectors(np.eye(4, dtype=complex))
+        povm = PovmSet(np.eye(4, dtype=complex))
         analysis = gram_spectrum(gram_operator(povm))
         rescaled = rescale_to_support(povm, analysis)
         assert np.abs(rescaled.vectors - povm.vectors).max() < 1e-12
 
     def test_reference_completeness_on_support(self, reference_povm, reference_analysis):
         rescaled = rescale_to_support(reference_povm, reference_analysis)
-        G_prime = gram_operator(PovmSet.from_vectors(rescaled.vectors))
+        G_prime = gram_operator(PovmSet(rescaled.vectors))
         assert np.abs(G_prime - np.eye(15)).max() < 1e-10
 
     def test_rank_deficient_toy(self):
         rng = np.random.default_rng(3)
         vecs = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
-        povm = PovmSet.from_vectors(vecs)
+        povm = PovmSet(vecs)
         analysis = gram_spectrum(gram_operator(povm))
         assert analysis.rank == 3
         rescaled = rescale_to_support(povm, analysis)
-        G_prime = gram_operator(PovmSet.from_vectors(rescaled.vectors))
+        G_prime = gram_operator(PovmSet(rescaled.vectors))
         assert np.abs(G_prime - np.eye(3)).max() < 1e-10
 
     def test_zero_support_error(self):
-        povm = PovmSet.from_vectors(np.zeros((2, 3), dtype=complex))
+        povm = PovmSet(np.zeros((2, 3), dtype=complex))
         analysis = gram_spectrum(gram_operator(povm))
         with pytest.raises(EmptyMeasurementError):
             rescale_to_support(povm, analysis)
@@ -168,10 +168,15 @@ class TestRestrictToSubspace:
         vals = np.linalg.eigvalsh(gram_operator(restricted))[::-1]
         assert np.abs(vals - reference_analysis.eigenvalues[:d]).max() < 1e-10
 
-    def test_metadata_preserved(self, reference_povm):
+    def test_metadata_preserved(self, reference_config, reference_povm):
+        # outcome 70 stays phase 1, bin 19: sqrt(dx) e^{i n theta_1} psi_n(x_19), n < 3
         restricted = restrict_to_subspace(reference_povm, np.eye(15, dtype=complex)[:, :3])
-        assert restricted.effects[70].phase_index == reference_povm.effects[70].phase_index
-        assert restricted.effects[70].bin_center == reference_povm.effects[70].bin_center
+        j, b = divmod(70, reference_config.bins)
+        psi = hermite_functions(reference_config.bin_centers[b:b + 1], 2)[:, 0]
+        expected = (np.sqrt(reference_config.bin_width)
+                    * np.exp(1j * np.arange(3) * reference_config.phases[j]) * psi)
+        assert restricted.n_outcomes == reference_povm.n_outcomes
+        assert np.abs(restricted.vectors[70] - expected).max() < 1e-14
 
     def test_non_orthonormal_rejected(self, reference_povm):
         bad = np.ones((15, 2), dtype=complex)
@@ -181,19 +186,19 @@ class TestRestrictToSubspace:
 
 class TestResiduals:
     def test_born_zero_at_commuting_fixed_point(self):
-        povm = PovmSet.from_vectors(np.eye(4, dtype=complex))
+        povm = PovmSet(np.eye(4, dtype=complex))
         ds = Dataset(counts=np.array([4.0, 3.0, 2.0, 1.0]))
         rho = np.diag(ds.frequencies).astype(complex)
         assert born_residual(rho, ds, povm) < 1e-12
 
     def test_born_positive_away_from_fixed_point(self):
-        povm = PovmSet.from_vectors(np.eye(4, dtype=complex))
+        povm = PovmSet(np.eye(4, dtype=complex))
         ds = Dataset(counts=np.array([10.0, 1.0, 1.0, 1.0]))
         rho = np.eye(4, dtype=complex) / 4
         assert born_residual(rho, ds, povm) > 0.1
 
     def test_extremal_zero_at_commuting_fixed_point(self):
-        povm = PovmSet.from_vectors(np.eye(4, dtype=complex))
+        povm = PovmSet(np.eye(4, dtype=complex))
         ds = Dataset(counts=np.array([4.0, 3.0, 2.0, 1.0]))
         rho = np.diag(ds.frequencies).astype(complex)
         assert extremal_residual(rho, ds, povm) < 1e-14
@@ -209,7 +214,7 @@ class TestResiduals:
 
 class TestMaxlikSolve:
     def test_commuting_case_closed_form(self):
-        povm = PovmSet.from_vectors(np.eye(5, dtype=complex))
+        povm = PovmSet(np.eye(5, dtype=complex))
         counts = np.array([11.0, 7.0, 5.0, 3.0, 1.0])
         ds = Dataset(counts=counts)
         res = maxlik_solve(ds, povm)
@@ -236,7 +241,7 @@ class TestMaxlikSolve:
         povm, psi, rho = small_problem()
         ds = Dataset(counts=expected_probabilities(rho, povm))
         initial = born_residual(np.eye(povm.dim, dtype=complex) / povm.dim, ds,
-                                PovmSet.from_vectors(
+                                PovmSet(
                                     rescale_to_support(
                                         povm, gram_spectrum(gram_operator(povm))).vectors))
         res = maxlik_solve(ds, povm, SolverConfig(max_iterations=2000))
@@ -257,7 +262,7 @@ class TestMaxlikSolve:
         base = maxlik_solve(ds, povm, cfg)
         rng = np.random.default_rng(0)
         perm = rng.permutation(povm.n_outcomes)
-        povm_p = PovmSet.from_vectors(povm.vectors[perm])
+        povm_p = PovmSet(povm.vectors[perm])
         ds_p = Dataset(counts=ds.counts[perm])
         permuted = maxlik_solve(ds_p, povm_p, cfg)
         assert np.abs(base.rho - permuted.rho).max() < 1e-10
@@ -295,7 +300,7 @@ class TestMaxlikSolve:
 
     def test_truncation_mismatch_floor_warning(self):
         # an observed outcome the model calls impossible trips the floor
-        povm = PovmSet.from_vectors(np.eye(2, dtype=complex))
+        povm = PovmSet(np.eye(2, dtype=complex))
         ds = Dataset(counts=np.array([5.0, 1.0]))
         rng_free = SolverConfig(max_iterations=50, subspace=np.eye(2, dtype=complex)[:, :1])
         with pytest.warns(RuntimeWarning):
@@ -304,7 +309,7 @@ class TestMaxlikSolve:
 
     def test_backtracking_keeps_trace_monotone_with_full_dilution(self):
         # commuting case converges after backtracking halves the step
-        povm = PovmSet.from_vectors(np.eye(3, dtype=complex))
+        povm = PovmSet(np.eye(3, dtype=complex))
         ds = Dataset(counts=np.array([5.0, 3.0, 2.0]))
         res = maxlik_solve(ds, povm, SolverConfig(dilution=1.0))
         assert res.converged

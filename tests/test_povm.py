@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -49,12 +51,13 @@ class TestBuildHomodynePovm:
         assert G[0, 0] == pytest.approx(w * psi0 ** 2, abs=1e-14)
 
     def test_outcome_order_phase_major(self, reference_config, reference_povm):
-        e = reference_povm.effects
-        assert e[0].phase_index == 0 and e[0].bin_index == 0
-        assert e[51].phase_index == 1 and e[51].bin_index == 0
-        assert e[305].phase_index == 5 and e[305].bin_index == 50
-        assert e[7].bin_center == pytest.approx(reference_config.bin_centers[7], abs=1e-15)
-        assert e[7].bin_width == pytest.approx(reference_config.bin_width, abs=1e-15)
+        # row j * bins + b is sqrt(dx) e^{i n theta_j} psi_n(x_b): phase j, bin b
+        dx = reference_config.bin_width
+        n = np.arange(15)
+        for i, j, b in [(0, 0, 0), (51, 1, 0), (305, 5, 50), (7, 0, 7)]:
+            psi = hermite_functions(reference_config.bin_centers[b:b + 1], 14)[:, 0]
+            expected = np.sqrt(dx) * np.exp(1j * n * reference_config.phases[j]) * psi
+            assert np.abs(reference_povm.vectors[i] - expected).max() < 1e-14
 
     def test_per_phase_completeness(self):
         # sum over the bins of one phase approximates int |psi_n|^2 dx = 1
@@ -76,20 +79,38 @@ class TestBuildHomodynePovm:
     def test_phase_dependence_is_a_pure_rotation(self, reference_config):
         povm = build_homodyne_povm(reference_config, 4)
         theta = reference_config.phases[2]
-        y0 = povm.effects[5].vector          # phase 0, bin 5
-        y2 = povm.effects[2 * 51 + 5].vector  # phase 2, same bin
+        y0 = povm.vectors[5]           # phase 0, bin 5
+        y2 = povm.vectors[2 * 51 + 5]  # phase 2, same bin
         rot = np.exp(1j * np.arange(4) * theta)
         assert np.abs(y2 - rot * y0).max() < 1e-14
 
 
+class TestPovmSet:
+    def test_rejects_one_dimensional_or_empty_array(self):
+        for vectors in (np.ones(3, dtype=complex), np.zeros((0, 3), dtype=complex)):
+            with pytest.raises(InvalidInputError):
+                PovmSet(vectors)
+
+    def test_vectors_read_only(self):
+        source = np.eye(3, dtype=complex)
+        povm = PovmSet(source)
+        with pytest.raises(ValueError):
+            povm.vectors[0, 0] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            povm.vectors = np.eye(3, dtype=complex)
+        # the caller's array stays writable and is not shared
+        source[0, 0] = 2.0
+        assert povm.vectors[0, 0] == 1.0
+
+
 class TestGramOperator:
     def test_orthonormal_completeness(self):
-        povm = PovmSet.from_vectors(np.eye(4, dtype=complex))
+        povm = PovmSet(np.eye(4, dtype=complex))
         assert np.abs(gram_operator(povm) - np.eye(4)).max() < 1e-15
 
     def test_repeated_effect(self):
         y = np.array([0.6, 0.8j], dtype=complex)
-        povm = PovmSet.from_vectors(np.array([y, y]))
+        povm = PovmSet(np.array([y, y]))
         G = gram_operator(povm)
         vals = np.linalg.eigvalsh(G)
         assert vals[-1] == pytest.approx(2.0, abs=1e-14)
@@ -98,8 +119,8 @@ class TestGramOperator:
     def test_reference_gram_against_dense_sum(self, reference_povm):
         G = gram_operator(reference_povm)
         dense = np.zeros((15, 15), dtype=complex)
-        for e in reference_povm.effects:
-            dense += np.outer(e.vector, e.vector.conj())
+        for y in reference_povm.vectors:
+            dense += np.outer(y, y.conj())
         assert np.abs(G - dense).max() < 1e-12
 
     def test_random_povm_psd(self, make_random_povm):
@@ -155,12 +176,12 @@ class TestGramSpectrum:
 
 class TestGramMatrices:
     def test_state_space_orthonormal(self):
-        povm = PovmSet.from_vectors(np.eye(3, dtype=complex))
+        povm = PovmSet(np.eye(3, dtype=complex))
         assert np.abs(gram_matrix_state_space(povm) - np.eye(3)).max() < 1e-15
 
     def test_state_space_two_identical(self):
         y = np.array([1.0, 0.0], dtype=complex)
-        Gm = gram_matrix_state_space(PovmSet.from_vectors(np.array([y, y])))
+        Gm = gram_matrix_state_space(PovmSet(np.array([y, y])))
         assert np.abs(Gm - np.ones((2, 2))).max() < 1e-15
         vals = np.sort(np.linalg.eigvalsh(Gm))
         assert vals[1] == pytest.approx(2.0, abs=1e-14) and abs(vals[0]) < 1e-14
@@ -171,7 +192,7 @@ class TestGramMatrices:
         assert np.abs(vals - reference_analysis.eigenvalues).max() < 1e-9
 
     def test_operator_space_orthonormal(self):
-        povm = PovmSet.from_vectors(np.eye(3, dtype=complex))
+        povm = PovmSet(np.eye(3, dtype=complex))
         assert np.abs(gram_matrix_operator_space(povm) - np.eye(3)).max() < 1e-15
 
     def test_hadamard_relation(self, reference_povm):
@@ -204,26 +225,24 @@ class TestEffectiveRank:
 
 
 class TestMarginalConsistency:
-    def test_cat_quadrature_distribution_against_quadrature_oracle(self, reference_povm, cat_target):
+    def test_cat_quadrature_distribution_against_quadrature_oracle(self, reference_config,
+                                                                    reference_povm, cat_target):
         # each bin probability approximates the adaptive-quadrature integral
-        # of the wavefunction density over the bin (midpoint-rule error only)
+        # of the wavefunction density over the bin (midpoint-rule error only);
+        # the first 51 outcomes are the bins of phase 0
         psi = cat_target
 
         def density(x):
             wave = psi.real @ hermite_functions(np.asarray(x), 14)
             return float(wave ** 2)
 
-        p_model = np.array([abs(np.vdot(e.vector, psi)) ** 2
-                            for e in reference_povm.effects[:51]])
-        p_exact = np.array([
-            quad(density, e.bin_center - e.bin_width / 2, e.bin_center + e.bin_width / 2)[0]
-            for e in reference_povm.effects[:51]
-        ])
+        centers = reference_config.bin_centers
+        dx = reference_config.bin_width
+        p_model = np.array([abs(np.vdot(y, psi)) ** 2 for y in reference_povm.vectors[:51]])
+        p_exact = np.array([quad(density, c - dx / 2, c + dx / 2)[0] for c in centers])
         assert np.abs(p_model - p_exact).max() < 3e-4
         lobe = int(np.argmax(p_exact))
         assert p_model[lobe] == pytest.approx(p_exact[lobe], rel=1e-2)
         # double-peaked marginal with maxima near x = +-2 sqrt(2)
-        centers = np.array([e.bin_center for e in reference_povm.effects[:51]])
-        dx = reference_povm.effects[0].bin_width
         peaks = centers[np.sort(np.argsort(p_model)[-2:])]
         assert abs(peaks[0] + 2 * np.sqrt(2)) < dx and abs(peaks[1] - 2 * np.sqrt(2)) < dx
