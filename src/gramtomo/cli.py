@@ -24,8 +24,9 @@ import time
 import warnings
 from pathlib import Path
 
-import jsonschema
 import numpy as np
+from jsonschema.exceptions import ValidationError, best_match
+from jsonschema.validators import validator_for
 
 from .errors import InvalidInputError, NumericalConsistencyError
 from .fock import PhaseSpaceGrid, cat_state, coherent_state, fidelity, fock_state, wigner
@@ -42,115 +43,11 @@ from .simulate import (NoiseModel, dimension_sweep, generate_counts, stability_s
 
 ENV_OUTPUT_DIR = "GRAMTOMO_OUT"
 
-_number = {"type": "number"}
-_complex_or_real = {
-    "oneOf": [
-        {"type": "number"},
-        {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
-    ]
-}
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "dim": {"type": "integer", "minimum": 1},
-        "target": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["cat", "coherent", "fock"]},
-                "alpha": _complex_or_real,
-                "parity": {"enum": ["even", "odd"]},
-                "n": {"type": "integer", "minimum": 0},
-            },
-        },
-        "povm": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["homodyne", "projective"]},
-                "phases": {"type": "array", "items": _number, "minItems": 1},
-                "phase_count": {"type": "integer", "minimum": 1},
-                "bins": {"type": "integer", "minimum": 1},
-                "range": {"type": "array", "items": _number,
-                          "minItems": 2, "maxItems": 2},
-                "file": {"type": "string"},
-            },
-        },
-        "noise": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["exact", "multinomial", "poisson"]},
-                "exposure": {"type": "number", "exclusiveMinimum": 0},
-                "seed": {"type": "integer"},
-            },
-        },
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "dilution": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "dilution_floor": {"type": "number", "exclusiveMinimum": 0},
-                "probability_floor": {"type": "number", "exclusiveMinimum": 0},
-                "max_iterations": {"type": "integer", "minimum": 1},
-                "tol_likelihood": {"type": "number", "minimum": 0},
-                "tol_born": {"type": "number", "minimum": 0},
-            },
-        },
-        "reconstruction": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "basis": {"enum": ["full", "gram", "fock"]},
-                "dimension": {"type": ["integer", "null"], "minimum": 1},
-            },
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "dims": {"type": "array", "items": {"type": "integer", "minimum": 1},
-                         "minItems": 1},
-                "trials": {"type": "integer", "minimum": 1},
-                "bases": {"type": "array", "items": {"enum": ["gram", "fock"]},
-                          "minItems": 1},
-            },
-        },
-        "stability": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "basis": {"enum": ["gram", "fock"]},
-                "dimension": {"type": "integer", "minimum": 1},
-                "trials": {"type": "integer", "minimum": 2},
-            },
-        },
-        "wigner_grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "x_range": {"type": "array", "items": _number,
-                            "minItems": 2, "maxItems": 2},
-                "p_range": {"type": "array", "items": _number,
-                            "minItems": 2, "maxItems": 2},
-                "x_points": {"type": "integer", "minimum": 2},
-                "p_points": {"type": "integer", "minimum": 2},
-            },
-        },
-        "counts_file": {"type": "string"},
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "directory": {"type": ["string", "null"]},
-                "format": {"enum": ["csv", "json"]},
-            },
-        },
-    },
-}
+# the only copy of the config schema; README and --config --help name this file
+CONFIG_SCHEMA_PATH = Path(__file__).with_name("config-schema.json")
+CONFIG_SCHEMA = json.loads(CONFIG_SCHEMA_PATH.read_text())
+CONFIG_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+CONFIG_VALIDATOR.check_schema(CONFIG_SCHEMA)
 
 DEFAULTS = {
     "dim": 15,
@@ -181,40 +78,47 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def load_config(path: str | None) -> dict:
-    """Validate the config file against the schema and merge over defaults."""
+def load_config(path: str | None, overrides: dict | None = None) -> dict:
+    """Read the config file, apply the overrides, validate once and merge over
+    the defaults (precedence: override > file > default)."""
     raw = {}
     if path is not None:
         try:
             raw = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"config file is not valid JSON: {exc}") from exc
-    jsonschema.validate(raw, CONFIG_SCHEMA)
+    if isinstance(raw, dict):
+        # a section the file sets to a non-object keeps its value, so that
+        # validation reports it instead of an override replacing it
+        raw = _merge(raw, {key: section for key, section in (overrides or {}).items()
+                           if isinstance(raw.get(key, {}), dict)})
+    error = best_match(CONFIG_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        raise error
     return _merge(DEFAULTS, raw)
 
 
-def apply_flags(config: dict, args: argparse.Namespace, command: str) -> dict:
-    config = copy.deepcopy(config)
-    if args.seed is not None:
-        config["noise"]["seed"] = args.seed
-    if args.out is not None:
-        config["output"]["directory"] = args.out
-    if args.format is not None:
-        config["output"]["format"] = args.format
-    if args.trials is not None:
-        config["sweep"]["trials"] = args.trials
-        config["stability"]["trials"] = args.trials
+def _flag_overrides(args: argparse.Namespace) -> dict:
+    """The config sections that the flags set. --trials and --basis set the
+    section of the command that runs, and no other."""
+    dims = None
     if args.dims is not None:
-        config["sweep"]["dims"] = [int(v) for v in args.dims.split(",") if v.strip()]
-    if args.basis is not None:
-        if command == "sweep":
-            config["sweep"]["bases"] = [args.basis]
-        elif command == "stability":
-            config["stability"]["basis"] = args.basis
-        else:
-            config["reconstruction"]["basis"] = args.basis
-    jsonschema.validate(_strip_nones(config), CONFIG_SCHEMA)
-    return config
+        try:
+            dims = [int(v) for v in args.dims.split(",") if v.strip()]
+        except ValueError as exc:
+            raise InvalidInputError(
+                f"--dims {args.dims!r} is not a comma-separated list of integers") from exc
+    sections = {"noise": {"seed": args.seed},
+                "output": {"directory": args.out, "format": args.format},
+                "sweep": {"dims": dims}}
+    if args.command == "sweep":
+        sections["sweep"].update(trials=args.trials,
+                                 bases=None if args.basis is None else [args.basis])
+    elif args.command == "stability":
+        sections["stability"] = {"trials": args.trials, "basis": args.basis}
+    else:
+        sections["reconstruction"] = {"basis": args.basis}
+    return {key: section for key, section in _strip_nones(sections).items() if section}
 
 
 def _strip_nones(config: dict) -> dict:
@@ -244,7 +148,11 @@ def build_povm_from_config(config: dict) -> PovmSet:
             data = json.loads(Path(pc["file"]).read_text())
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"POVM file is not valid JSON: {exc}") from exc
-        return decode_povm(data)
+        povm = decode_povm(data)
+        if povm.dim != dim:
+            raise InvalidInputError(f"POVM file has dim {povm.dim} but the config has "
+                                    f"dim {dim}")
+        return povm
     if pc["kind"] == "projective":
         return PovmSet(np.eye(dim, dtype=complex))
     if pc.get("phases") is not None:
@@ -269,15 +177,6 @@ def build_target_from_config(config: dict) -> np.ndarray:
     return fock_state(tc.get("n", 0), dim)
 
 
-def build_solver_config(config: dict, subspace: np.ndarray | None = None) -> SolverConfig:
-    return SolverConfig(**config["solver"], subspace=subspace)
-
-
-def build_noise_from_config(config: dict) -> NoiseModel:
-    nc = config["noise"]
-    return NoiseModel(kind=nc["kind"], exposure=nc["exposure"], seed=nc["seed"])
-
-
 def build_grid_from_config(config: dict) -> PhaseSpaceGrid:
     gc = config["wigner_grid"]
     return PhaseSpaceGrid(x_range=tuple(gc["x_range"]), p_range=tuple(gc["p_range"]),
@@ -293,32 +192,37 @@ def load_counts_file(path: str, povm: PovmSet, config: dict) -> Dataset:
     if lines and lines[0].replace(" ", "") == "phase_index,bin_index,count":
         lines = lines[1:]
     bins = config["povm"]["bins"]
+    phases = povm.n_outcomes // bins
     counts = np.zeros(povm.n_outcomes)
     if len(lines) != povm.n_outcomes:
         raise InvalidInputError(
             f"count file has {len(lines)} rows but the POVM has "
             f"{povm.n_outcomes} outcomes")
+    seen = set()
     for ln in lines:
         parts = ln.split(",")
         if len(parts) != 3:
             raise InvalidInputError(f"count file row {ln!r} is not phase,bin,count")
-        phase, b, count = int(parts[0]), int(parts[1]), float(parts[2])
-        idx = phase * bins + b
-        if not 0 <= idx < povm.n_outcomes:
-            raise InvalidInputError(f"count file row {ln!r} addresses no POVM outcome")
-        counts[idx] = count
+        try:
+            phase, b, count = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise InvalidInputError(f"count file row {ln!r} has a cell that is not a "
+                                    "number") from exc
+        if not (0 <= phase < phases and 0 <= b < bins):
+            raise InvalidInputError(f"count file row {ln!r} addresses no POVM outcome "
+                                    f"({phases} phases x {bins} bins)")
+        if (phase, b) in seen:
+            raise InvalidInputError(f"count file row {ln!r} repeats outcome {(phase, b)}")
+        seen.add((phase, b))
+        counts[phase * bins + b] = count
     return Dataset(counts=counts)
-
-
-def _echo(config: dict) -> dict:
-    return _strip_nones(config)
 
 
 def cmd_gram_spectrum(config: dict, outdir: Path) -> list[Path]:
     povm = build_povm_from_config(config)
     analysis = gram_spectrum(gram_operator(povm))
     q_vals = np.linalg.eigvalsh(gram_matrix_operator_space(povm))[::-1]
-    echo = _echo(config)
+    echo = _strip_nones(config)
     fmt = config["output"]["format"]
     written = []
     for name, values in (("g_spectrum", analysis.eigenvalues), ("q_spectrum", q_vals)):
@@ -351,17 +255,17 @@ def cmd_reconstruct(config: dict, outdir: Path) -> list[Path]:
     if config["counts_file"]:
         dataset = load_counts_file(config["counts_file"], povm, config)
     else:
-        dataset = generate_counts(rho_true, povm, build_noise_from_config(config))
+        dataset = generate_counts(rho_true, povm, NoiseModel(**config["noise"]))
     rc = config["reconstruction"]
     basis = None
     if rc["basis"] != "full" and rc["dimension"] is not None:
         basis = subspace_basis(rc["basis"], rc["dimension"], povm)
-    solver = build_solver_config(config, subspace=basis)
+    solver = SolverConfig(**config["solver"], subspace=basis)
     start = time.perf_counter()
     result = maxlik_solve(dataset, povm, solver)
     print(f"reconstruction wall time: {time.perf_counter() - start:.3f} s",
           file=sys.stderr)
-    echo = _echo(config)
+    echo = _strip_nones(config)
     payload = encode_reconstruction(result, echo)
     payload["fidelity_to_target"] = fidelity(target, result.rho)
     path_json = outdir / "reconstruction.json"
@@ -383,9 +287,9 @@ def cmd_reconstruct(config: dict, outdir: Path) -> list[Path]:
 def cmd_sweep(config: dict, outdir: Path) -> list[Path]:
     povm = build_povm_from_config(config)
     target = build_target_from_config(config)
-    noise = build_noise_from_config(config)
-    solver = build_solver_config(config)
-    echo = _echo(config)
+    noise = NoiseModel(**config["noise"])
+    solver = SolverConfig(**config["solver"])
+    echo = _strip_nones(config)
     written = []
     summary = {}
     for basis in config["sweep"]["bases"]:
@@ -417,13 +321,13 @@ def cmd_sweep(config: dict, outdir: Path) -> list[Path]:
 def cmd_stability(config: dict, outdir: Path) -> list[Path]:
     povm = build_povm_from_config(config)
     target = build_target_from_config(config)
-    noise = build_noise_from_config(config)
-    solver = build_solver_config(config)
+    noise = NoiseModel(**config["noise"])
+    solver = SolverConfig(**config["solver"])
     grid = build_grid_from_config(config)
     sc = config["stability"]
     result = stability_study(target, povm, sc["basis"], sc["dimension"], noise,
                              sc["trials"], grid=grid, solver_config=solver)
-    echo = _echo(config)
+    echo = _strip_nones(config)
     written = []
     rows = [(t, float(result.fidelities[t]), bool(result.converged[t]))
             for t in range(result.trials)]
@@ -456,7 +360,8 @@ def cmd_stability(config: dict, outdir: Path) -> list[Path]:
 def cmd_frames_check(config: dict, outdir: Path) -> list[Path]:
     povm = build_povm_from_config(config)
     dim = povm.dim
-    analysis = gram_spectrum(gram_operator(povm))
+    G = gram_operator(povm)
+    analysis = gram_spectrum(G)
     rng = trial_generator(config["noise"]["seed"], 0)
 
     def random_hermitian() -> np.ndarray:
@@ -495,7 +400,6 @@ def cmd_frames_check(config: dict, outdir: Path) -> list[Path]:
 
     D = random_hermitian()
     _, weighted = modal_weighting(D, analysis)
-    G = gram_operator(povm)
     U = analysis.eigenvectors
     dev = float(np.abs((U @ weighted @ U.conj().T) - G @ D @ G).max())
     checks.append(("modal_weighting_congruence", dev, 1e-9))
@@ -507,7 +411,7 @@ def cmd_frames_check(config: dict, outdir: Path) -> list[Path]:
             for name, dev, tol in checks
         ],
         "all_pass": bool(all(dev < tol for _, dev, tol in checks)),
-        "config": _echo(config),
+        "config": _strip_nones(config),
     }
     path = outdir / "frames_report.json"
     write_json(path, report)
@@ -542,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("frames-check", "frame-identity test suite (nonzero exit on failure)"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file (see docs/config-schema.json)")
+        p.add_argument("--config", help="JSON config file (see src/gramtomo/config-schema.json)")
         p.add_argument("--seed", type=int, help="noise seed override")
         p.add_argument("--out", help=f"output directory (default ${ENV_OUTPUT_DIR} "
                                      "or ./gramtomo-out)")
@@ -557,11 +461,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config)
-        config = apply_flags(config, args, args.command)
+        config = load_config(args.config, _flag_overrides(args))
         outdir = resolve_output_dir(config)
         written = COMMANDS[args.command](config, outdir)
-    except jsonschema.ValidationError as exc:
+    except ValidationError as exc:
         print(f"config validation error: {exc.message}", file=sys.stderr)
         return 1
     except InvalidInputError as exc:

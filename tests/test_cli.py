@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gramtomo import NoiseModel, cat_state, generate_counts, pure_density
-from gramtomo.cli import CONFIG_SCHEMA, build_povm_from_config, load_config, main
+from gramtomo import NoiseModel, PovmSet, cat_state, generate_counts, pure_density
+from gramtomo.cli import (CONFIG_SCHEMA, CONFIG_SCHEMA_PATH, CONFIG_VALIDATOR, DEFAULTS,
+                          _strip_nones, build_povm_from_config, load_config, main)
 from gramtomo.serialize import encode_povm
+
+ROOT = Path(__file__).parent.parent
+README = (ROOT / "README.md").read_text()
 
 SMALL = {
     "dim": 4,
@@ -70,10 +75,25 @@ class TestConfigValidation:
         assert code == 3
         assert "io error" in err
 
-    def test_schema_doc_matches_live_schema(self):
-        doc = json.loads((Path(__file__).parent.parent
-                          / "docs" / "config-schema.json").read_text())
-        assert doc == CONFIG_SCHEMA
+    def test_schema_doc_matches_live_schema(self, capsys):
+        # the file that the README and --config --help name is the one cli loads
+        readme_path = re.search(r"validated against `([^`]+)`", README).group(1)
+        with pytest.raises(SystemExit):
+            main(["gram-spectrum", "--help"])
+        help_path = re.search(r"\(see\s+(\S+)\)", capsys.readouterr().out).group(1)
+        assert help_path == readme_path
+        assert (ROOT / readme_path).resolve() == CONFIG_SCHEMA_PATH.resolve()
+        assert json.loads((ROOT / readme_path).read_text()) == CONFIG_SCHEMA
+
+    def test_defaults_pass_schema(self):
+        assert list(CONFIG_VALIDATOR.iter_errors(_strip_nones(DEFAULTS))) == []
+
+    def test_readme_defaults_match(self):
+        block = re.search(r"defaults shown:\n\n```json\n(.*?)\n```", README, re.S).group(1)
+        expected = _strip_nones(DEFAULTS)
+        expected["reconstruction"]["dimension"] = None
+        expected["output"]["directory"] = None
+        assert json.loads(block) == expected
 
 
 class TestGramSpectrumCommand:
@@ -225,6 +245,29 @@ class TestCountsFile:
         assert code == 1
         assert "10" in err and "39" in err
 
+    @pytest.mark.parametrize("row, replaces", [
+        ("0,0,abc", 0),   # a cell that is not a number
+        ("0,13,5", 13),   # bin 13 of 13 bins; used to land on phase 1, bin 0
+        ("-1,20,5", 7),   # phase -1; used to land on phase 0, bin 7
+        ("0,0,5", 1),     # (0, 0) twice; used to leave (0, 1) at count 0
+    ])
+    def test_bad_row_rejected(self, row, replaces, small_config, tmp_path, capsys):
+        counts_path = tmp_path / "counts.csv"
+        self.write_counts(counts_path, np.ones(39), bins=13, header=False)
+        lines = counts_path.read_text().splitlines()
+        lines[1 + replaces] = row
+        counts_path.write_text("\n".join(lines) + "\n")
+        conf = json.loads(small_config.read_text())
+        conf["counts_file"] = str(counts_path)
+        path = small_config.parent / "bad-row.json"
+        path.write_text(json.dumps(conf))
+        out = tmp_path / "out"
+        code, _, err = run(["reconstruct", "--config", str(path), "--out", str(out)],
+                           capsys)
+        assert code == 1
+        assert "invalid input" in err and repr(row) in err
+        assert not (out / "reconstruction.json").exists()
+
     def test_counts_need_inline_homodyne(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"dim": 3, "povm": {"kind": "projective"},
@@ -256,6 +299,19 @@ class TestPovmFile:
                                 str(tmp_path / "out")], capsys)
             assert code == 1, text
             assert "invalid input" in err
+
+    def test_file_dim_must_match_config(self, tmp_path, capsys):
+        povm_path = tmp_path / "povm6.json"
+        povm_path.write_text(json.dumps(encode_povm(PovmSet(np.eye(6, dtype=complex)))))
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"dim": 3, "povm": {"kind": "homodyne",
+                                                       "file": str(povm_path)}}))
+        out = tmp_path / "out"
+        code, _, err = run(["gram-spectrum", "--config", str(conf), "--out", str(out)],
+                           capsys)
+        assert code == 1
+        assert "invalid input" in err and "dim 6" in err and "dim 3" in err
+        assert not (out / "g_spectrum.csv").exists()
 
     def test_round_trip_matches_inline(self, tmp_path, capsys):
         # the reference POVM written by encode_povm, and the same file with the
@@ -340,6 +396,29 @@ class TestSweepCommand:
         assert list(summary["bases"]) == ["fock"]
         assert summary["bases"]["fock"]["dims"] == [1, 3]
         assert len(summary["bases"]["fock"]["trial_seeds"]) == 3
+
+    def test_trials_flag_sets_only_sweep(self, small_config, tmp_path, capsys):
+        # stability.trials has a minimum of 2, so --trials 1 must not reach it
+        out = tmp_path / "out"
+        code, _, err = run(["sweep", "--config", str(small_config), "--out", str(out),
+                            "--trials", "1"], capsys)
+        assert code == 0, err
+        for basis in ("gram", "fock"):
+            rows = [ln for ln in (out / f"sweep_{basis}.csv").read_text().splitlines()
+                    if ln and not ln.startswith("#")]
+            assert [r.split(",")[:2] for r in rows[1:]] == [["1", "0"], ["2", "0"]]
+        echo = json.loads((out / "sweep_summary.json").read_text())["config"]
+        assert echo["sweep"]["trials"] == 1
+        assert echo["stability"]["trials"] == SMALL["stability"]["trials"]
+
+    @pytest.mark.parametrize("dims", ["1,x", "2.5", "1;2"])
+    def test_malformed_dims_rejected(self, dims, small_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, err = run(["sweep", "--config", str(small_config), "--out", str(out),
+                            "--dims", dims], capsys)
+        assert code == 1
+        assert "invalid input" in err and repr(dims) in err
+        assert not out.exists()
 
 
 class TestStabilityCommand:
