@@ -16,7 +16,7 @@ from .frames import (DualFrame, OperatorFrame, PartialInversionWarning,
                      clip_to_physical, dual_effect, dual_frame, frame_reconstruct,
                      hadamard_identity_check, hermitian_basis, linear_inversion,
                      modal_weighting, operator_frame, operator_frame_apply)
-from .maxlik import (Dataset, ReconstructionResult, RescaledPovm, SolverConfig,
+from .maxlik import (TOL_GAP, Dataset, ReconstructionResult, RescaledPovm, SolverConfig,
                      born_residual, expected_probabilities, extremal_residual,
                      log_likelihood, maxlik_solve, r_operator, rescale_to_support,
                      restrict_to_subspace)
@@ -38,7 +38,7 @@ __all__ = [
     "dual_effect", "dual_frame", "frame_reconstruct", "hadamard_identity_check",
     "hermitian_basis", "linear_inversion", "modal_weighting", "operator_frame",
     "operator_frame_apply",
-    "Dataset", "ReconstructionResult", "RescaledPovm", "SolverConfig",
+    "TOL_GAP", "Dataset", "ReconstructionResult", "RescaledPovm", "SolverConfig",
     "born_residual", "expected_probabilities", "extremal_residual",
     "log_likelihood", "maxlik_solve", "r_operator", "rescale_to_support",
     "restrict_to_subspace",

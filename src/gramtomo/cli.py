@@ -32,7 +32,7 @@ from .errors import InvalidInputError, NumericalConsistencyError
 from .fock import PhaseSpaceGrid, cat_state, coherent_state, fidelity, fock_state, wigner
 from .frames import (dual_frame, hadamard_identity_check, linear_inversion,
                      modal_weighting, operator_frame, operator_frame_apply)
-from .maxlik import Dataset, SolverConfig, maxlik_solve
+from .maxlik import TOL_GAP, Dataset, SolverConfig, maxlik_solve
 from .povm import (HomodyneConfig, PovmSet, born_probabilities, build_homodyne_povm,
                    effective_rank, gram_matrix_operator_space, gram_operator, gram_spectrum,
                    subspace_basis)
@@ -260,7 +260,7 @@ def cmd_reconstruct(config: dict, outdir: Path) -> list[Path]:
     basis = None
     if rc["basis"] != "full" and rc["dimension"] is not None:
         basis = subspace_basis(rc["basis"], rc["dimension"], povm)
-    solver = SolverConfig(**config["solver"], subspace=basis)
+    solver = SolverConfig(**config["solver"], tol_gap=TOL_GAP, subspace=basis)
     start = time.perf_counter()
     result = maxlik_solve(dataset, povm, solver)
     print(f"reconstruction wall time: {time.perf_counter() - start:.3f} s",
@@ -288,7 +288,7 @@ def cmd_sweep(config: dict, outdir: Path) -> list[Path]:
     povm = build_povm_from_config(config)
     target = build_target_from_config(config)
     noise = NoiseModel(**config["noise"])
-    solver = SolverConfig(**config["solver"])
+    solver = SolverConfig(**config["solver"], tol_gap=TOL_GAP)
     echo = _strip_nones(config)
     written = []
     summary = {}
@@ -310,6 +310,7 @@ def cmd_sweep(config: dict, outdir: Path) -> list[Path]:
             "min": [float(v) for v in result.minimum],
             "max": [float(v) for v in result.maximum],
             "std": [float(v) for v in result.std],
+            "converged_fraction": [float(v) for v in result.converged.mean(axis=1)],
             "trial_seeds": [list(s) for s in result.trial_seeds],
         }
     path = outdir / "sweep_summary.json"
@@ -322,7 +323,7 @@ def cmd_stability(config: dict, outdir: Path) -> list[Path]:
     povm = build_povm_from_config(config)
     target = build_target_from_config(config)
     noise = NoiseModel(**config["noise"])
-    solver = SolverConfig(**config["solver"])
+    solver = SolverConfig(**config["solver"], tol_gap=TOL_GAP)
     grid = build_grid_from_config(config)
     sc = config["stability"]
     result = stability_study(target, povm, sc["basis"], sc["dimension"], noise,
@@ -344,6 +345,7 @@ def cmd_stability(config: dict, outdir: Path) -> list[Path]:
         "trials": result.trials,
         "fidelity_spread": result.spread,
         "fidelities": [float(v) for v in result.fidelities],
+        "converged_fraction": float(result.converged.mean()),
         "trial_seeds": [list(s) for s in result.trial_seeds],
         "config": echo,
     }

@@ -19,6 +19,20 @@ likelihood trace non-decreasing on every dataset.
 The recorded log-likelihood is per unit count, sum_i f_i log p_i with
 sum_k p_k = 1 enforced by the rescaling. On raw-count scale (~1e5 counts)
 float64 rounding alone would exceed the per-step monotonicity tolerance.
+
+Because the rescaled effects are complete on the support, concavity of the
+likelihood gives the Glancy-Knill-Girard certificate (NJP 14, 095017, 2012)
+
+    log L_max - log L(sigma) <= lambda_max(R'(sigma)) - 1      (per count),
+
+valid at any iterate where no observed outcome sits below the probability
+floor. The run stops on the first of: this likelihood gap below tol_gap
+(stop reason "gap", when tol_gap is set), the likelihood increment and the
+Born residual both below their tolerances ("born"), a step that lowers the
+likelihood even at the floor dilution ("stalled"), or max_iterations
+("cap"). Only "gap" and "born" count as converged. Sampled data never meets
+the Born tolerance, since the ML state cannot reproduce the frequencies
+exactly, so on such data only the gap rule can certify a stop.
 """
 
 from __future__ import annotations
@@ -31,6 +45,10 @@ import numpy as np
 from .errors import EmptyDataError, EmptyMeasurementError, InvalidInputError
 from .povm import (GramAnalysis, PovmSet, born_probabilities, gram_operator, gram_spectrum,
                    weighted_effect_sum)
+
+# likelihood-gap tolerance (per count) of the CLI, dimension_sweep and
+# stability_study; the library default leaves the gap rule off
+TOL_GAP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,9 +83,14 @@ class SolverConfig:
     subspace, when set, is a (dim, d) matrix of orthonormal columns (e.g.
     top-d Gram eigenvectors or the first d Fock states); the measurement is
     projected onto it and the result embedded back into the ambient space.
-    Convergence requires BOTH the likelihood increment and the Born
-    residual to fall below their tolerances; the iteration cap ends the run
-    either way (converged=False).
+
+    The run converges when the likelihood increment and the Born residual
+    are both below tol_likelihood and tol_born, or, with tol_gap set, when
+    the certified likelihood gap lambda_max(R') - 1 is below tol_gap at an
+    iterate where no observed outcome is floored. tol_gap = None (the
+    default) turns the gap rule off; exact data then runs until the Born
+    residual is met. max_iterations ends the run either way
+    (converged=False).
     """
 
     dilution: float = 1.0
@@ -76,6 +99,7 @@ class SolverConfig:
     max_iterations: int = 20000
     tol_likelihood: float = 1e-10
     tol_born: float = 1e-7
+    tol_gap: float | None = None
     subspace: np.ndarray | None = None
 
     def __post_init__(self):
@@ -87,6 +111,8 @@ class SolverConfig:
             raise InvalidInputError("probability floor must be positive")
         if self.max_iterations < 1:
             raise InvalidInputError("max iterations must be >= 1")
+        if self.tol_gap is not None and not self.tol_gap > 0:
+            raise InvalidInputError("tol_gap must be positive (or None to turn it off)")
 
 
 @dataclass(frozen=True)
@@ -114,7 +140,15 @@ class RescaledPovm:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Converged (or capped) reconstruction with its diagnostics."""
+    """Converged (or capped) reconstruction with its diagnostics.
+
+    stop_reason is "born", "gap", "cap" or "stalled" (see the module
+    docstring); converged is True exactly when it is "born" or "gap".
+    likelihood_gap is lambda_max(R') - 1 at the returned iterate: an upper
+    bound on how far the per-count log-likelihood is below its maximum. It
+    is None when tol_gap is off or an observed outcome is floored there,
+    where lambda_max(R') - 1 bounds nothing.
+    """
 
     rho: np.ndarray
     log_likelihood: np.ndarray
@@ -122,6 +156,8 @@ class ReconstructionResult:
     born_residual: float
     extremal_residual: float
     converged: bool
+    stop_reason: str
+    likelihood_gap: float | None
 
 
 def expected_probabilities(rho: np.ndarray, povm: PovmSet) -> np.ndarray:
@@ -232,6 +268,7 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
     Ym = np.ascontiguousarray(Yp[mask])
     Ymc = np.ascontiguousarray(Ypc[mask])
     eye = np.eye(r, dtype=complex)
+    tol_gap = config.tol_gap
 
     sigma = eye / r
     p = np.einsum("ij,ij->i", Ypc @ sigma, Yp).real
@@ -250,17 +287,34 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
             pm = np.maximum(pm, lim)
         return pm
 
+    def r_matrix(pvec):
+        """R at pvec, and whether it was built from floored probabilities."""
+        hits = floor_hits
+        R = (Ym * (fm / floored(pvec))[:, None]).T @ Ymc
+        return 0.5 * (R + R.conj().T), floor_hits > hits
+
     ll = log_likelihood(floored(p))
     trace = [ll]
     eps = config.dilution
     born = float(np.abs(p - f).max())
-    converged = False
+    stop = "cap"
+    gap = None
+    # top eigenvector of the last R whose spectrum was taken: while its
+    # Rayleigh quotient v^H R v - 1 >= tol_gap, so is lambda_max(R) - 1
+    v = None
     iterations = 0
 
     for _ in range(config.max_iterations):
-        w = fm / floored(p)
-        R = (Ym * w[:, None]).T @ Ymc
-        R = 0.5 * (R + R.conj().T)
+        R, was_floored = r_matrix(p)
+        # an R built from floored probabilities under-weights those outcomes,
+        # so its gap certifies nothing
+        if (tol_gap is not None and not was_floored
+                and (v is None or (v.conj() @ R @ v).real - 1.0 < tol_gap)):
+            lam, vecs = np.linalg.eigh(R)
+            gap, v = float(lam[-1]) - 1.0, vecs[:, -1]
+            if gap < tol_gap:
+                stop = "gap"
+                break
         while True:
             R_tilde = eps * R + (1.0 - eps) * eye
             cand = R_tilde @ sigma @ R_tilde
@@ -274,6 +328,7 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
         if ll_cand < ll - 1e-12:
             # even the floor dilution decreases the likelihood: keep the
             # last good iterate rather than record a falling trace
+            stop = "stalled"
             break
         iterations += 1
         inc = ll_cand - ll
@@ -281,15 +336,19 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
         trace.append(ll)
         born = float(np.abs(p - f).max())
         if inc < config.tol_likelihood and born < config.tol_born:
-            converged = True
+            stop = "born"
             break
 
+    if tol_gap is not None and stop != "gap":
+        # certificate of the returned iterate; none where it is floored
+        R, was_floored = r_matrix(p)
+        gap = None if was_floored else float(np.linalg.eigvalsh(R)[-1]) - 1.0
     if floor_hits:
         warnings.warn(
             f"probability floor engaged {floor_hits} time(s): some observed "
             "outcomes are nominally impossible under the truncated model",
             RuntimeWarning, stacklevel=3)
-    return sigma, np.array(trace), iterations, born, converged
+    return sigma, np.array(trace), iterations, born, stop, gap
 
 
 def maxlik_solve(dataset: Dataset, povm: PovmSet,
@@ -310,7 +369,8 @@ def maxlik_solve(dataset: Dataset, povm: PovmSet,
     ReconstructionResult
         rho is PSD with unit trace, embedded in the ambient basis when a
         subspace was requested. converged=False (never an exception) marks
-        runs ended by the iteration cap.
+        runs ended by the iteration cap or a stalled step; stop_reason says
+        which rule ended the run.
     """
     if config is None:
         config = SolverConfig()
@@ -328,7 +388,7 @@ def maxlik_solve(dataset: Dataset, povm: PovmSet,
     rescaled = rescale_to_support(solve_povm, analysis)
     f = dataset.frequencies
 
-    sigma, trace, iterations, born, converged = _iterate(rescaled.vectors, f, config)
+    sigma, trace, iterations, born, stop, gap = _iterate(rescaled.vectors, f, config)
 
     M = rescaled.embed
     rho_sub = M @ sigma @ M.conj().T
@@ -345,4 +405,5 @@ def maxlik_solve(dataset: Dataset, povm: PovmSet,
 
     return ReconstructionResult(rho=rho, log_likelihood=trace, iterations=iterations,
                                 born_residual=born, extremal_residual=resid,
-                                converged=converged)
+                                converged=stop in ("born", "gap"), stop_reason=stop,
+                                likelihood_gap=gap)

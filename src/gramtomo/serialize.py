@@ -60,6 +60,9 @@ def encode_reconstruction(result: ReconstructionResult, config_echo: dict) -> di
         "born_residual": float(result.born_residual),
         "extremal_residual": float(result.extremal_residual),
         "converged": bool(result.converged),
+        "stop_reason": result.stop_reason,
+        "likelihood_gap": (None if result.likelihood_gap is None
+                           else float(result.likelihood_gap)),
         "config": config_echo,
     }
 

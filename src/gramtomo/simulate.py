@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import EmptyDataError, InvalidInputError
 from .fock import PhaseSpaceGrid, fidelity, pure_density, wigner
-from .maxlik import (Dataset, ReconstructionResult, SolverConfig,
-                     expected_probabilities, maxlik_solve)
+from .maxlik import (TOL_GAP, Dataset, SolverConfig, expected_probabilities,
+                     maxlik_solve)
 from .povm import PovmSet, subspace_basis
 
 NOISE_KINDS = ("exact", "multinomial", "poisson")
@@ -39,6 +39,8 @@ class NoiseModel:
             raise InvalidInputError(f"noise kind must be one of {NOISE_KINDS}")
         if self.kind != "exact" and self.exposure <= 0:
             raise InvalidInputError("exposure must be positive for stochastic noise")
+        if self.seed < 0:
+            raise InvalidInputError("noise seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,8 @@ def dimension_sweep(target: np.ndarray, povm: PovmSet, basis_kind: str,
     Gram eigenvectors (basis_kind='gram') or the first d Fock states
     ('fock'). Trials differ only in the noise stream; the same per-trial
     dataset is reused across dimensions. Non-converged runs are recorded
-    with converged=False, never raised.
+    with converged=False, never raised. Without solver_config the solves
+    stop on the likelihood gap (SolverConfig(tol_gap=TOL_GAP)).
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) == 0 or min(dims) < 1 or max(dims) > povm.dim:
@@ -134,7 +137,7 @@ def dimension_sweep(target: np.ndarray, povm: PovmSet, basis_kind: str,
     fidelities = np.zeros((len(dims), trials))
     converged = np.zeros((len(dims), trials), dtype=bool)
     for k, d in enumerate(dims):
-        config = replace(solver_config or SolverConfig(),
+        config = replace(solver_config or SolverConfig(tol_gap=TOL_GAP),
                          subspace=subspace_basis(basis_kind, d, povm))
         for t in range(trials):
             result = maxlik_solve(datasets[t], povm, config)
@@ -153,7 +156,8 @@ def stability_study(target: np.ndarray, povm: PovmSet, basis_kind: str, d: int,
 
     The instability metric is the standard deviation of fidelity across
     trials; the per-trial Wigner grids support visual comparison of the
-    reconstructions.
+    reconstructions. Without solver_config the solves stop on the
+    likelihood gap (SolverConfig(tol_gap=TOL_GAP)).
     """
     if trials < 2:
         raise InvalidInputError("stability study needs at least 2 trials")
@@ -161,7 +165,7 @@ def stability_study(target: np.ndarray, povm: PovmSet, basis_kind: str, d: int,
         grid = PhaseSpaceGrid(x_range=(-5.0, 5.0), p_range=(-5.0, 5.0),
                               x_points=81, p_points=81)
     rho_true = pure_density(target)
-    config = replace(solver_config or SolverConfig(),
+    config = replace(solver_config or SolverConfig(tol_gap=TOL_GAP),
                      subspace=subspace_basis(basis_kind, d, povm))
     fidelities = np.zeros(trials)
     converged = np.zeros(trials, dtype=bool)

@@ -85,6 +85,26 @@ class TestConfigValidation:
         assert (ROOT / readme_path).resolve() == CONFIG_SCHEMA_PATH.resolve()
         assert json.loads((ROOT / readme_path).read_text()) == CONFIG_SCHEMA
 
+    @pytest.mark.parametrize("section,value", [("noise", {"seed": -1})])
+    def test_out_of_range_value_rejected(self, section, value, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({section: value}))
+        out = tmp_path / "out"
+        code, _, err = run(["reconstruct", "--config", str(bad), "--out", str(out)],
+                           capsys)
+        assert code == 1
+        assert "config validation error" in err
+        assert not out.exists()
+
+    def test_negative_seed_flag_rejected(self, small_config, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gramtomo.cli", "reconstruct", "--config",
+             str(small_config), "--out", str(tmp_path / "out"), "--seed", "-1"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "config validation error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_defaults_pass_schema(self):
         assert list(CONFIG_VALIDATOR.iter_errors(_strip_nones(DEFAULTS))) == []
 
@@ -157,6 +177,29 @@ class TestReconstructCommand:
         assert data[0].startswith("x,")
         assert data[1].startswith("p,")
         assert len(data) == 2 + 7
+
+    def test_stop_fields_written(self, small_config, tmp_path, capsys):
+        # at the config's 300-iteration cap the gap is not yet certified; with
+        # the default cap the CLI's gap rule (TOL_GAP, 1e-10) stops the run
+        conf = json.loads(small_config.read_text())
+        del conf["solver"]
+        uncapped = small_config.parent / "uncapped.json"
+        uncapped.write_text(json.dumps(conf))
+        payloads = []
+        for path in (small_config, uncapped):
+            out = tmp_path / path.stem
+            code, _, _ = run(["reconstruct", "--config", str(path), "--out", str(out)],
+                             capsys)
+            assert code == 0
+            payloads.append(json.loads((out / "reconstruction.json").read_text()))
+        capped, certified = payloads
+        assert (capped["stop_reason"], capped["converged"]) == ("cap", False)
+        assert capped["iterations"] == 300 and capped["likelihood_gap"] >= 1e-10
+        assert (certified["stop_reason"], certified["converged"]) == ("gap", True)
+        assert certified["likelihood_gap"] < 1e-10
+        assert 300 < certified["iterations"] < 20000
+        # the tolerance is fixed, so the echoed config is unchanged
+        assert "tol_gap" not in certified["config"]["solver"]
 
     def test_seed_flag_changes_data(self, small_config, tmp_path, capsys):
         outs = []
@@ -384,6 +427,12 @@ class TestSweepCommand:
         assert set(summary["bases"]) == {"gram", "fock"}
         assert summary["bases"]["gram"]["dims"] == [1, 2]
         assert summary["bases"]["gram"]["trial_seeds"] == [[0, 0], [0, 1]]
+        for basis in ("gram", "fock"):
+            rows = [ln.split(",") for ln in
+                    (out / f"sweep_{basis}.csv").read_text().splitlines()[2:]]
+            flags = [[r[3] == "true" for r in rows if r[0] == str(d)] for d in (1, 2)]
+            assert summary["bases"][basis]["converged_fraction"] == [
+                sum(f) / len(f) for f in flags]
 
     def test_basis_and_dims_flags(self, small_config, tmp_path, capsys):
         out = tmp_path / "out"
@@ -435,6 +484,8 @@ class TestStabilityCommand:
         assert summary["basis"] == "gram"
         assert summary["dimension"] == 2
         assert summary["fidelity_spread"] >= 0
+        flags = [r.split(",")[2] == "true" for r in rows[1:]]
+        assert summary["converged_fraction"] == sum(flags) / len(flags)
         assert (out / "wigner_trial_0.csv").exists()
         assert (out / "wigner_trial_1.csv").exists()
 

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from gramtomo import (Dataset, EmptyDataError, EmptyMeasurementError, InvalidInputError,
-                      PovmSet, SolverConfig, born_residual, expected_probabilities,
+from gramtomo import (TOL_GAP, Dataset, EmptyDataError, EmptyMeasurementError,
+                      InvalidInputError, PovmSet, SolverConfig, born_residual,
+                      expected_probabilities,
                       extremal_residual, fidelity, gram_operator, gram_spectrum,
                       hermite_functions, log_likelihood, maxlik_solve, r_operator,
                       rescale_to_support, restrict_to_subspace)
@@ -315,3 +316,92 @@ class TestMaxlikSolve:
         assert res.converged
         assert np.all(np.diff(res.log_likelihood) >= -1e-12)
         assert np.abs(res.rho - np.diag(ds.frequencies)).max() < 1e-10
+
+
+class TestStopReason:
+    def test_cap(self):
+        povm, psi, rho = small_problem()
+        ds = generate_counts(rho, povm, NoiseModel(kind="poisson", exposure=5000.0, seed=3))
+        res = maxlik_solve(ds, povm, SolverConfig(max_iterations=3))
+        assert (res.stop_reason, res.converged, res.likelihood_gap) == ("cap", False, None)
+
+    def test_born(self):
+        povm = PovmSet(np.eye(5, dtype=complex))
+        res = maxlik_solve(Dataset(counts=np.array([11.0, 7.0, 5.0, 3.0, 1.0])), povm)
+        assert (res.stop_reason, res.converged, res.likelihood_gap) == ("born", True, None)
+
+    def test_gap_on_one_dimensional_subspace(self):
+        # r = 1: sigma = 1 is the only state, so R' = 1 and the gap is 0 at once
+        povm, psi, rho = small_problem()
+        ds = generate_counts(rho, povm, NoiseModel(kind="poisson", exposure=5000.0, seed=3))
+        basis = gram_spectrum(gram_operator(povm)).eigenvectors[:, :1]
+        res = maxlik_solve(ds, povm, SolverConfig(tol_gap=TOL_GAP, subspace=basis))
+        assert (res.stop_reason, res.converged, res.iterations) == ("gap", True, 0)
+        assert res.log_likelihood.shape == (1,)
+        assert abs(res.likelihood_gap) < TOL_GAP
+
+    def test_stalled(self):
+        # without backtracking room the full R rho R step lowers L at once
+        povm = PovmSet(np.eye(3, dtype=complex))
+        ds = Dataset(counts=np.array([5.0, 3.0, 2.0]))
+        res = maxlik_solve(ds, povm, SolverConfig(dilution=1.0, dilution_floor=1.0))
+        assert (res.stop_reason, res.converged) == ("stalled", False)
+        assert np.all(np.diff(res.log_likelihood) >= -1e-12)
+        assert res.log_likelihood.size == res.iterations + 1
+
+    def test_no_gap_stop_while_floor_is_active(self):
+        # the setup of test_truncation_mismatch_floor_warning: R' = 5/6 because
+        # the floored outcome is under-weighted, which would read as a gap of
+        # -1/6 at iteration 0
+        povm = PovmSet(np.eye(2, dtype=complex))
+        ds = Dataset(counts=np.array([5.0, 1.0]))
+        cfg = SolverConfig(max_iterations=50, tol_gap=1e-10,
+                           subspace=np.eye(2, dtype=complex)[:, :1])
+        with pytest.warns(RuntimeWarning):
+            res = maxlik_solve(ds, povm, cfg)
+        assert res.stop_reason == "cap"
+        assert res.converged is False
+        assert res.iterations == 50
+        # nor is a gap reported for the floored iterate the run returns
+        assert res.likelihood_gap is None
+
+    @pytest.mark.parametrize("tol_gap", [0.0, -1.0, float("nan")])
+    def test_nonpositive_tol_gap_rejected(self, tol_gap):
+        with pytest.raises(InvalidInputError):
+            SolverConfig(tol_gap=tol_gap)
+
+
+class TestLikelihoodGapCertificate:
+    def test_gap_stop_is_sound(self):
+        povm, psi, rho = small_problem()
+        ds = generate_counts(rho, povm, NoiseModel(kind="poisson", exposure=5000.0, seed=5))
+        certified = maxlik_solve(ds, povm, SolverConfig(tol_gap=1e-8))
+        capped = maxlik_solve(ds, povm, SolverConfig(max_iterations=20000))
+        assert certified.stop_reason == "gap"
+        assert certified.iterations < capped.iterations == 20000
+        behind = capped.log_likelihood[-1] - certified.log_likelihood[-1]
+        # the certificate bounds the distance to the maximum, so also to any
+        # later iterate
+        assert behind <= certified.likelihood_gap < 1e-8
+        assert abs(fidelity(psi, certified.rho) - fidelity(psi, capped.rho)) < 1e-6
+
+    def test_gap_stop_is_first_certified_iterate(self):
+        # the Rayleigh-quotient shortcut may skip eigensolves but never a stop:
+        # every earlier iterate's own gap (read off a capped run) is above tol
+        povm, psi, rho = small_problem()
+        ds = generate_counts(rho, povm, NoiseModel(kind="poisson", exposure=5000.0, seed=5))
+        tol = 1e-4
+        stop = maxlik_solve(ds, povm, SolverConfig(tol_gap=tol)).iterations
+        assert stop > 1
+        gaps = [maxlik_solve(ds, povm, SolverConfig(tol_gap=tol, max_iterations=k)
+                             ).likelihood_gap for k in range(1, stop)]
+        assert min(gaps) >= tol
+
+    def test_unfired_gap_rule_leaves_iterates_unchanged(self):
+        povm, psi, rho = small_problem()
+        ds = generate_counts(rho, povm, NoiseModel(kind="poisson", exposure=5000.0, seed=5))
+        res = maxlik_solve(ds, povm, SolverConfig(max_iterations=400))
+        on = maxlik_solve(ds, povm, SolverConfig(max_iterations=400, tol_gap=1e-30))
+        assert on.stop_reason == "cap" and on.likelihood_gap > 0
+        assert np.array_equal(res.rho, on.rho)
+        assert np.array_equal(res.log_likelihood, on.log_likelihood)

@@ -88,6 +88,10 @@ class TestGenerateCounts:
         with pytest.raises(InvalidInputError):
             generate_counts(rho, povm, NoiseModel(kind="bootstrap"))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidInputError):
+            NoiseModel(seed=-1)
+
 
 class TestDimensionSweep:
     def test_gram_full_dimension_exact_noise(self, small_problem):
@@ -140,6 +144,16 @@ class TestDimensionSweep:
         assert sw.std[0] >= 0
         assert sw.trial_seeds == ((1, 0), (1, 1), (1, 2))
 
+    def test_default_solver_stops_on_gap(self, small_problem):
+        povm, psi, _ = small_problem
+        noise = NoiseModel(kind="poisson", exposure=2e4, seed=1)
+        certified = dimension_sweep(psi, povm, "gram", dims=[1, 3], noise=noise, trials=2)
+        assert certified.converged.all()
+        capped = dimension_sweep(psi, povm, "gram", dims=[1, 3], noise=noise, trials=2,
+                                 solver_config=SolverConfig(max_iterations=20000))
+        assert not capped.converged.any()
+        assert np.abs(certified.fidelities - capped.fidelities).max() < 1e-6
+
     def test_dims_validation(self, small_problem):
         povm, psi, _ = small_problem
         noise = NoiseModel(kind="exact")
@@ -175,6 +189,13 @@ class TestStabilityStudy:
         assert all(w.shape == (11, 9) for w in result.wigner_grids)
         assert result.spread == pytest.approx(result.fidelities.std(), abs=0)
         assert result.trial_seeds == ((2, 0), (2, 1), (2, 2))
+
+    def test_default_solver_stops_on_gap(self, small_problem):
+        povm, psi, _ = small_problem
+        result = stability_study(psi, povm, "fock", d=3,
+                                 noise=NoiseModel(kind="poisson", exposure=2e4, seed=2),
+                                 trials=2)
+        assert result.converged.all()
 
     def test_requires_two_trials(self, small_problem):
         povm, psi, _ = small_problem
