@@ -14,8 +14,9 @@ from .fock import (PhaseSpaceGrid, cat_state, coherent_state, fidelity, fock_sta
                    wigner_points)
 from .frames import (DualFrame, OperatorFrame, PartialInversionWarning,
                      clip_to_physical, dual_effect, dual_frame, frame_reconstruct,
-                     hadamard_identity_check, hermitian_basis, linear_inversion,
-                     modal_weighting, operator_frame, operator_frame_apply)
+                     from_coords, hadamard_identity_check, hermitian_basis,
+                     linear_inversion, modal_weighting, operator_frame,
+                     operator_frame_apply, to_coords)
 from .maxlik import (TOL_GAP, Dataset, ReconstructionResult, RescaledPovm, SolverConfig,
                      born_residual, expected_probabilities, extremal_residual,
                      log_likelihood, maxlik_solve, r_operator, rescale_to_support,
@@ -35,9 +36,9 @@ __all__ = [
     "hermite_functions", "pure_density", "quadrature_overlap", "wigner",
     "wigner_points",
     "DualFrame", "OperatorFrame", "PartialInversionWarning", "clip_to_physical",
-    "dual_effect", "dual_frame", "frame_reconstruct", "hadamard_identity_check",
-    "hermitian_basis", "linear_inversion", "modal_weighting", "operator_frame",
-    "operator_frame_apply",
+    "dual_effect", "dual_frame", "frame_reconstruct", "from_coords",
+    "hadamard_identity_check", "hermitian_basis", "linear_inversion",
+    "modal_weighting", "operator_frame", "operator_frame_apply", "to_coords",
     "TOL_GAP", "Dataset", "ReconstructionResult", "RescaledPovm", "SolverConfig",
     "born_residual", "expected_probabilities", "extremal_residual",
     "log_likelihood", "maxlik_solve", "r_operator", "rescale_to_support",

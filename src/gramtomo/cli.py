@@ -28,10 +28,10 @@ import numpy as np
 from jsonschema.exceptions import ValidationError, best_match
 from jsonschema.validators import validator_for
 
-from .errors import InvalidInputError, NumericalConsistencyError
+from .errors import EmptyMeasurementError, InvalidInputError, NumericalConsistencyError
 from .fock import PhaseSpaceGrid, cat_state, coherent_state, fidelity, fock_state, wigner
-from .frames import (dual_frame, hadamard_identity_check, linear_inversion,
-                     modal_weighting, operator_frame, operator_frame_apply)
+from .frames import (dual_frame, from_coords, hadamard_identity_check, linear_inversion,
+                     modal_weighting, operator_frame, operator_frame_apply, to_coords)
 from .maxlik import TOL_GAP, Dataset, SolverConfig, maxlik_solve
 from .povm import (HomodyneConfig, PovmSet, born_probabilities, build_homodyne_povm,
                    effective_rank, gram_matrix_operator_space, gram_operator, gram_spectrum,
@@ -221,6 +221,8 @@ def load_counts_file(path: str, povm: PovmSet, config: dict) -> Dataset:
 def cmd_gram_spectrum(config: dict, outdir: Path) -> list[Path]:
     povm = build_povm_from_config(config)
     analysis = gram_spectrum(gram_operator(povm))
+    if analysis.rank == 0:
+        raise EmptyMeasurementError("Gram operator has zero support")
     q_vals = np.linalg.eigvalsh(gram_matrix_operator_space(povm))[::-1]
     echo = _strip_nones(config)
     fmt = config["output"]["format"]
@@ -388,11 +390,8 @@ def cmd_frames_check(config: dict, outdir: Path) -> list[Path]:
     checks.append(("s_self_adjoint", float(abs(lhs - rhs)), 1e-10))
 
     frame = operator_frame(povm)
-    C = random_hermitian()
-    coords = np.array([np.trace(b @ C).real for b in frame.basis])
     V = frame.eigenvectors[:, : frame.rank]
-    proj_coords = V @ (V.T @ coords)
-    C_proj = np.einsum("a,amn->mn", proj_coords, frame.basis)
+    C_proj = from_coords(V @ (V.T @ to_coords(random_hermitian())), dim)
     p = born_probabilities(C_proj, povm)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

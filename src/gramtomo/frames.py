@@ -6,16 +6,17 @@ span through psi = sum_i <y~_i|psi> |y_i>. In operator space the frame
 operator S(A) = sum_i Tr(Pi_i A) Pi_i plays the same role: its
 pseudo-inverse yields dual effects Pi~_i = S^(-1)(Pi_i) and the linear
 inversion estimate rho = sum_i p_i Pi~_i, which is Hermitian but NOT
-positivity-constrained. Operator-space computations are vectorized over an
-orthonormal Hermitian basis (identity plus generalized Gell-Mann), turning
-S into a real-symmetric d^2 x d^2 matrix.
+positivity-constrained. Operators get real coordinates in an orthonormal
+Hermitian basis (identity plus generalized Gell-Mann); with T the N x d^2
+matrix of effect coordinates, S = T^T T is never formed: its data come from
+the thin SVD of T, whose condition number S would square (6.2e4 -> 3.8e9).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -50,28 +51,23 @@ class DualFrame:
 class OperatorFrame:
     """Vectorized operator frame of a rank-1 POVM.
 
-    coefficients[i, a] = Tr(Pi_i B_a) over the orthonormal Hermitian basis
-    B_a; s_matrix = coefficients^T coefficients represents S; the N x N
-    matrix coefficients coefficients^T equals the operator-space Gram
-    matrix Q, which is the vectorization cross-check used in tests.
+    coefficients T[i, a] = Tr(Pi_i B_a), so S = T^T T and T T^T = Q. From
+    the thin SVD T = U diag(s) V^T: eigenvalues = s^2 (of S, descending),
+    eigenvectors = V and dual_effects = U_r diag(1/s_r) V_r^T on rank r.
     """
 
-    basis: np.ndarray
     coefficients: np.ndarray
-    s_matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     rank: int
-    threshold: float
     dual_effects: np.ndarray
 
 
-@lru_cache(maxsize=16)
 def hermitian_basis(dim: int) -> np.ndarray:
     """Orthonormal Hermitian basis: identity, diagonal traceless, off-diagonal pairs.
 
     Tr(B_a B_b) = delta_ab; every Hermitian matrix has real coordinates in
-    this basis.
+    this basis. to_coords and from_coords apply it without building it.
     """
     if dim < 1:
         raise InvalidInputError("dim must be >= 1")
@@ -87,8 +83,45 @@ def hermitian_basis(dim: int) -> np.ndarray:
             E[m, n] = 1.0
             mats.append((E + E.T) / np.sqrt(2.0))
             mats.append((1j * E - 1j * E.T) / np.sqrt(2.0))
-    out = np.array(mats)
-    out.setflags(write=False)
+    return np.array(mats)
+
+
+def to_coords(A: np.ndarray) -> np.ndarray:
+    """Real coordinates Tr(B_a A) of Hermitian (..., d, d) matrices, in hermitian_basis order.
+
+    Tr A / sqrt(d), the traceless diagonal from partial diagonal sums, then
+    sqrt(2) (Re A_mn, Im A_mn) for each m < n in row-major order.
+    """
+    A = np.asarray(A, dtype=complex)
+    dim = A.shape[-1]
+    k = np.arange(1, dim)
+    diag = np.diagonal(A, axis1=-2, axis2=-1).real
+    partial = np.cumsum(diag, axis=-1)
+    out = np.empty(A.shape[:-2] + (dim * dim,))
+    out[..., 0] = partial[..., -1] / np.sqrt(dim)
+    out[..., 1:dim] = (partial[..., :-1] - k * diag[..., 1:]) / np.sqrt(k * (k + 1))
+    m, n = np.triu_indices(dim, 1)
+    upper = np.sqrt(2.0) * A[..., m, n]
+    out[..., dim::2], out[..., dim + 1::2] = upper.real, upper.imag
+    return out
+
+
+def from_coords(c: np.ndarray, dim: int) -> np.ndarray:
+    """The Hermitian (..., dim, dim) matrices sum_a c_a B_a; inverse of to_coords."""
+    c = np.asarray(c, dtype=float)
+    if c.shape[-1] != dim * dim:
+        raise InvalidInputError(f"{c.shape[-1]} coordinates do not describe a dim-{dim} operator")
+    k = np.arange(1, dim)
+    w = c[..., 1:dim] / np.sqrt(k * (k + 1))
+    # B_k contributes w_k to diagonal entries j < k and -k w_k to entry k
+    diag = np.repeat(c[..., :1] / np.sqrt(dim), dim, axis=-1)
+    diag[..., :-1] += np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
+    diag[..., 1:] -= k * w
+    m, n = np.triu_indices(dim, 1)
+    upper = (c[..., dim::2] + 1j * c[..., dim + 1::2]) / np.sqrt(2.0)
+    out = diag[..., None] * np.eye(dim, dtype=complex)
+    out[..., m, n] = upper
+    out[..., n, m] = upper.conj()
     return out
 
 
@@ -123,35 +156,18 @@ def operator_frame_apply(A: np.ndarray, povm: PovmSet) -> np.ndarray:
 
 
 def operator_frame(povm: PovmSet, threshold: float = 1e-12) -> OperatorFrame:
-    """Build the vectorized operator frame with its pseudo-inverse data.
-
-    threshold is relative to the largest S eigenvalue, matching the
-    state-space support convention.
-    """
-    B = hermitian_basis(povm.dim)
+    """The operator frame from the thin SVD of T; threshold is relative to the largest s^2."""
     Y = povm.vectors
-    # T[i, a] = <y_i|B_a|y_i>, real because both factors are Hermitian
-    T = np.empty((povm.n_outcomes, B.shape[0]))
-    for a in range(B.shape[0]):
-        T[:, a] = np.einsum("ij,ij->i", Y.conj() @ B[a], Y).real
-    S = T.T @ T
-    S = 0.5 * (S + S.T)
-    vals, vecs = np.linalg.eigh(S)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    tau = threshold * max(vals[0], 0.0)
-    rank = int(np.sum(vals > tau))
-    V = vecs[:, :rank]
-    # dual effects in vectorized coordinates: rows of S^+ T^T
-    dual_coords = (V / vals[:rank]) @ (V.T @ T.T)
-    return OperatorFrame(basis=B, coefficients=T, s_matrix=S, eigenvalues=vals,
-                         eigenvectors=vecs, rank=rank, threshold=tau,
-                         dual_effects=dual_coords.T)
+    T = to_coords(Y[:, :, None] * Y[:, None, :].conj())
+    U, s, Vt = np.linalg.svd(T, full_matrices=False)
+    rank = int(np.sum(s**2 > threshold * s[0]**2))
+    return OperatorFrame(coefficients=T, eigenvalues=s**2, eigenvectors=Vt.T, rank=rank,
+                         dual_effects=(U[:, :rank] / s[:rank]) @ Vt[:rank])
 
 
 def dual_effect(frame: OperatorFrame, index: int) -> np.ndarray:
     """The dual effect Pi~_i = S^(-1)(Pi_i) as a Hermitian matrix."""
-    return np.einsum("a,amn->mn", frame.dual_effects[index], frame.basis)
+    return from_coords(frame.dual_effects[index], math.isqrt(frame.dual_effects.shape[1]))
 
 
 def linear_inversion(probabilities: np.ndarray, povm: PovmSet,
@@ -167,15 +183,12 @@ def linear_inversion(probabilities: np.ndarray, povm: PovmSet,
         raise InvalidInputError("probability vector length does not match the POVM")
     if frame is None:
         frame = operator_frame(povm)
-    d_sq = frame.basis.shape[0]
-    if frame.rank < d_sq:
+    if frame.rank < povm.dim**2:
         V = frame.eigenvectors[:, : frame.rank]
         warnings.warn(PartialInversionWarning(
-            f"operator frame rank {frame.rank} < {d_sq}: inversion recovers "
+            f"operator frame rank {frame.rank} < {povm.dim**2}: inversion recovers "
             "only the support component", V @ V.T), stacklevel=2)
-    coords = frame.dual_effects.T @ p
-    rho = np.einsum("a,amn->mn", coords, frame.basis)
-    return 0.5 * (rho + rho.conj().T)
+    return from_coords(frame.dual_effects.T @ p, povm.dim)
 
 
 def clip_to_physical(rho: np.ndarray) -> np.ndarray:

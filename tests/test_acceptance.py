@@ -32,7 +32,7 @@ import pytest
 from gramtomo import (NoiseModel, PovmSet, SolverConfig, cat_state, dimension_sweep,
                       dual_frame, fidelity, generate_counts,
                       gram_matrix_operator_space, gram_operator, gram_spectrum,
-                      hadamard_identity_check, linear_inversion, maxlik_solve,
+                      hadamard_identity_check, hermitian_basis, linear_inversion, maxlik_solve,
                       operator_frame, operator_frame_apply, pure_density,
                       stability_study)
 from gramtomo.cli import main as cli_main
@@ -308,9 +308,10 @@ def test_criterion_08_frame_identities(reference_povm, reference_analysis,
     rng = np.random.default_rng(8)
     M = rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15))
     A = (M + M.conj().T) / 2
-    coords = np.array([np.trace(b @ A).real for b in frame.basis])
+    basis = hermitian_basis(15)
+    coords = np.array([np.trace(b @ A).real for b in basis])
     V = frame.eigenvectors[:, : frame.rank]
-    A_proj = np.einsum("a,amn->mn", V @ (V.T @ coords), frame.basis)
+    A_proj = np.einsum("a,amn->mn", V @ (V.T @ coords), basis)
     p = np.einsum("im,mn,in->i", reference_povm.vectors.conj(), A_proj,
                   reference_povm.vectors).real
     with warnings.catch_warnings():
@@ -324,8 +325,10 @@ def test_criterion_08_frame_identities(reference_povm, reference_analysis,
         small = operator_frame(povm)
         M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         B = (M + M.conj().T) / 2
-        coords = np.array([np.trace(b @ B).real for b in small.basis])
-        via_matrix = np.einsum("a,amn->mn", small.s_matrix @ coords, small.basis)
+        basis = hermitian_basis(dim)
+        coords = np.array([np.trace(b @ B).real for b in basis])
+        s_matrix = small.coefficients.T @ small.coefficients
+        via_matrix = np.einsum("a,amn->mn", s_matrix @ coords, basis)
         brute_dev = max(brute_dev, float(np.abs(
             via_matrix - operator_frame_apply(B, povm)).max()))
     elapsed = time.perf_counter() - start

@@ -356,6 +356,20 @@ class TestPovmFile:
         assert "invalid input" in err and "dim 6" in err and "dim 3" in err
         assert not (out / "g_spectrum.csv").exists()
 
+    def test_all_zero_effects_rejected(self, tmp_path):
+        povm_path = tmp_path / "zero.json"
+        povm_path.write_text(json.dumps(encode_povm(PovmSet(np.zeros((4, 3), dtype=complex)))))
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"dim": 3, "povm": {"kind": "homodyne",
+                                                       "file": str(povm_path)}}))
+        for command in ("gram-spectrum", "frames-check", "reconstruct"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "gramtomo.cli", command, "--config", str(conf),
+                 "--out", str(tmp_path / command)], capture_output=True, text=True)
+            assert proc.returncode == 1, command
+            assert "invalid input" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
     def test_round_trip_matches_inline(self, tmp_path, capsys):
         # the reference POVM written by encode_povm, and the same file with the
         # per-effect metadata an older writer added, give the inline spectra
@@ -510,6 +524,22 @@ class TestFramesCheckCommand:
             "hadamard_identity", "dual_frame_projector", "s_self_adjoint",
             "linear_inversion_round_trip", "modal_weighting_congruence"]
         assert all(c["pass"] for c in report["checks"])
+
+    @pytest.mark.parametrize("half_width", [5.0, 9.0])
+    def test_dim_30_round_trip(self, half_width, tmp_path, capsys):
+        # on these windows, forming S = T^T T squares T's condition number
+        # enough to miss the 1e-8 round-trip tolerance
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"dim": 30,
+                                    "povm": {"range": [-half_width, half_width]}}))
+        out = tmp_path / "out"
+        code, _, _ = run(["frames-check", "--config", str(conf), "--out", str(out),
+                          "--seed", "0"], capsys)
+        assert code == 0
+        report = json.loads((out / "frames_report.json").read_text())
+        assert report["all_pass"] is True
+        deviation = {c["name"]: c["deviation"] for c in report["checks"]}
+        assert deviation["linear_inversion_round_trip"] < 1e-8
 
     def test_failure_exits_2_and_writes_report(self, small_config, tmp_path, capsys,
                                                monkeypatch):

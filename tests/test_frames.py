@@ -6,10 +6,10 @@ import pytest
 from gramtomo import (EmptyMeasurementError, HomodyneConfig, InvalidInputError,
                       NumericalConsistencyError, PartialInversionWarning, PovmSet,
                       build_homodyne_povm, clip_to_physical, dual_effect, dual_frame,
-                      expected_probabilities, frame_reconstruct, gram_operator,
-                      gram_spectrum, hadamard_identity_check, hermitian_basis,
-                      linear_inversion, modal_weighting, operator_frame,
-                      operator_frame_apply)
+                      expected_probabilities, frame_reconstruct, from_coords,
+                      gram_operator, gram_spectrum, hadamard_identity_check,
+                      hermitian_basis, linear_inversion, modal_weighting,
+                      operator_frame, operator_frame_apply, to_coords)
 
 
 def random_hermitian(rng, dim):
@@ -35,12 +35,24 @@ class TestHermitianBasis:
                 assert np.trace(B[a] @ B[b]).real == pytest.approx(ref, abs=1e-12)
 
     def test_expansion_roundtrip(self):
+        # the basis expansion, and to_coords / from_coords against it as oracle
         rng = np.random.default_rng(2)
-        B = hermitian_basis(4)
-        A = random_hermitian(rng, 4)
-        coords = np.array([np.trace(b @ A).real for b in B])
-        back = np.einsum("a,amn->mn", coords, B)
-        assert np.abs(back - A).max() < 1e-12
+        for dim in range(1, 7):
+            B = hermitian_basis(dim)
+            A = np.array([random_hermitian(rng, dim) for _ in range(3)])
+            coords = np.array([[np.trace(b @ a).real for b in B] for a in A])
+            back = np.einsum("a,amn->mn", coords[0], B)
+            assert np.abs(back - A[0]).max() < 1e-12
+            assert np.abs(to_coords(A[0]) - coords[0]).max() < 1e-12
+            assert np.abs(to_coords(A) - coords).max() < 1e-12
+            assert np.abs(from_coords(coords[0], dim) - back).max() < 1e-12
+            assert np.abs(from_coords(coords, dim)
+                          - np.einsum("ka,amn->kmn", coords, B)).max() < 1e-12
+            assert np.abs(from_coords(to_coords(A), dim) - A).max() < 1e-12
+
+    def test_from_coords_length_mismatch(self):
+        with pytest.raises(InvalidInputError):
+            from_coords(np.zeros(8), 3)
 
 
 class TestDualFrame:
@@ -129,12 +141,21 @@ class TestOperatorFrame:
         for dim, n in [(2, 5), (3, 9), (4, 16)]:
             povm = make_random_povm(rng, dim, n)
             frame = operator_frame(povm)
-            B = frame.basis
+            B = hermitian_basis(dim)
             A = random_hermitian(rng, dim)
             coords = np.array([np.trace(b @ A).real for b in B])
-            via_matrix = np.einsum("a,amn->mn", frame.s_matrix @ coords, B)
+            s_matrix = frame.coefficients.T @ frame.coefficients
+            via_matrix = np.einsum("a,amn->mn", s_matrix @ coords, B)
             direct = operator_frame_apply(A, povm)
             assert np.abs(via_matrix - direct).max() < 1e-10
+
+    def test_coefficients_match_basis_loop(self, reference_povm):
+        Y = reference_povm.vectors
+        B = hermitian_basis(15)
+        T = np.empty((reference_povm.n_outcomes, B.shape[0]))
+        for a in range(B.shape[0]):
+            T[:, a] = np.einsum("ij,ij->i", Y.conj() @ B[a], Y).real
+        assert np.abs(operator_frame(reference_povm).coefficients - T).max() < 1e-15
 
     def test_s_spectrum_equals_q_spectrum(self, reference_povm):
         from gramtomo import gram_matrix_operator_space
@@ -199,7 +220,7 @@ class TestLinearInversion:
         p = expected_probabilities(rho, reference_povm)
         with pytest.warns(PartialInversionWarning):
             est = linear_inversion(p, reference_povm, frame)
-        B = frame.basis
+        B = hermitian_basis(15)
         coords = np.array([np.trace(b @ rho).real for b in B])
         V = frame.eigenvectors[:, : frame.rank]
         rho_proj = np.einsum("a,amn->mn", V @ (V.T @ coords), B)
