@@ -17,7 +17,7 @@ from .frames import (DualFrame, OperatorFrame, PartialInversionWarning,
                      from_coords, hadamard_identity_check, hermitian_basis,
                      linear_inversion, modal_weighting, operator_frame,
                      operator_frame_apply, to_coords)
-from .maxlik import (TOL_GAP, Dataset, ReconstructionResult, RescaledPovm, SolverConfig,
+from .maxlik import (TOL_GAP, Dataset, ReconstructionResult, SolverConfig,
                      born_residual, expected_probabilities, extremal_residual,
                      log_likelihood, maxlik_solve, r_operator, rescale_to_support,
                      restrict_to_subspace)
@@ -39,7 +39,7 @@ __all__ = [
     "dual_effect", "dual_frame", "frame_reconstruct", "from_coords",
     "hadamard_identity_check", "hermitian_basis", "linear_inversion",
     "modal_weighting", "operator_frame", "operator_frame_apply", "to_coords",
-    "TOL_GAP", "Dataset", "ReconstructionResult", "RescaledPovm", "SolverConfig",
+    "TOL_GAP", "Dataset", "ReconstructionResult", "SolverConfig",
     "born_residual", "expected_probabilities", "extremal_residual",
     "log_likelihood", "maxlik_solve", "r_operator", "rescale_to_support",
     "restrict_to_subspace",

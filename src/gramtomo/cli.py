@@ -1,9 +1,12 @@
 """Config-driven command line front end.
 
 Subcommands: gram-spectrum, reconstruct, sweep, stability, frames-check.
-Every command is a pure function of (config, seed): reruns with identical
-inputs write byte-identical files. Wall-clock timings go to stderr only,
-never into output files.
+Every command is a pure function of (config, seed) at a fixed BLAS thread
+count: reruns with identical inputs and OPENBLAS_NUM_THREADS write
+byte-identical files. A different thread count can move the last bits: 297
+of the 306 Q eigenvalues in the default config's q_spectrum.csv differ
+between 1 and 2 OpenBLAS threads, by up to 7.2e-16. Wall-clock timings go
+to stderr only, never into output files.
 
 Config precedence: flag > config file > built-in default. The default
 output directory comes from --out, then the config, then the environment

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMeasurementError, InvalidInputError, NumericalConsistencyError
-from .povm import (GramAnalysis, PovmSet, gram_matrix_operator_space,
-                   gram_matrix_state_space)
+from .povm import (GramAnalysis, PovmSet, born_probabilities, gram_matrix_operator_space,
+                   gram_matrix_state_space, weighted_effect_sum)
 
 
 class PartialInversionWarning(UserWarning):
@@ -146,13 +146,13 @@ def frame_reconstruct(psi: np.ndarray, povm: PovmSet, dual: DualFrame) -> np.nda
 
 
 def operator_frame_apply(A: np.ndarray, povm: PovmSet) -> np.ndarray:
-    """S(A) = sum_i <y_i|A|y_i> |y_i><y_i|."""
+    """S(A) = sum_i <y_i|A|y_i> |y_i><y_i| for Hermitian A."""
     A = np.asarray(A, dtype=complex)
     if A.shape != (povm.dim, povm.dim):
         raise InvalidInputError("operator dimension does not match the POVM")
-    Y = povm.vectors
-    vals = np.einsum("ij,ij->i", Y.conj() @ A, Y)
-    return (vals[:, None] * Y).T @ Y.conj()
+    if np.abs(A - A.conj().T).max() > 1e-10:
+        raise InvalidInputError("operator must be Hermitian within 1e-10")
+    return weighted_effect_sum(born_probabilities(A, povm), povm)
 
 
 def operator_frame(povm: PovmSet, threshold: float = 1e-12) -> OperatorFrame:

@@ -6,8 +6,10 @@ The estimator maximizes the conditional log-likelihood
 
 whose stationarity condition is the extremal equation R(rho) rho = G rho
 with R(rho) = sum_i (f_i/p_i) |y_i><y_i| and G = sum_i |y_i><y_i|. The
-measurement is first rescaled by G^(-1/2) on its support, which makes the
-effect set exactly complete there; in rescaled coordinates the iteration
+measurement is first rescaled by G^(-1/2) on its support, read off the thin
+SVD of the synthesis matrix Y rather than from G = Y^T conj(Y), whose
+condition number is that of Y squared. The rescaled effects sum to the
+identity on the support to rounding; in rescaled coordinates the iteration
 
     sigma <- normalize(R~ sigma R~),   R~ = (1 - eps) I + eps R'(sigma)
 
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDataError, EmptyMeasurementError, InvalidInputError
-from .povm import (GramAnalysis, PovmSet, born_probabilities, gram_operator, gram_spectrum,
+from .povm import (PovmSet, _born, _effect_sum, born_probabilities, gram_operator,
                    weighted_effect_sum)
 
 # likelihood-gap tolerance (per count) of the CLI, dimension_sweep and
@@ -116,29 +118,6 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class RescaledPovm:
-    """Effect vectors rescaled by G^(-1/2), restricted to the G-support.
-
-    vectors rows are the rescaled kets y'_i; their effects sum exactly to
-    the identity on the support. embed maps a rescaled-space state sigma
-    back to the original coordinates as embed @ sigma @ embed^H, which is
-    G^(-1/2) sigma G^(-1/2) up to the final trace normalization.
-    """
-
-    vectors: np.ndarray
-    support_isometry: np.ndarray
-    support_eigenvalues: np.ndarray
-
-    @property
-    def support_dim(self) -> int:
-        return self.vectors.shape[1]
-
-    @property
-    def embed(self) -> np.ndarray:
-        return self.support_isometry / np.sqrt(self.support_eigenvalues)
-
-
-@dataclass(frozen=True)
 class ReconstructionResult:
     """Converged (or capped) reconstruction with its diagnostics.
 
@@ -206,15 +185,22 @@ def r_operator(rho: np.ndarray, dataset: Dataset, povm: PovmSet,
     return weighted_effect_sum(w, povm)
 
 
-def rescale_to_support(povm: PovmSet, analysis: GramAnalysis) -> RescaledPovm:
-    """Rescale effect vectors by G^(-1/2) restricted to the numerical support."""
-    if analysis.rank == 0:
+def rescale_to_support(povm: PovmSet) -> tuple[np.ndarray, np.ndarray]:
+    """Effect vectors rescaled by G^(-1/2) on the Gram support, and the way back.
+
+    From the thin SVD Y = U diag(s) V^H of the (N, dim) synthesis matrix,
+    G = conj(V) diag(s^2) V^T, so in the support basis the rescaled kets
+    G^(-1/2) y_i are the rows of U_r: their effects sum to the identity to
+    rounding. The support keeps the r values with s^2 > 1e-12 s_0^2, the
+    rule of gram_spectrum. embed = conj(V_r) / s_r maps a rescaled-space
+    state back as embed @ sigma @ embed^H = G^(-1/2) sigma G^(-1/2), and
+    embed @ embed^H = G^+. Forming G would square the condition number of Y.
+    """
+    U, s, Vh = np.linalg.svd(povm.vectors, full_matrices=False)
+    rank = int(np.sum(s**2 > 1e-12 * s[0]**2))
+    if rank == 0:
         raise EmptyMeasurementError("Gram operator has zero support")
-    Us = analysis.support_vectors
-    ws = analysis.support_eigenvalues
-    Y = povm.vectors
-    vectors = np.ascontiguousarray((Y @ Us.conj()) / np.sqrt(ws))
-    return RescaledPovm(vectors=vectors, support_isometry=Us, support_eigenvalues=ws)
+    return np.ascontiguousarray(U[:, :rank]), Vh[:rank].T / s[:rank]
 
 
 def restrict_to_subspace(povm: PovmSet, basis: np.ndarray) -> PovmSet:
@@ -271,7 +257,7 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
     tol_gap = config.tol_gap
 
     sigma = eye / r
-    p = np.einsum("ij,ij->i", Ypc @ sigma, Yp).real
+    p = _born(Ypc, sigma, Yp)
     floor_hits = 0
 
     def log_likelihood(pvec):
@@ -290,8 +276,7 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
     def r_matrix(pvec):
         """R at pvec, and whether it was built from floored probabilities."""
         hits = floor_hits
-        R = (Ym * (fm / floored(pvec))[:, None]).T @ Ymc
-        return 0.5 * (R + R.conj().T), floor_hits > hits
+        return _effect_sum(fm / floored(pvec), Ym, Ymc), floor_hits > hits
 
     ll = log_likelihood(floored(p))
     trace = [ll]
@@ -320,7 +305,7 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
             cand = R_tilde @ sigma @ R_tilde
             cand = 0.5 * (cand + cand.conj().T)
             cand /= np.trace(cand).real
-            p_cand = np.einsum("ij,ij->i", Ypc @ cand, Yp).real
+            p_cand = _born(Ypc, cand, Yp)
             ll_cand = log_likelihood(floored(p_cand))
             if ll_cand >= ll - 1e-12 or eps <= config.dilution_floor:
                 break
@@ -384,13 +369,11 @@ def maxlik_solve(dataset: Dataset, povm: PovmSet,
         basis = np.asarray(config.subspace, dtype=complex)
         solve_povm = restrict_to_subspace(povm, basis)
 
-    analysis = gram_spectrum(gram_operator(solve_povm))
-    rescaled = rescale_to_support(solve_povm, analysis)
+    vectors, M = rescale_to_support(solve_povm)
     f = dataset.frequencies
 
-    sigma, trace, iterations, born, stop, gap = _iterate(rescaled.vectors, f, config)
+    sigma, trace, iterations, born, stop, gap = _iterate(vectors, f, config)
 
-    M = rescaled.embed
     rho_sub = M @ sigma @ M.conj().T
     rho_sub = 0.5 * (rho_sub + rho_sub.conj().T)
     # the embedded state is G^(-1/2) sigma G^(-1/2): already in the gauge

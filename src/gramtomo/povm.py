@@ -145,15 +145,25 @@ def build_homodyne_povm(config: HomodyneConfig, dim: int) -> PovmSet:
 
 
 def born_probabilities(rho: np.ndarray, povm: PovmSet) -> np.ndarray:
-    """Born-rule values <y_i|rho|y_i> of every outcome, unclamped."""
+    """Born-rule values <y_i|rho|y_i> of every outcome, unclamped (real part)."""
     Y = povm.vectors
-    return np.einsum("im,mn,in->i", Y.conj(), np.asarray(rho, dtype=complex), Y).real
+    return _born(Y.conj(), np.asarray(rho, dtype=complex), Y)
 
 
 def weighted_effect_sum(weights: np.ndarray, povm: PovmSet) -> np.ndarray:
     """Hermitian part of sum_i w_i |y_i><y_i|."""
     Y = povm.vectors
-    S = np.einsum("i,im,in->mn", weights, Y, Y.conj())
+    return _effect_sum(np.asarray(weights), Y, Y.conj())
+
+
+# the array kernels take the conjugate rows Yc = Y.conj() from the caller,
+# so the solver loop conjugates once per solve rather than once per call
+def _born(Yc: np.ndarray, rho: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", Yc @ rho, Y).real
+
+
+def _effect_sum(weights: np.ndarray, Y: np.ndarray, Yc: np.ndarray) -> np.ndarray:
+    S = (Y * weights[:, None]).T @ Yc
     return 0.5 * (S + S.conj().T)
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,23 @@ from gramtomo import (HomodyneConfig, PovmSet, build_homodyne_povm, cat_state,
                       gram_operator, gram_spectrum)
 
 REFERENCE_DIM = 15
+
+
+def host_load_line() -> str:
+    load = ", ".join(f"{x:.2f}" for x in os.getloadavg())
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return f"host load average (1, 5, 15 min): {load}; OPENBLAS_NUM_THREADS={threads}"
+
+
+# the acceptance tests' wall-clock bounds assume an idle host: print the load
+# and BLAS threads at the start and, since -q hides the header, at the end,
+# so that a timing failure in a log can be read against them
+def pytest_report_header(config):
+    return host_load_line()
+
+
+def pytest_terminal_summary(terminalreporter):
+    terminalreporter.write_line(host_load_line())
 
 
 @pytest.fixture(scope="session")

@@ -127,6 +127,14 @@ class TestOperatorFrame:
         expected = (norms[:, None] * Y).T @ Y.conj()
         assert np.abs(S_I - expected).max() < 1e-12
 
+    def test_non_hermitian_operator_rejected(self, reference_povm):
+        A = np.zeros((15, 15), dtype=complex)
+        A[0, 1] = 1.0
+        with pytest.raises(InvalidInputError, match="Hermitian"):
+            operator_frame_apply(A, reference_povm)
+        with pytest.raises(InvalidInputError, match="Hermitian"):
+            operator_frame_apply(1j * np.eye(15), reference_povm)
+
     def test_self_adjoint_hilbert_schmidt(self, make_random_povm):
         rng = np.random.default_rng(21)
         for dim in (3, 5):

@@ -124,13 +124,12 @@ class TestROperator:
 class TestRescaleToSupport:
     def test_identity_gram_is_noop(self):
         povm = PovmSet(np.eye(4, dtype=complex))
-        analysis = gram_spectrum(gram_operator(povm))
-        rescaled = rescale_to_support(povm, analysis)
-        assert np.abs(rescaled.vectors - povm.vectors).max() < 1e-12
+        vectors, _ = rescale_to_support(povm)
+        assert np.abs(vectors - povm.vectors).max() < 1e-12
 
-    def test_reference_completeness_on_support(self, reference_povm, reference_analysis):
-        rescaled = rescale_to_support(reference_povm, reference_analysis)
-        G_prime = gram_operator(PovmSet(rescaled.vectors))
+    def test_reference_completeness_on_support(self, reference_povm):
+        vectors, _ = rescale_to_support(reference_povm)
+        G_prime = gram_operator(PovmSet(vectors))
         assert np.abs(G_prime - np.eye(15)).max() < 1e-10
 
     def test_rank_deficient_toy(self):
@@ -139,15 +138,31 @@ class TestRescaleToSupport:
         povm = PovmSet(vecs)
         analysis = gram_spectrum(gram_operator(povm))
         assert analysis.rank == 3
-        rescaled = rescale_to_support(povm, analysis)
-        G_prime = gram_operator(PovmSet(rescaled.vectors))
+        vectors, _ = rescale_to_support(povm)
+        assert vectors.shape == (3, 3)
+        G_prime = gram_operator(PovmSet(vectors))
         assert np.abs(G_prime - np.eye(3)).max() < 1e-10
 
     def test_zero_support_error(self):
         povm = PovmSet(np.zeros((2, 3), dtype=complex))
-        analysis = gram_spectrum(gram_operator(povm))
         with pytest.raises(EmptyMeasurementError):
-            rescale_to_support(povm, analysis)
+            rescale_to_support(povm)
+
+    def test_complete_on_ill_conditioned_measurement(self):
+        # one phase, 51 bins on (-2, 2) at dim 15: lambda_15 / lambda_1 = 1.8e-10,
+        # so rescaling through an eigendecomposition of G loses ~1e-6
+        from gramtomo import HomodyneConfig, build_homodyne_povm
+        povm = build_homodyne_povm(HomodyneConfig.uniform(1, 51, (-2.0, 2.0)), 15)
+        vals = gram_spectrum(gram_operator(povm)).eigenvalues
+        assert vals[-1] / vals[0] < 1e-9
+        vectors, _ = rescale_to_support(povm)
+        assert vectors.shape == (51, 15)
+        assert np.abs(vectors.T @ vectors.conj() - np.eye(15)).max() < 1e-12
+
+    def test_embedding_squares_to_gram_pseudo_inverse(self, reference_povm):
+        _, embed = rescale_to_support(reference_povm)
+        pinv = np.linalg.pinv(gram_operator(reference_povm))
+        assert np.abs(embed @ embed.conj().T - pinv).max() < 1e-12 * np.abs(pinv).max()
 
 
 class TestRestrictToSubspace:
@@ -242,9 +257,7 @@ class TestMaxlikSolve:
         povm, psi, rho = small_problem()
         ds = Dataset(counts=expected_probabilities(rho, povm))
         initial = born_residual(np.eye(povm.dim, dtype=complex) / povm.dim, ds,
-                                PovmSet(
-                                    rescale_to_support(
-                                        povm, gram_spectrum(gram_operator(povm))).vectors))
+                                PovmSet(rescale_to_support(povm)[0]))
         res = maxlik_solve(ds, povm, SolverConfig(max_iterations=2000))
         assert res.born_residual < initial
 

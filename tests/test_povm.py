@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from gramtomo import (HomodyneConfig, InvalidInputError, PovmSet, build_homodyne_povm,
                       effective_rank, gram_matrix_operator_space, gram_matrix_state_space,
                       gram_operator, gram_spectrum, hermite_functions)
+from gramtomo.povm import born_probabilities, weighted_effect_sum
 
 
 class TestHomodyneConfig:
@@ -128,6 +129,32 @@ class TestGramOperator:
         for _ in range(10):
             povm = make_random_povm(rng, int(rng.integers(2, 7)), int(rng.integers(1, 12)))
             assert np.linalg.eigvalsh(gram_operator(povm)).min() >= -1e-10
+
+
+class TestKernels:
+    """born_probabilities and weighted_effect_sum against per-outcome loops."""
+
+    @staticmethod
+    def cases(make_random_povm):
+        rng = np.random.default_rng(41)
+        for dim, n in [(1, 3), (2, 7), (5, 4), (6, 40)]:
+            povm = make_random_povm(rng, dim, n)
+            M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            yield povm, (M + M.conj().T) / 2, rng.normal(size=n)
+
+    def test_born_probabilities_loop(self, make_random_povm):
+        for povm, rho, _ in self.cases(make_random_povm):
+            loop = np.array([(y.conj() @ rho @ y).real for y in povm.vectors])
+            p = born_probabilities(rho, povm)
+            assert p.dtype == float
+            assert np.abs(p - loop).max() < 1e-13
+
+    def test_weighted_effect_sum_loop(self, make_random_povm):
+        for povm, _, w in self.cases(make_random_povm):
+            loop = sum(wi * np.outer(y, y.conj()) for wi, y in zip(w, povm.vectors))
+            S = weighted_effect_sum(w, povm)
+            assert np.abs(S - loop).max() < 1e-13
+            assert np.array_equal(S, S.conj().T)
 
 
 class TestGramSpectrum:
