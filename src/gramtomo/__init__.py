@@ -19,8 +19,7 @@ from .frames import (DualFrame, OperatorFrame, PartialInversionWarning,
                      operator_frame_apply, to_coords)
 from .maxlik import (TOL_GAP, Dataset, ReconstructionResult, SolverConfig,
                      born_residual, expected_probabilities, extremal_residual,
-                     log_likelihood, maxlik_solve, r_operator, rescale_to_support,
-                     restrict_to_subspace)
+                     log_likelihood, maxlik_solve, r_operator, restrict_to_subspace)
 from .povm import (GramAnalysis, HomodyneConfig, PovmSet, build_homodyne_povm,
                    effective_rank, gram_matrix_operator_space, gram_matrix_state_space,
                    gram_operator, gram_spectrum, subspace_basis)
@@ -41,8 +40,7 @@ __all__ = [
     "modal_weighting", "operator_frame", "operator_frame_apply", "to_coords",
     "TOL_GAP", "Dataset", "ReconstructionResult", "SolverConfig",
     "born_residual", "expected_probabilities", "extremal_residual",
-    "log_likelihood", "maxlik_solve", "r_operator", "rescale_to_support",
-    "restrict_to_subspace",
+    "log_likelihood", "maxlik_solve", "r_operator", "restrict_to_subspace",
     "GramAnalysis", "HomodyneConfig", "PovmSet", "build_homodyne_povm",
     "effective_rank", "gram_matrix_operator_space", "gram_matrix_state_space",
     "gram_operator", "gram_spectrum", "subspace_basis",

@@ -223,7 +223,7 @@ def load_counts_file(path: str, povm: PovmSet, config: dict) -> Dataset:
 
 def cmd_gram_spectrum(config: dict, outdir: Path) -> list[Path]:
     povm = build_povm_from_config(config)
-    analysis = gram_spectrum(gram_operator(povm))
+    analysis = gram_spectrum(povm)
     if analysis.rank == 0:
         raise EmptyMeasurementError("Gram operator has zero support")
     q_vals = np.linalg.eigvalsh(gram_matrix_operator_space(povm))[::-1]
@@ -239,12 +239,16 @@ def cmd_gram_spectrum(config: dict, outdir: Path) -> list[Path]:
             path = outdir / f"{name}.json"
             write_json(path, {"values": [float(v) for v in values], "config": echo})
         written.append(path)
+    lam = analysis.eigenvalues
     report = {
         "support_rank": analysis.rank,
         "support_threshold": float(analysis.threshold),
         "effective_rank": effective_rank(analysis, 1e-3),
         "effective_rank_drop_ratio": 1e-3,
-        "smallest_to_largest_ratio": float(analysis.eigenvalues[-1] / analysis.eigenvalues[0]),
+        "smallest_to_largest_ratio": float(lam[-1] / lam[0]),
+        # (lambda_d - lambda_{d+1}) / lambda_1, d = 1..dim-1: top-d Gram-subspace
+        # outputs rest on the eigensolver's choice where this gap is small
+        "relative_spectral_gaps": [float(v) for v in (lam[:-1] - lam[1:]) / lam[0]],
         "config": echo,
     }
     path = outdir / "rank_report.json"
@@ -367,8 +371,7 @@ def cmd_stability(config: dict, outdir: Path) -> list[Path]:
 def cmd_frames_check(config: dict, outdir: Path) -> list[Path]:
     povm = build_povm_from_config(config)
     dim = povm.dim
-    G = gram_operator(povm)
-    analysis = gram_spectrum(G)
+    analysis = gram_spectrum(povm)
     rng = trial_generator(config["noise"]["seed"], 0)
 
     def random_hermitian() -> np.ndarray:
@@ -405,6 +408,8 @@ def cmd_frames_check(config: dict, outdir: Path) -> list[Path]:
     D = random_hermitian()
     _, weighted = modal_weighting(D, analysis)
     U = analysis.eigenvectors
+    # G summed from the effects, independent of the SVD behind the analysis
+    G = gram_operator(povm)
     dev = float(np.abs((U @ weighted @ U.conj().T) - G @ D @ G).max())
     checks.append(("modal_weighting_congruence", dev, 1e-9))
 

@@ -78,12 +78,25 @@ def coherent_state(alpha: complex, dim: int, normalized: bool = False) -> np.nda
     if not np.isfinite(alpha):
         raise InvalidInputError("alpha must be finite")
     c = np.zeros(dim, dtype=complex)
-    c[0] = np.exp(-abs(alpha) ** 2 / 2.0)
+    try:
+        c[0] = np.exp(-abs(alpha) ** 2 / 2.0)
+    except OverflowError:
+        # |alpha|^2 beyond the float range: the vacuum amplitude is 0 anyway
+        c[0] = 0.0
     for n in range(1, dim):
         c[n] = c[n - 1] * alpha / np.sqrt(n)
-    if normalized:
-        c = c / np.linalg.norm(c)
-    return c
+    return _normalized(c, alpha) if normalized else c
+
+
+def _normalized(c: np.ndarray, alpha: complex) -> np.ndarray:
+    """c / |c|, refused where the truncation keeps no representable norm: for
+    large |alpha| the squared amplitudes underflow, and c / |c| would be NaN."""
+    norm = np.linalg.norm(c)
+    if not norm >= 1e-300:
+        raise InvalidInputError(
+            f"the dim-{c.size} Fock truncation keeps no representable weight of the "
+            f"state at |alpha| = {abs(alpha):.6g}; raise dim or lower |alpha|")
+    return c / norm
 
 
 def cat_state(alpha: complex, parity: str, dim: int) -> np.ndarray:
@@ -94,15 +107,14 @@ def cat_state(alpha: complex, parity: str, dim: int) -> np.ndarray:
     """
     if parity not in ("even", "odd"):
         raise InvalidInputError(f"parity must be 'even' or 'odd', got {parity!r}")
+    if parity == "odd" and alpha == 0:
+        raise DegenerateStateError("cat state is the zero vector (odd cat at alpha = 0)")
     c = coherent_state(alpha, dim)
     if parity == "even":
         c[1::2] = 0.0
     else:
         c[0::2] = 0.0
-    norm = np.linalg.norm(c)
-    if norm < 1e-300:
-        raise DegenerateStateError("cat state is the zero vector (odd cat at alpha = 0)")
-    return c / norm
+    return _normalized(c, alpha)
 
 
 def fock_state(n: int, dim: int) -> np.ndarray:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMeasurementError, InvalidInputError, NumericalConsistencyError
-from .povm import (GramAnalysis, PovmSet, born_probabilities, gram_matrix_operator_space,
-                   gram_matrix_state_space, weighted_effect_sum)
+from .povm import (SUPPORT_THRESHOLD, GramAnalysis, PovmSet, born_probabilities,
+                   gram_matrix_operator_space, gram_matrix_state_space, weighted_effect_sum)
 
 
 class PartialInversionWarning(UserWarning):
@@ -155,12 +155,13 @@ def operator_frame_apply(A: np.ndarray, povm: PovmSet) -> np.ndarray:
     return weighted_effect_sum(born_probabilities(A, povm), povm)
 
 
-def operator_frame(povm: PovmSet, threshold: float = 1e-12) -> OperatorFrame:
-    """The operator frame from the thin SVD of T; threshold is relative to the largest s^2."""
+def operator_frame(povm: PovmSet) -> OperatorFrame:
+    """The operator frame from the thin SVD of T; rank keeps s^2 above
+    SUPPORT_THRESHOLD times the largest."""
     Y = povm.vectors
     T = to_coords(Y[:, :, None] * Y[:, None, :].conj())
     U, s, Vt = np.linalg.svd(T, full_matrices=False)
-    rank = int(np.sum(s**2 > threshold * s[0]**2))
+    rank = int(np.sum(s**2 > SUPPORT_THRESHOLD * s[0]**2))
     return OperatorFrame(coefficients=T, eigenvalues=s**2, eigenvectors=Vt.T, rank=rank,
                          dual_effects=(U[:, :rank] / s[:rank]) @ Vt[:rank])
 

@@ -6,10 +6,11 @@ The estimator maximizes the conditional log-likelihood
 
 whose stationarity condition is the extremal equation R(rho) rho = G rho
 with R(rho) = sum_i (f_i/p_i) |y_i><y_i| and G = sum_i |y_i><y_i|. The
-measurement is first rescaled by G^(-1/2) on its support, read off the thin
-SVD of the synthesis matrix Y rather than from G = Y^T conj(Y), whose
-condition number is that of Y squared. The rescaled effects sum to the
-identity on the support to rounding; in rescaled coordinates the iteration
+measurement is first rescaled by G^(-1/2) on its support, read off the
+thin SVD of the synthesis matrix Y by povm.gram_spectrum rather than from
+G = Y^T conj(Y), whose condition number is that of Y squared. The rescaled
+effects sum to the identity on the support to rounding; in rescaled
+coordinates the iteration
 
     sigma <- normalize(R~ sigma R~),   R~ = (1 - eps) I + eps R'(sigma)
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from .errors import EmptyDataError, EmptyMeasurementError, InvalidInputError
 from .povm import (PovmSet, _born, _effect_sum, born_probabilities, gram_operator,
-                   weighted_effect_sum)
+                   gram_spectrum, weighted_effect_sum)
 
 # likelihood-gap tolerance (per count) of the CLI, dimension_sweep and
 # stability_study; the library default leaves the gap rule off
@@ -183,24 +184,6 @@ def r_operator(rho: np.ndarray, dataset: Dataset, povm: PovmSet,
     w = np.zeros_like(f)
     w[mask] = f[mask] / np.maximum(p[mask], floor)
     return weighted_effect_sum(w, povm)
-
-
-def rescale_to_support(povm: PovmSet) -> tuple[np.ndarray, np.ndarray]:
-    """Effect vectors rescaled by G^(-1/2) on the Gram support, and the way back.
-
-    From the thin SVD Y = U diag(s) V^H of the (N, dim) synthesis matrix,
-    G = conj(V) diag(s^2) V^T, so in the support basis the rescaled kets
-    G^(-1/2) y_i are the rows of U_r: their effects sum to the identity to
-    rounding. The support keeps the r values with s^2 > 1e-12 s_0^2, the
-    rule of gram_spectrum. embed = conj(V_r) / s_r maps a rescaled-space
-    state back as embed @ sigma @ embed^H = G^(-1/2) sigma G^(-1/2), and
-    embed @ embed^H = G^+. Forming G would square the condition number of Y.
-    """
-    U, s, Vh = np.linalg.svd(povm.vectors, full_matrices=False)
-    rank = int(np.sum(s**2 > 1e-12 * s[0]**2))
-    if rank == 0:
-        raise EmptyMeasurementError("Gram operator has zero support")
-    return np.ascontiguousarray(U[:, :rank]), Vh[:rank].T / s[:rank]
 
 
 def restrict_to_subspace(povm: PovmSet, basis: np.ndarray) -> PovmSet:
@@ -369,12 +352,17 @@ def maxlik_solve(dataset: Dataset, povm: PovmSet,
         basis = np.asarray(config.subspace, dtype=complex)
         solve_povm = restrict_to_subspace(povm, basis)
 
-    vectors, M = rescale_to_support(solve_povm)
+    analysis = gram_spectrum(solve_povm)
+    if analysis.rank == 0:
+        raise EmptyMeasurementError("Gram operator has zero support")
     f = dataset.frequencies
 
-    sigma, trace, iterations, born, stop, gap = _iterate(vectors, f, config)
+    sigma, trace, iterations, born, stop, gap = _iterate(analysis.rescaled_vectors, f,
+                                                         config)
 
-    rho_sub = M @ sigma @ M.conj().T
+    # a rescaled-space state maps back as G^(-1/2) sigma G^(-1/2) on the support
+    embed = analysis.support_vectors / np.sqrt(analysis.support_eigenvalues)
+    rho_sub = embed @ sigma @ embed.conj().T
     rho_sub = 0.5 * (rho_sub + rho_sub.conj().T)
     # the embedded state is G^(-1/2) sigma G^(-1/2): already in the gauge
     # where the outcome probabilities sum to 1; record the residual there

@@ -94,20 +94,28 @@ class PovmSet:
         return self.vectors.shape[0]
 
 
+# an eigenvalue of G is in the support when it exceeds this multiple of the
+# largest one; the operator frame uses the same rule for S
+SUPPORT_THRESHOLD = 1e-12
+
+
 @dataclass(frozen=True)
 class GramAnalysis:
-    """Descending eigendecomposition of a Hermitian PSD operator.
+    """Descending eigendecomposition of the Gram operator of a measurement.
 
-    eigenvalues are sorted descending with sub-threshold negatives clamped
-    to 0; eigenvectors are the matching orthonormal columns with the phase
-    convention that each column's first significant component is
-    real-positive, so repeated runs produce identical bases.
+    eigenvalues are descending and non-negative; eigenvectors are the
+    matching orthonormal columns with the phase convention that each
+    column's first significant component is real-positive, so repeated runs
+    produce identical bases. rank counts the eigenvalues above threshold =
+    SUPPORT_THRESHOLD * lambda_1. rescaled_vectors (N, rank) holds the rows
+    G^(-1/2)|y_i> in the support basis: their effects sum to the identity.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     rank: int
     threshold: float
+    rescaled_vectors: np.ndarray
 
     @property
     def support_eigenvalues(self) -> np.ndarray:
@@ -172,36 +180,29 @@ def gram_operator(povm: PovmSet) -> np.ndarray:
     return weighted_effect_sum(np.ones(povm.n_outcomes), povm)
 
 
-def gram_spectrum(G: np.ndarray, threshold: float = 1e-12) -> GramAnalysis:
-    """Full descending eigendecomposition with a relative support threshold.
+def gram_spectrum(povm: PovmSet) -> GramAnalysis:
+    """The Gram operator's spectrum, eigenbasis and rescaled frame from one SVD.
 
-    threshold is relative: tau = threshold * lambda_max. Eigenvalues below
-    tau are reported but counted out of support, with negative rounding
-    noise clamped to 0.
+    With the synthesis matrix Y = U diag(s) V^H, G = Y^T conj(Y) =
+    conj(V) diag(s^2) V^T: the eigenvalues are s^2, zero-padded to dim, the
+    eigenvectors are conj(V), and in that basis G^(-1/2)|y_i> has the
+    coordinates U_ik on the support, rephased with the eigenvectors. G is
+    not formed, which would square the condition number of Y. When N < dim
+    the full V supplies the null-space eigenvectors.
     """
-    G = np.asarray(G, dtype=complex)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise InvalidInputError("Gram operator must be square")
-    if np.abs(G - G.conj().T).max() > 1e-10:
-        raise InvalidInputError("Gram operator must be Hermitian within 1e-10")
-    vals, vecs = np.linalg.eigh(G)
-    # stable descending order: exact ties keep their LAPACK (ascending-pass)
-    # positions, so degenerate spectra reproduce the natural basis order
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    tau = threshold * max(vals[0], 0.0)
-    below = vals < tau
-    vals[below] = np.maximum(vals[below], 0.0)
+    Y = povm.vectors
+    n_outcomes, dim = Y.shape
+    U, s, Vh = np.linalg.svd(Y, full_matrices=n_outcomes < dim)
+    vals = np.zeros(dim)
+    vals[: s.size] = s**2
+    vecs = Vh.T
     # deterministic eigenvector phases: first significant component real-positive
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        idx = np.argmax(np.abs(col) > 1e-8)
-        ref = col[idx]
-        if abs(ref) > 0:
-            vecs[:, k] = col * (ref.conj() / abs(ref))
+    lead = vecs[np.argmax(np.abs(vecs) > 1e-8, axis=0), np.arange(dim)]
+    phase = lead.conj() / np.abs(lead)
+    tau = SUPPORT_THRESHOLD * vals[0]
     rank = int(np.sum(vals > tau))
-    return GramAnalysis(eigenvalues=vals, eigenvectors=vecs, rank=rank, threshold=tau)
+    return GramAnalysis(eigenvalues=vals, eigenvectors=vecs * phase, rank=rank,
+                        threshold=tau, rescaled_vectors=U[:, :rank] * phase[:rank].conj())
 
 
 def subspace_basis(kind: str, d: int, povm: PovmSet) -> np.ndarray:
@@ -213,7 +214,7 @@ def subspace_basis(kind: str, d: int, povm: PovmSet) -> np.ndarray:
         raise InvalidInputError(f"requested {d} {noun} of a dim-{povm.dim} space")
     if kind == "fock":
         return np.eye(povm.dim, dtype=complex)[:, :d]
-    return gram_spectrum(gram_operator(povm)).eigenvectors[:, :d]
+    return gram_spectrum(povm).eigenvectors[:, :d]
 
 
 def gram_matrix_state_space(povm: PovmSet) -> np.ndarray:

@@ -5,8 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from gramtomo import (HomodyneConfig, PovmSet, build_homodyne_povm, cat_state,
-                      gram_operator, gram_spectrum)
+from gramtomo import HomodyneConfig, PovmSet, build_homodyne_povm, cat_state, gram_spectrum
 
 REFERENCE_DIM = 15
 
@@ -40,7 +39,7 @@ def reference_povm(reference_config) -> PovmSet:
 
 @pytest.fixture(scope="session")
 def reference_analysis(reference_povm):
-    return gram_spectrum(gram_operator(reference_povm))
+    return gram_spectrum(reference_povm)
 
 
 @pytest.fixture(scope="session")

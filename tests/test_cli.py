@@ -105,6 +105,20 @@ class TestConfigValidation:
         assert "config validation error" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("target", [{"kind": "coherent", "alpha": 30.0},
+                                        {"kind": "coherent", "alpha": 1.3e154},
+                                        {"kind": "cat", "alpha": 30.0}])
+    def test_large_alpha_rejected(self, target, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"dim": 4, "target": target}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gramtomo.cli", "reconstruct", "--config", str(conf),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "invalid input" in proc.stderr and "dim-4 Fock truncation" in proc.stderr
+        assert "Traceback" not in proc.stderr and "alpha = 0" not in proc.stderr
+
     def test_defaults_pass_schema(self):
         assert list(CONFIG_VALIDATOR.iter_errors(_strip_nones(DEFAULTS))) == []
 
@@ -138,6 +152,9 @@ class TestGramSpectrumCommand:
         report = json.loads((out / "rank_report.json").read_text())
         assert report["support_rank"] == 4
         assert 0 < report["smallest_to_largest_ratio"] <= 1
+        gaps = report["relative_spectral_gaps"]
+        assert gaps == pytest.approx([(a - b) / g_vals[0] for a, b in zip(g_vals, g_vals[1:])],
+                                     rel=1e-12, abs=1e-15)
 
     def test_projective_gram_is_identity(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"

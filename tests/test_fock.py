@@ -122,6 +122,14 @@ class TestCoherentState:
         with pytest.raises(InvalidInputError):
             coherent_state(np.inf, 5)
 
+    def test_unrepresentable_truncation_rejected(self):
+        # at |alpha| = 30 the dim-4 amplitudes are ~1e-192 and their squares
+        # underflow; beyond |alpha| = 1.3e154, |alpha|^2 overflows
+        for alpha in (30.0, 2e200j):
+            with pytest.raises(InvalidInputError, match="dim-4 Fock truncation"):
+                coherent_state(alpha, 4, normalized=True)
+        assert np.all(coherent_state(2e200, 4) == 0.0)
+
 
 class TestCatState:
     def test_alpha_zero_even_is_vacuum(self):
@@ -132,6 +140,11 @@ class TestCatState:
     def test_odd_cat_at_zero_degenerate(self):
         with pytest.raises(DegenerateStateError):
             cat_state(0.0, "odd", 15)
+
+    def test_large_alpha_names_the_truncation(self):
+        with pytest.raises(InvalidInputError, match="dim-4 Fock truncation") as info:
+            cat_state(30.0, "even", 4)
+        assert not isinstance(info.value, DegenerateStateError)
 
     def test_excluded_parity_bitwise_zero(self):
         even = cat_state(2.0, "even", 15)

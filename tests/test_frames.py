@@ -58,7 +58,7 @@ class TestHermitianBasis:
 class TestDualFrame:
     def test_orthonormal_self_dual(self):
         povm = PovmSet(np.eye(3, dtype=complex))
-        analysis = gram_spectrum(gram_operator(povm))
+        analysis = gram_spectrum(povm)
         dual = dual_frame(povm, analysis)
         assert np.abs(dual.vectors - povm.vectors).max() < 1e-12
 
@@ -66,7 +66,7 @@ class TestDualFrame:
         e0 = np.array([1.0, 0.0], dtype=complex)
         e1 = np.array([0.0, 1.0], dtype=complex)
         povm = PovmSet(np.array([e0, e0, e1]))
-        analysis = gram_spectrum(gram_operator(povm))
+        analysis = gram_spectrum(povm)
         dual = dual_frame(povm, analysis)
         expected = np.array([e0 / 2, e0 / 2, e1])
         assert np.abs(dual.vectors - expected).max() < 1e-12
@@ -82,7 +82,7 @@ class TestDualFrame:
 
     def test_zero_support(self):
         povm = PovmSet(np.zeros((2, 3), dtype=complex))
-        analysis = gram_spectrum(gram_operator(povm))
+        analysis = gram_spectrum(povm)
         with pytest.raises(EmptyMeasurementError):
             dual_frame(povm, analysis)
 
@@ -90,7 +90,7 @@ class TestDualFrame:
 class TestFrameReconstruct:
     def test_orthonormal_frame_identity(self):
         povm = PovmSet(np.eye(4, dtype=complex))
-        analysis = gram_spectrum(gram_operator(povm))
+        analysis = gram_spectrum(povm)
         dual = dual_frame(povm, analysis)
         rng = np.random.default_rng(7)
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -99,7 +99,7 @@ class TestFrameReconstruct:
 
     def test_orthogonal_to_span_gives_zero(self):
         povm = PovmSet(np.eye(3, dtype=complex)[:2])
-        analysis = gram_spectrum(gram_operator(povm))
+        analysis = gram_spectrum(povm)
         dual = dual_frame(povm, analysis)
         psi = np.array([0.0, 0.0, 1.0], dtype=complex)
         assert np.abs(frame_reconstruct(psi, povm, dual)).max() < 1e-14
@@ -279,7 +279,7 @@ class TestHadamardIdentity:
 class TestModalWeighting:
     def test_identity_gram(self):
         povm = PovmSet(np.eye(3, dtype=complex))
-        analysis = gram_spectrum(gram_operator(povm))
+        analysis = gram_spectrum(povm)
         rng = np.random.default_rng(3)
         rho = random_hermitian(rng, 3)
         modes, weighted = modal_weighting(rho, analysis)
@@ -288,7 +288,7 @@ class TestModalWeighting:
 
     def test_rank_one_gram(self):
         y = np.array([1.0, 0.0], dtype=complex)
-        analysis = gram_spectrum(3.0 * np.outer(y, y.conj()))
+        analysis = gram_spectrum(PovmSet(np.sqrt(3.0) * y[None, :]))
         rng = np.random.default_rng(4)
         rho = random_hermitian(rng, 2)
         _, weighted = modal_weighting(rho, analysis)

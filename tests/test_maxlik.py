@@ -10,7 +10,7 @@ from gramtomo import (TOL_GAP, Dataset, EmptyDataError, EmptyMeasurementError,
                       expected_probabilities,
                       extremal_residual, fidelity, gram_operator, gram_spectrum,
                       hermite_functions, log_likelihood, maxlik_solve, r_operator,
-                      rescale_to_support, restrict_to_subspace)
+                      restrict_to_subspace)
 from gramtomo.simulate import NoiseModel, generate_counts
 
 
@@ -124,11 +124,11 @@ class TestROperator:
 class TestRescaleToSupport:
     def test_identity_gram_is_noop(self):
         povm = PovmSet(np.eye(4, dtype=complex))
-        vectors, _ = rescale_to_support(povm)
+        vectors = gram_spectrum(povm).rescaled_vectors
         assert np.abs(vectors - povm.vectors).max() < 1e-12
 
     def test_reference_completeness_on_support(self, reference_povm):
-        vectors, _ = rescale_to_support(reference_povm)
+        vectors = gram_spectrum(reference_povm).rescaled_vectors
         G_prime = gram_operator(PovmSet(vectors))
         assert np.abs(G_prime - np.eye(15)).max() < 1e-10
 
@@ -136,9 +136,9 @@ class TestRescaleToSupport:
         rng = np.random.default_rng(3)
         vecs = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
         povm = PovmSet(vecs)
-        analysis = gram_spectrum(gram_operator(povm))
+        analysis = gram_spectrum(povm)
         assert analysis.rank == 3
-        vectors, _ = rescale_to_support(povm)
+        vectors = analysis.rescaled_vectors
         assert vectors.shape == (3, 3)
         G_prime = gram_operator(PovmSet(vectors))
         assert np.abs(G_prime - np.eye(3)).max() < 1e-10
@@ -146,21 +146,23 @@ class TestRescaleToSupport:
     def test_zero_support_error(self):
         povm = PovmSet(np.zeros((2, 3), dtype=complex))
         with pytest.raises(EmptyMeasurementError):
-            rescale_to_support(povm)
+            maxlik_solve(Dataset(counts=np.ones(2)), povm)
 
     def test_complete_on_ill_conditioned_measurement(self):
         # one phase, 51 bins on (-2, 2) at dim 15: lambda_15 / lambda_1 = 1.8e-10,
         # so rescaling through an eigendecomposition of G loses ~1e-6
         from gramtomo import HomodyneConfig, build_homodyne_povm
         povm = build_homodyne_povm(HomodyneConfig.uniform(1, 51, (-2.0, 2.0)), 15)
-        vals = gram_spectrum(gram_operator(povm)).eigenvalues
+        analysis = gram_spectrum(povm)
+        vals = analysis.eigenvalues
         assert vals[-1] / vals[0] < 1e-9
-        vectors, _ = rescale_to_support(povm)
+        vectors = analysis.rescaled_vectors
         assert vectors.shape == (51, 15)
         assert np.abs(vectors.T @ vectors.conj() - np.eye(15)).max() < 1e-12
 
     def test_embedding_squares_to_gram_pseudo_inverse(self, reference_povm):
-        _, embed = rescale_to_support(reference_povm)
+        analysis = gram_spectrum(reference_povm)
+        embed = analysis.support_vectors / np.sqrt(analysis.support_eigenvalues)
         pinv = np.linalg.pinv(gram_operator(reference_povm))
         assert np.abs(embed @ embed.conj().T - pinv).max() < 1e-12 * np.abs(pinv).max()
 
@@ -257,7 +259,7 @@ class TestMaxlikSolve:
         povm, psi, rho = small_problem()
         ds = Dataset(counts=expected_probabilities(rho, povm))
         initial = born_residual(np.eye(povm.dim, dtype=complex) / povm.dim, ds,
-                                PovmSet(rescale_to_support(povm)[0]))
+                                PovmSet(gram_spectrum(povm).rescaled_vectors))
         res = maxlik_solve(ds, povm, SolverConfig(max_iterations=2000))
         assert res.born_residual < initial
 
@@ -347,7 +349,7 @@ class TestStopReason:
         # r = 1: sigma = 1 is the only state, so R' = 1 and the gap is 0 at once
         povm, psi, rho = small_problem()
         ds = generate_counts(rho, povm, NoiseModel(kind="poisson", exposure=5000.0, seed=3))
-        basis = gram_spectrum(gram_operator(povm)).eigenvectors[:, :1]
+        basis = gram_spectrum(povm).eigenvectors[:, :1]
         res = maxlik_solve(ds, povm, SolverConfig(tol_gap=TOL_GAP, subspace=basis))
         assert (res.stop_reason, res.converged, res.iterations) == ("gap", True, 0)
         assert res.log_likelihood.shape == (1,)

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gramtomo import (HomodyneConfig, InvalidInputError, PovmSet, build_homodyne_povm,
-                      effective_rank, gram_matrix_operator_space, gram_matrix_state_space,
-                      gram_operator, gram_spectrum, hermite_functions)
+from gramtomo import (Dataset, HomodyneConfig, InvalidInputError, PovmSet, SolverConfig,
+                      build_homodyne_povm, cat_state, effective_rank, expected_probabilities,
+                      fidelity, gram_matrix_operator_space, gram_matrix_state_space,
+                      gram_operator, gram_spectrum, hermite_functions, maxlik_solve,
+                      pure_density)
 from gramtomo.povm import born_probabilities, weighted_effect_sum
 
 
@@ -159,20 +162,20 @@ class TestKernels:
 
 class TestGramSpectrum:
     def test_identity(self):
-        analysis = gram_spectrum(np.eye(15, dtype=complex))
+        analysis = gram_spectrum(PovmSet(np.eye(15, dtype=complex)))
         assert np.allclose(analysis.eigenvalues, 1.0, atol=1e-14)
         assert analysis.rank == 15
 
     def test_rank_one(self):
         y = np.array([1.0, 0.0], dtype=complex)
-        analysis = gram_spectrum(2.0 * np.outer(y, y.conj()))
+        analysis = gram_spectrum(PovmSet(np.sqrt(2.0) * y[None, :]))
         assert analysis.eigenvalues[0] == pytest.approx(2.0, abs=1e-14)
         assert analysis.eigenvalues[1] == 0.0
         assert analysis.rank == 1
 
     def test_reassembly(self, reference_povm):
         G = gram_operator(reference_povm)
-        analysis = gram_spectrum(G)
+        analysis = gram_spectrum(reference_povm)
         U, lam = analysis.eigenvectors, analysis.eigenvalues
         assert np.abs((U * lam) @ U.conj().T - G).max() < 1e-10
 
@@ -187,18 +190,50 @@ class TestGramSpectrum:
         assert np.abs(U.conj().T @ U - np.eye(15)).max() < 1e-10
 
     def test_phase_convention_deterministic(self, reference_povm):
-        G = gram_operator(reference_povm)
-        a = gram_spectrum(G)
-        b = gram_spectrum(G.copy())
+        a = gram_spectrum(reference_povm)
+        b = gram_spectrum(PovmSet(reference_povm.vectors.copy()))
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
         for col in a.eigenvectors.T:
             lead = col[np.argmax(np.abs(col) > 1e-8)]
             assert lead.real > 0 and abs(lead.imag) < 1e-12
 
-    def test_non_hermitian_rejected(self):
-        M = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-        with pytest.raises(InvalidInputError):
-            gram_spectrum(M)
+    def test_ill_conditioned_spectrum_against_mpmath(self):
+        # one phase, 51 bins on (-2, 2) at dim 15: lambda_15 / lambda_1 = 1.8e-10.
+        # The oracle sums G from mpmath Hermite functions at 30 digits, at the
+        # same float bin centers; an eigendecomposition of the float64 G would
+        # be off by ~1e-6 relative in lambda_15
+        conf = HomodyneConfig.uniform(1, 51, (-2.0, 2.0))
+        dim = 15
+        lam = gram_spectrum(build_homodyne_povm(conf, dim)).eigenvalues
+        with mpmath.workdps(30):
+            dx = mpmath.mpf(conf.bin_width)
+            psi = [[mpmath.hermite(n, x) * mpmath.exp(-x * x / 2)
+                    / mpmath.sqrt(mpmath.sqrt(mpmath.pi) * 2**n * mpmath.factorial(n))
+                    for n in range(dim)] for x in map(mpmath.mpf, conf.bin_centers)]
+            G = mpmath.matrix(dim, dim)
+            for n in range(dim):
+                for m in range(n, dim):
+                    G[n, m] = G[m, n] = dx * mpmath.fsum(row[n] * row[m] for row in psi)
+            oracle = sorted((float(v) for v in mpmath.eigsy(G, eigvals_only=True)),
+                            reverse=True)
+        assert oracle[-1] / oracle[0] < 1e-9
+        assert np.abs(lam / oracle - 1.0).max() < 1e-10
+
+    def test_eigenpairs_of_complex_gram(self):
+        # 3 phases x 21 bins on (-4, 5) at dim 8: the window is not symmetric,
+        # so G has |Im G| = 1.7e-2 and its eigenvectors are conj(V), not V
+        povm = build_homodyne_povm(HomodyneConfig.uniform(3, 21, (-4.0, 5.0)), 8)
+        G = gram_operator(povm)
+        assert np.abs(G.imag).max() > 1e-2
+        analysis = gram_spectrum(povm)
+        lam, E = analysis.eigenvalues, analysis.eigenvectors
+        assert np.linalg.norm(G @ E - E * lam, axis=0).max() < 1e-12 * lam[0]
+        # the full-basis solve reads its rescaled frame and embedding off the
+        # same decomposition: exact data of a complex state is recovered
+        psi = cat_state(1.0 + 0.6j, "odd", 8)
+        ds = Dataset(counts=expected_probabilities(pure_density(psi), povm))
+        result = maxlik_solve(ds, povm, SolverConfig(max_iterations=3000))
+        assert fidelity(psi, result.rho) >= 0.9999
 
 
 class TestGramMatrices:
@@ -237,12 +272,11 @@ class TestGramMatrices:
 
 class TestEffectiveRank:
     def test_flat_spectrum(self):
-        analysis = gram_spectrum(np.eye(7, dtype=complex))
+        analysis = gram_spectrum(PovmSet(np.eye(7, dtype=complex)))
         assert effective_rank(analysis, 0.5) == 7
 
     def test_direct_definition(self):
-        G = np.diag([1.0, 0.5, 1e-6]).astype(complex)
-        analysis = gram_spectrum(G)
+        analysis = gram_spectrum(PovmSet(np.diag(np.sqrt([1.0, 0.5, 1e-6]))))
         assert effective_rank(analysis, 1e-3) == 2
 
     def test_reference_regression_value(self, reference_analysis):

@@ -3,7 +3,13 @@
 `python tools/gate.py OUT [--src SRC]` runs the CLI with PYTHONPATH=SRC (default
 src/), one BLAS thread and --seed 0 into OUT/<case>/<command>/ and prints
 "<sha256>  <path>" for the 40 files. Outputs echo their directory: to compare
-two source trees, run both into the same OUT in turn and diff the printed lines.
+two source trees by hash, run both into the same OUT in turn and diff the
+printed lines.
+
+`python tools/gate.py --compare BEFORE AFTER` reads two such output trees and
+prints, for each file that differs, the largest absolute deviation over its
+numbers, ignoring the config echo, and for reconstruction.json the iterations
+and stop_reason on both sides. Non-numeric cells that differ are counted.
 """
 
 import argparse
@@ -33,11 +39,91 @@ CASES = {
 }
 
 
+def _leaves(obj, path=()):
+    """(path, value) for every scalar of a JSON document but its config echo."""
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            if path or key != "config":
+                yield from _leaves(obj[key], path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path, obj
+
+
+def _cells(text: str):
+    """((row, column), value) for every CSV cell but the config comment line."""
+    rows = [line for line in text.splitlines() if not line.startswith("# config:")]
+    for r, line in enumerate(rows):
+        for c, cell in enumerate(line.split(",")):
+            try:
+                yield (r, c), float(cell)
+            except ValueError:
+                yield (r, c), cell
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def describe_difference(before: Path, after: Path) -> str | None:
+    """Largest numeric deviation between two versions of one output file, or
+    None when they agree apart from the config echo."""
+    if before.suffix == ".json":
+        a, b = json.loads(before.read_text()), json.loads(after.read_text())
+        items_a, items_b = dict(_leaves(a)), dict(_leaves(b))
+    else:
+        items_a, items_b = dict(_cells(before.read_text())), dict(_cells(after.read_text()))
+    if items_a == items_b:
+        return None
+    dev, other = 0.0, 0
+    for key in items_a.keys() & items_b.keys():
+        x, y = items_a[key], items_b[key]
+        if _is_number(x) and _is_number(y):
+            dev = max(dev, abs(x - y))
+        elif x != y:
+            other += 1
+    text = f"max |dev| {dev:.2g}"
+    if other:
+        text += f", {other} non-numeric differ"
+    for side, extra in (("before", items_a.keys() - items_b.keys()),
+                        ("after", items_b.keys() - items_a.keys())):
+        if extra:
+            text += f", {len(extra)} values only {side}"
+    if before.name == "reconstruction.json":
+        text += "".join(f", {key} {a[key]} -> {b[key]}" for key in ("iterations", "stop_reason"))
+    return text
+
+
+def compare(before: Path, after: Path) -> int:
+    """Print each differing output file with its largest deviation; 1 if a file
+    exists on one side only."""
+    paths = sorted({p.relative_to(root) for root in (before, after)
+                    for p in root.glob("*/*/*") if p.is_file()})
+    differing = missing = 0
+    for rel in paths:
+        a, b = before / rel, after / rel
+        if not (a.is_file() and b.is_file()):
+            missing += 1
+            print(f"{rel}  only in {before if a.is_file() else after}")
+        elif (text := describe_difference(a, b)) is not None:
+            differing += 1
+            print(f"{rel}  {text}")
+    print(f"{differing} of {len(paths)} files differ, {missing} on one side only")
+    return 1 if missing else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", type=Path)
+    parser.add_argument("out", type=Path, nargs="?")
     parser.add_argument("--src", type=Path, default=Path(__file__).parent.parent / "src")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("BEFORE", "AFTER"))
     args = parser.parse_args()
+    if args.compare:
+        return compare(*args.compare)
+    if args.out is None:
+        parser.error("give OUT, or --compare BEFORE AFTER")
     out, failed = args.out.resolve(), 0
     env = dict(os.environ, PYTHONPATH=str(args.src.resolve()), OPENBLAS_NUM_THREADS="1")
     for case, (config, commands) in CASES.items():
