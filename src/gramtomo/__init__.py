@@ -10,7 +10,7 @@ from __future__ import annotations
 from .errors import (DegenerateStateError, EmptyDataError, EmptyMeasurementError,
                      InvalidInputError, NumericalConsistencyError)
 from .fock import (PhaseSpaceGrid, cat_state, coherent_state, fidelity, fock_state,
-                   hermite_functions, pure_density, quadrature_overlap, wigner,
+                   hermite_functions, kept_weight, pure_density, quadrature_overlap, wigner,
                    wigner_points)
 from .frames import (DualFrame, OperatorFrame, PartialInversionWarning,
                      clip_to_physical, dual_effect, dual_frame, frame_reconstruct,
@@ -32,7 +32,7 @@ __all__ = [
     "DegenerateStateError", "EmptyDataError", "EmptyMeasurementError",
     "InvalidInputError", "NumericalConsistencyError",
     "PhaseSpaceGrid", "cat_state", "coherent_state", "fidelity", "fock_state",
-    "hermite_functions", "pure_density", "quadrature_overlap", "wigner",
+    "hermite_functions", "kept_weight", "pure_density", "quadrature_overlap", "wigner",
     "wigner_points",
     "DualFrame", "OperatorFrame", "PartialInversionWarning", "clip_to_physical",
     "dual_effect", "dual_frame", "frame_reconstruct", "from_coords",

@@ -32,7 +32,8 @@ from jsonschema.exceptions import ValidationError, best_match
 from jsonschema.validators import validator_for
 
 from .errors import EmptyMeasurementError, InvalidInputError, NumericalConsistencyError
-from .fock import PhaseSpaceGrid, cat_state, coherent_state, fidelity, fock_state, wigner
+from .fock import (PhaseSpaceGrid, cat_state, coherent_state, fidelity, fock_state,
+                   kept_weight, wigner)
 from .frames import (dual_frame, from_coords, hadamard_identity_check, linear_inversion,
                      modal_weighting, operator_frame, operator_frame_apply, to_coords)
 from .maxlik import TOL_GAP, Dataset, SolverConfig, maxlik_solve
@@ -45,6 +46,10 @@ from .simulate import (NoiseModel, dimension_sweep, generate_counts, stability_s
                        trial_generator)
 
 ENV_OUTPUT_DIR = "GRAMTOMO_OUT"
+
+# a target whose Fock truncation drops more than this share of its weight is
+# reported on stderr
+TRUNCATION_LEAK_WARNING = 1e-3
 
 # the only copy of the config schema; README and --config --help name this file
 CONFIG_SCHEMA_PATH = Path(__file__).with_name("config-schema.json")
@@ -168,16 +173,27 @@ def build_povm_from_config(config: dict) -> PovmSet:
 
 
 def build_target_from_config(config: dict) -> np.ndarray:
+    """The normalized truncated target; warns on stderr where the truncation
+    drops more than TRUNCATION_LEAK_WARNING of the state's weight."""
     tc = config["target"]
     dim = config["dim"]
     alpha = tc.get("alpha", 0.0)
     if isinstance(alpha, (list, tuple)):
         alpha = complex(alpha[0], alpha[1])
+    if tc["kind"] == "fock":
+        return fock_state(tc.get("n", 0), dim)
     if tc["kind"] == "cat":
-        return cat_state(alpha, tc.get("parity", "even"), dim)
-    if tc["kind"] == "coherent":
-        return coherent_state(alpha, dim, normalized=True)
-    return fock_state(tc.get("n", 0), dim)
+        parity = tc.get("parity", "even")
+        target = cat_state(alpha, parity, dim)
+    else:
+        parity = None
+        target = coherent_state(alpha, dim, normalized=True)
+    kept = kept_weight(alpha, dim, parity)
+    if 1.0 - kept > TRUNCATION_LEAK_WARNING:
+        print(f"warning: the dim-{dim} Fock truncation keeps {kept:.3g} of the target "
+              "state's weight (sum |c_n|^2); fidelities are to the renormalized "
+              "truncated target", file=sys.stderr)
+    return target
 
 
 def build_grid_from_config(config: dict) -> PhaseSpaceGrid:

@@ -117,6 +117,20 @@ def cat_state(alpha: complex, parity: str, dim: int) -> np.ndarray:
     return _normalized(c, alpha)
 
 
+def kept_weight(alpha: complex, dim: int, parity: str | None = None) -> float:
+    """Weight sum_{n<dim} |c_n|^2 that a dim-dimensional truncation keeps of
+    the coherent state |alpha> (parity None) or of the even or odd cat state."""
+    weights = np.abs(coherent_state(alpha, dim)) ** 2
+    if parity is None:
+        return float(weights.sum())
+    # |alpha> + s|-alpha> has the amplitudes 2 c_n on its own parity and the
+    # squared norm 2 (1 + s exp(-2 |alpha|^2))
+    overlap = np.expm1(-2.0 * abs(complex(alpha)) ** 2)
+    if parity == "even":
+        return float(2.0 * weights[0::2].sum() / (2.0 + overlap))
+    return float(2.0 * weights[1::2].sum() / -overlap)
+
+
 def fock_state(n: int, dim: int) -> np.ndarray:
     """Number state |n> in a dim-dimensional truncated space."""
     if not 0 <= n < dim:

@@ -1,4 +1,4 @@
-"""Normalized maximum-likelihood reconstruction by diluted fixed-point iteration.
+"""Normalized maximum-likelihood reconstruction: two kinds of step, one certificate.
 
 The estimator maximizes the conditional log-likelihood
 
@@ -9,15 +9,34 @@ with R(rho) = sum_i (f_i/p_i) |y_i><y_i| and G = sum_i |y_i><y_i|. The
 measurement is first rescaled by G^(-1/2) on its support, read off the
 thin SVD of the synthesis matrix Y by povm.gram_spectrum rather than from
 G = Y^T conj(Y), whose condition number is that of Y squared. The rescaled
-effects sum to the identity on the support to rounding; in rescaled
-coordinates the iteration
+effects sum to the identity on the support to rounding. In rescaled
+coordinates the run takes two kinds of step.
+
+The diluted R sigma R step
 
     sigma <- normalize(R~ sigma R~),   R~ = (1 - eps) I + eps R'(sigma)
 
 preserves positivity by congruence and has the extremal equation as its
 fixed point. eps = 1 is tried first and halved (persistently, floor 1/64)
 whenever a step would decrease the likelihood, which keeps the recorded
-likelihood trace non-decreasing on every dataset.
+likelihood trace non-decreasing on every dataset. It moves each eigenvalue
+of sigma in proportion to its own size, so the weak directions of a
+low-rank optimum crawl.
+
+After every POLISH_INTERVAL R sigma R steps a Newton polish takes over:
+sigma ~ A A^H / ||A||^2 with A the eigenvectors of sigma above
+FACTOR_CUTOFF times its largest eigenvalue, scaled by their square roots,
+and damped Newton steps ascend Phi(A) = sum_i f_i log p_i - log ||A||^2,
+which equals the recorded log-likelihood because the rescaled effects are
+complete. Each Newton step takes an Armijo backtracking line search, is
+accepted only where the likelihood rises to within its rounding and no
+observed outcome is floored, and counts as one iteration. The polish ends
+at its first step whose predicted ascent is below rounding, where
+quadratic convergence has reached the optimum to rounding, or when no step
+length rises. An iterate with a floored outcome skips the polish, and a
+polish with no step whose predicted ascent is above rounding ends polishing
+for the run: at the optimum it would only repeat itself. The schedule does
+not depend on tol_gap.
 
 The recorded log-likelihood is per unit count, sum_i f_i log p_i with
 sum_k p_k = 1 enforced by the rescaling. On raw-count scale (~1e5 counts)
@@ -29,7 +48,10 @@ likelihood gives the Glancy-Knill-Girard certificate (NJP 14, 095017, 2012)
     log L_max - log L(sigma) <= lambda_max(R'(sigma)) - 1      (per count),
 
 valid at any iterate where no observed outcome sits below the probability
-floor. The run stops on the first of: this likelihood gap below tol_gap
+floor; the recorded gap carries an allowance of r * eps * lambda_max for the
+rounding of R' and its eigensolve, so that it stays an upper bound at an
+iterate that is optimal to rounding. Both kinds of step pass through the same
+stop checks. The run stops on the first of: this likelihood gap below tol_gap
 (stop reason "gap", when tol_gap is set), the likelihood increment and the
 Born residual both below their tolerances ("born"), a step that lowers the
 likelihood even at the floor dilution ("stalled"), or max_iterations
@@ -52,6 +74,21 @@ from .povm import (PovmSet, _born, _effect_sum, born_probabilities, gram_operato
 # likelihood-gap tolerance (per count) of the CLI, dimension_sweep and
 # stability_study; the library default leaves the gap rule off
 TOL_GAP = 1e-10
+
+# the R sigma R iteration hands over to a Newton polish of a factor of sigma
+# after every POLISH_INTERVAL of its own steps; the factor keeps the
+# eigenvalues of sigma above FACTOR_CUTOFF times the largest
+POLISH_INTERVAL = 100
+FACTOR_CUTOFF = 1e-6
+# Newton direction: pseudo-inverse of -H over eigenvalues above this multiple
+# of the largest; Armijo fraction and the most halvings of a Newton step
+NEWTON_PINV_CUTOFF = 1e-12
+NEWTON_ARMIJO = 1e-4
+NEWTON_BACKTRACKS = 30
+EPS = np.finfo(float).eps
+# the per-count log-likelihood is known to this multiple of max(1, |log L|):
+# a smaller ascent cannot be seen, and a Newton step may fall by as much
+LIKELIHOOD_ROUNDING = 16 * EPS
 
 
 @dataclass(frozen=True)
@@ -124,10 +161,14 @@ class ReconstructionResult:
 
     stop_reason is "born", "gap", "cap" or "stalled" (see the module
     docstring); converged is True exactly when it is "born" or "gap".
-    likelihood_gap is lambda_max(R') - 1 at the returned iterate: an upper
-    bound on how far the per-count log-likelihood is below its maximum. It
+    likelihood_gap is lambda_max(R') - 1 at the returned iterate, with the
+    rounding allowance of the module docstring: an upper bound on how far
+    the per-count log-likelihood is below its maximum. It
     is None when tol_gap is off or an observed outcome is floored there,
-    where lambda_max(R') - 1 bounds nothing.
+    where lambda_max(R') - 1 bounds nothing. iterations counts both kinds of
+    step, newton_steps the Newton steps among them. floor_hits counts the
+    times an observed outcome's probability was raised to the floor, the
+    count that the RuntimeWarning reports.
     """
 
     rho: np.ndarray
@@ -138,6 +179,8 @@ class ReconstructionResult:
     converged: bool
     stop_reason: str
     likelihood_gap: float | None
+    newton_steps: int
+    floor_hits: int
 
 
 def expected_probabilities(rho: np.ndarray, povm: PovmSet) -> np.ndarray:
@@ -228,8 +271,67 @@ def extremal_residual(rho: np.ndarray, dataset: Dataset, povm: PovmSet) -> float
     return float(np.abs(R @ rho_g - G @ rho_g).max())
 
 
+def _factor(sigma: np.ndarray) -> np.ndarray:
+    """A = V_k diag(sqrt(w_k)) over the eigenvalues of sigma above
+    FACTOR_CUTOFF times the largest, so that sigma ~ A A^H / ||A||^2."""
+    w, V = np.linalg.eigh(sigma)
+    keep = w > FACTOR_CUTOFF * w[-1]
+    return V[:, keep] * np.sqrt(w[keep])
+
+
+def _phi_derivatives(A: np.ndarray, f: np.ndarray, Y: np.ndarray, Yc: np.ndarray):
+    """Gradient and Hessian of Phi(A) = sum_i f_i log p_i - log ||A||^2 with
+    p_i = ||(conj(Y) A)_i||^2, in the real parameters x = (Re A, Im A) with A
+    flattened row-major.
+
+    With W = conj(Y) A, M the effect sum with weights f/p and N = ||A||^2,
+    the Jacobian of p has the rows 2 (Re G_i, -Im G_i), G_i = conj(y_i) (x)
+    conj(W_i), and
+
+        g = J^T (f/p) - 2x/N,
+        H = 2 [[Re M (x) I, -Im M (x) I], [Im M (x) I, Re M (x) I]]
+            - J^T diag(f/p^2) J - 2 I/N + 4 x x^T / N^2.
+    """
+    r, k = A.shape
+    N = float(np.vdot(A, A).real)
+    W = Yc @ A
+    p = np.einsum("ik,ik->i", W, W.conj()).real
+    w = f / p
+    G = (Yc[:, :, None] * W.conj()[:, None, :]).reshape(-1, r * k)
+    J = 2.0 * np.hstack([G.real, -G.imag])
+    x = np.concatenate([A.real.ravel(), A.imag.ravel()])
+    g = J.T @ w - 2.0 * x / N
+    M = _effect_sum(w, Y, Yc)
+    eye_k = np.eye(k)
+    re, im = np.kron(M.real, eye_k), np.kron(M.imag, eye_k)
+    H = 2.0 * np.block([[re, -im], [im, re]]) - (J.T * (f / p**2)) @ J
+    H -= 2.0 * np.eye(2 * r * k) / N
+    H += 4.0 * np.outer(x, x) / N**2
+    return g, H
+
+
+def _newton_direction(A: np.ndarray, f: np.ndarray, Y: np.ndarray, Yc: np.ndarray):
+    """Newton ascent direction of Phi (see _phi_derivatives) as an r x k
+    complex matrix, with the Newton decrement g^T (-H)^+ g: twice the ascent
+    it predicts.
+
+    The pseudo-inverse of -H keeps the eigenvalues above NEWTON_PINV_CUTOFF
+    times the largest: the unitary gauge A -> A U and the scale of A are null
+    directions of Phi, and directions of positive curvature are dropped.
+    """
+    r, k = A.shape
+    g, H = _phi_derivatives(A, f, Y, Yc)
+    lam, U = np.linalg.eigh(-H)
+    keep = lam > NEWTON_PINV_CUTOFF * max(lam[-1], 0.0)
+    coef = (U[:, keep].T @ g) / lam[keep]
+    d = U[:, keep] @ coef
+    return (d[: r * k] + 1j * d[r * k:]).reshape(r, k), float(g @ d)
+
+
 def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
-    """Diluted R sigma R iteration in rescaled coordinates."""
+    """Diluted R sigma R iteration in rescaled coordinates, with a Newton
+    polish of a low-rank factor of sigma after every POLISH_INTERVAL R sigma R
+    steps."""
     n_out, r = Yp.shape
     Ypc = Yp.conj()
     mask = f > 0
@@ -261,6 +363,38 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
         hits = floor_hits
         return _effect_sum(fm / floored(pvec), Ym, Ymc), floor_hits > hits
 
+    def state(c):
+        """The Hermitian part of c at unit trace, with its probabilities."""
+        c = 0.5 * (c + c.conj().T)
+        c /= np.trace(c).real
+        return c, _born(Ypc, c, Yp)
+
+    def certified_gap(lam_max):
+        # lambda_max(R') >= 1 in exact arithmetic; the allowance for the
+        # rounding of R' and of its eigensolve keeps the bound an upper bound
+        # where the iterate is optimal to rounding
+        return float(lam_max) * (1.0 + r * EPS) - 1.0
+
+    def newton_step(A, ll):
+        """An Armijo-damped Newton step on the factor A, as (A, sigma, p, log L,
+        whether its predicted ascent is above rounding), or None where no step
+        length rises. A candidate that floors an observed outcome is refused."""
+        D, decrement = _newton_direction(A, fm, Ym, Ymc)
+        if not decrement > 0.0:
+            return None
+        rounding = LIKELIHOOD_ROUNDING * max(1.0, abs(ll))
+        t = 1.0
+        for _ in range(NEWTON_BACKTRACKS):
+            A_cand = A + t * D
+            cand, p_cand = state(A_cand @ A_cand.conj().T)
+            pm = p_cand[mask]
+            if pm.min() >= config.probability_floor * p_cand.max():
+                ll_cand = log_likelihood(pm)
+                if ll_cand >= ll + NEWTON_ARMIJO * t * decrement - rounding:
+                    return A_cand, cand, p_cand, ll_cand, decrement / 2.0 > rounding
+            t /= 2.0
+        return None
+
     ll = log_likelihood(floored(p))
     trace = [ll]
     eps = config.dilution
@@ -268,36 +402,53 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
     stop = "cap"
     gap = None
     # top eigenvector of the last R whose spectrum was taken: while its
-    # Rayleigh quotient v^H R v - 1 >= tol_gap, so is lambda_max(R) - 1
+    # Rayleigh quotient v^H R v >= 1 + tol_gap, so is lambda_max(R)
     v = None
-    iterations = 0
+    iterations = rsr_steps = newton_steps = 0
+    # the factor of a polish in progress, whether that polish has risen by
+    # more than rounding, and whether polishing is still on
+    factor, ascended, polish = None, False, True
 
-    for _ in range(config.max_iterations):
+    while iterations < config.max_iterations:
         R, was_floored = r_matrix(p)
         # an R built from floored probabilities under-weights those outcomes,
         # so its gap certifies nothing
         if (tol_gap is not None and not was_floored
-                and (v is None or (v.conj() @ R @ v).real - 1.0 < tol_gap)):
+                and (v is None or certified_gap((v.conj() @ R @ v).real) < tol_gap)):
             lam, vecs = np.linalg.eigh(R)
-            gap, v = float(lam[-1]) - 1.0, vecs[:, -1]
+            gap, v = certified_gap(lam[-1]), vecs[:, -1]
             if gap < tol_gap:
                 stop = "gap"
                 break
-        while True:
-            R_tilde = eps * R + (1.0 - eps) * eye
-            cand = R_tilde @ sigma @ R_tilde
-            cand = 0.5 * (cand + cand.conj().T)
-            cand /= np.trace(cand).real
-            p_cand = _born(Ypc, cand, Yp)
-            ll_cand = log_likelihood(floored(p_cand))
-            if ll_cand >= ll - 1e-12 or eps <= config.dilution_floor:
+        step = None
+        if factor is not None:
+            step = None if was_floored else newton_step(factor, ll)
+            if step is None:
+                # a floored iterate skips this polish; one that found no ascent
+                # is not tried again, since it would repeat itself at the optimum
+                factor, polish = None, was_floored or ascended
+            else:
+                factor, cand, p_cand, ll_cand, resolved = step
+                newton_steps += 1
+                # the first step whose predicted ascent is below rounding ends
+                # the polish: quadratic convergence has reached the optimum
+                ascended = ascended or resolved
+                if not resolved:
+                    factor, polish = None, ascended
+        if step is None:
+            while True:
+                R_tilde = eps * R + (1.0 - eps) * eye
+                cand, p_cand = state(R_tilde @ sigma @ R_tilde)
+                ll_cand = log_likelihood(floored(p_cand))
+                if ll_cand >= ll - 1e-12 or eps <= config.dilution_floor:
+                    break
+                eps = max(eps / 2.0, config.dilution_floor)
+            if ll_cand < ll - 1e-12:
+                # even the floor dilution decreases the likelihood: keep the
+                # last good iterate rather than record a falling trace
+                stop = "stalled"
                 break
-            eps = max(eps / 2.0, config.dilution_floor)
-        if ll_cand < ll - 1e-12:
-            # even the floor dilution decreases the likelihood: keep the
-            # last good iterate rather than record a falling trace
-            stop = "stalled"
-            break
+            rsr_steps += 1
         iterations += 1
         inc = ll_cand - ll
         sigma, p, ll = cand, p_cand, ll_cand
@@ -306,17 +457,19 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
         if inc < config.tol_likelihood and born < config.tol_born:
             stop = "born"
             break
+        if step is None and polish and rsr_steps % POLISH_INTERVAL == 0:
+            factor, ascended = _factor(sigma), False
 
     if tol_gap is not None and stop != "gap":
         # certificate of the returned iterate; none where it is floored
         R, was_floored = r_matrix(p)
-        gap = None if was_floored else float(np.linalg.eigvalsh(R)[-1]) - 1.0
+        gap = None if was_floored else certified_gap(np.linalg.eigvalsh(R)[-1])
     if floor_hits:
         warnings.warn(
             f"probability floor engaged {floor_hits} time(s): some observed "
             "outcomes are nominally impossible under the truncated model",
             RuntimeWarning, stacklevel=3)
-    return sigma, np.array(trace), iterations, born, stop, gap
+    return sigma, np.array(trace), iterations, newton_steps, floor_hits, born, stop, gap
 
 
 def maxlik_solve(dataset: Dataset, povm: PovmSet,
@@ -357,8 +510,8 @@ def maxlik_solve(dataset: Dataset, povm: PovmSet,
         raise EmptyMeasurementError("Gram operator has zero support")
     f = dataset.frequencies
 
-    sigma, trace, iterations, born, stop, gap = _iterate(analysis.rescaled_vectors, f,
-                                                         config)
+    sigma, trace, iterations, newton_steps, floor_hits, born, stop, gap = _iterate(
+        analysis.rescaled_vectors, f, config)
 
     # a rescaled-space state maps back as G^(-1/2) sigma G^(-1/2) on the support
     embed = analysis.support_vectors / np.sqrt(analysis.support_eigenvalues)
@@ -377,4 +530,5 @@ def maxlik_solve(dataset: Dataset, povm: PovmSet,
     return ReconstructionResult(rho=rho, log_likelihood=trace, iterations=iterations,
                                 born_residual=born, extremal_residual=resid,
                                 converged=stop in ("born", "gap"), stop_reason=stop,
-                                likelihood_gap=gap)
+                                likelihood_gap=gap, newton_steps=newton_steps,
+                                floor_hits=floor_hits)

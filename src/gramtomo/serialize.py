@@ -63,6 +63,8 @@ def encode_reconstruction(result: ReconstructionResult, config_echo: dict) -> di
         "stop_reason": result.stop_reason,
         "likelihood_gap": (None if result.likelihood_gap is None
                            else float(result.likelihood_gap)),
+        "newton_steps": result.newton_steps,
+        "floor_hits": result.floor_hits,
         "config": config_echo,
     }
 

@@ -196,14 +196,18 @@ class TestReconstructCommand:
         assert len(data) == 2 + 7
 
     def test_stop_fields_written(self, small_config, tmp_path, capsys):
-        # at the config's 300-iteration cap the gap is not yet certified; with
-        # the default cap the CLI's gap rule (TOL_GAP, 1e-10) stops the run
+        # at a 50-iteration cap, before the first Newton polish, the gap is not
+        # yet certified; with the default cap the CLI's gap rule (TOL_GAP,
+        # 1e-10) stops the run
         conf = json.loads(small_config.read_text())
+        conf["solver"]["max_iterations"] = 50
+        capped_path = small_config.parent / "capped.json"
+        capped_path.write_text(json.dumps(conf))
         del conf["solver"]
         uncapped = small_config.parent / "uncapped.json"
         uncapped.write_text(json.dumps(conf))
         payloads = []
-        for path in (small_config, uncapped):
+        for path in (capped_path, uncapped):
             out = tmp_path / path.stem
             code, _, _ = run(["reconstruct", "--config", str(path), "--out", str(out)],
                              capsys)
@@ -211,12 +215,38 @@ class TestReconstructCommand:
             payloads.append(json.loads((out / "reconstruction.json").read_text()))
         capped, certified = payloads
         assert (capped["stop_reason"], capped["converged"]) == ("cap", False)
-        assert capped["iterations"] == 300 and capped["likelihood_gap"] >= 1e-10
+        assert capped["iterations"] == 50 and capped["likelihood_gap"] >= 1e-10
         assert (certified["stop_reason"], certified["converged"]) == ("gap", True)
         assert certified["likelihood_gap"] < 1e-10
-        assert 300 < certified["iterations"] < 20000
+        assert 50 < certified["iterations"] < 20000
+        assert (capped["newton_steps"], capped["floor_hits"]) == (0, 0)
+        assert 0 < certified["newton_steps"] < certified["iterations"]
+        assert certified["floor_hits"] == 0
         # the tolerance is fixed, so the echoed config is unchanged
         assert "tol_gap" not in certified["config"]["solver"]
+
+    @pytest.mark.parametrize("command", ["reconstruct", "sweep", "stability"])
+    def test_truncation_leak_warned(self, command, small_config, tmp_path, capsys):
+        # dim 4 keeps 2.1e-167 of a coherent state at alpha = 20; the output
+        # files do not change, the run says so on stderr
+        conf = json.loads(small_config.read_text())
+        conf["target"] = {"kind": "coherent", "alpha": 20.0}
+        conf["sweep"]["trials"] = 1
+        path = small_config.parent / "leaky.json"
+        path.write_text(json.dumps(conf))
+        code, _, err = run([command, "--config", str(path), "--out",
+                            str(tmp_path / "out")], capsys)
+        assert code == 0
+        assert "warning: the dim-4 Fock truncation keeps 2.06e-167" in err
+
+    def test_small_truncation_leak_not_warned(self, tmp_path, capsys):
+        # the default even cat at alpha = 2 keeps 0.999992 of its weight at dim 15
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"solver": {"max_iterations": 2}}))
+        code, _, err = run(["reconstruct", "--config", str(conf), "--out",
+                            str(tmp_path / "out")], capsys)
+        assert code == 0
+        assert "warning" not in err
 
     def test_seed_flag_changes_data(self, small_config, tmp_path, capsys):
         outs = []

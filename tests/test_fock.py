@@ -9,8 +9,8 @@ from scipy.integrate import quad
 
 from gramtomo import (DegenerateStateError, InvalidInputError, NumericalConsistencyError,
                       PhaseSpaceGrid, cat_state, coherent_state, fidelity, fock_state,
-                      hermite_functions, pure_density, quadrature_overlap, wigner,
-                      wigner_points)
+                      hermite_functions, kept_weight, pure_density, quadrature_overlap,
+                      wigner, wigner_points)
 
 
 def mp_hermite_function(n: int, x) -> mpmath.mpf:
@@ -145,6 +145,27 @@ class TestCatState:
         with pytest.raises(InvalidInputError, match="dim-4 Fock truncation") as info:
             cat_state(30.0, "even", 4)
         assert not isinstance(info.value, DegenerateStateError)
+
+    @pytest.mark.parametrize("alpha, parity, dim", [(2.0, "even", 15), (1.2, "even", 4),
+                                                    (0.3 + 0.4j, "odd", 2),
+                                                    (1e-3, "odd", 2), (20.0, None, 4)])
+    def test_kept_weight_against_series(self, alpha, parity, dim):
+        # the kept share of the untruncated state's squared norm, at 60 digits
+        with mpmath.workdps(60):
+            a2 = abs(mpmath.mpc(alpha)) ** 2
+            terms = [mpmath.exp(-a2) * a2 ** n / mpmath.factorial(n) for n in range(dim)]
+            if parity is None:
+                ref = sum(terms)
+            else:
+                sign = 1 if parity == "even" else -1
+                ref = 2 * sum(terms[n] for n in range(dim) if (-1) ** n == sign)
+                ref /= 1 + sign * mpmath.exp(-2 * a2)
+            ref = float(ref)
+        assert kept_weight(alpha, dim, parity) == pytest.approx(ref, rel=1e-12)
+
+    def test_kept_weight_of_wide_truncation_is_one(self):
+        assert kept_weight(2.0, 60, "even") == pytest.approx(1.0, abs=1e-14)
+        assert kept_weight(2.0, 60) == pytest.approx(1.0, abs=1e-14)
 
     def test_excluded_parity_bitwise_zero(self):
         even = cat_state(2.0, "even", 15)

@@ -8,8 +8,9 @@ printed lines.
 
 `python tools/gate.py --compare BEFORE AFTER` reads two such output trees and
 prints, for each file that differs, the largest absolute deviation over its
-numbers, ignoring the config echo, and for reconstruction.json the iterations
-and stop_reason on both sides. Non-numeric cells that differ are counted.
+numbers, ignoring the config echo, and for reconstruction.json the iterations,
+newton_steps and stop_reason on both sides. Non-numeric cells that differ are
+counted.
 """
 
 import argparse
@@ -92,7 +93,8 @@ def describe_difference(before: Path, after: Path) -> str | None:
         if extra:
             text += f", {len(extra)} values only {side}"
     if before.name == "reconstruction.json":
-        text += "".join(f", {key} {a[key]} -> {b[key]}" for key in ("iterations", "stop_reason"))
+        text += "".join(f", {key} {a.get(key)} -> {b.get(key)}"
+                        for key in ("iterations", "newton_steps", "stop_reason"))
     return text
 
 
