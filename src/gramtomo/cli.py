@@ -302,9 +302,7 @@ def cmd_reconstruct(config: dict, outdir: Path) -> list[Path]:
         write_wigner_csv(path_w, grid.xs, grid.ps, W, echo)
     else:
         path_w = outdir / "wigner.json"
-        write_json(path_w, {"x": [float(v) for v in grid.xs],
-                            "p": [float(v) for v in grid.ps],
-                            "w": [[float(v) for v in row] for row in W],
+        write_json(path_w, {"x": grid.xs.tolist(), "p": grid.ps.tolist(), "w": W.tolist(),
                             "config": echo})
     return [path_json, path_w]
 

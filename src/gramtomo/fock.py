@@ -8,11 +8,30 @@ local-oscillator phase theta overlaps Fock states as
     <x_theta|n> = exp(-i n theta) * psi_n(x),
 
 with psi_n the n-th Hermite function. The Wigner function is normalized to
-integrate to 1 over the (x, p) plane, so the vacuum peaks at 1/pi.
+integrate to 1 over the (x, p) plane, so the vacuum peaks at 1/pi:
+
+    W(x, p) = (1/pi) int <x-y|rho|x+y> exp(2ipy) dy
+            = (1/pi) sum_mn rho[m, n] int psi_m(x-y) psi_n(x+y) exp(2ipy) dy.
+
+It is evaluated through an exact separable expansion. psi_m(x-y) psi_n(x+y)
+is the two-mode Fock state |m, n> in the coordinates u = x-y, v = x+y; a
+50:50 beam splitter, the rotation to x' = (u+v)/sqrt(2) = sqrt(2) x and
+y' = (v-u)/sqrt(2) = sqrt(2) y, keeps the photon number N = m + n and turns
+it into sum_{a+b=N} U^N[a, m] psi_a(sqrt(2) x) psi_b(sqrt(2) y), with U^N a
+real orthogonal (N+1) x (N+1) block. The Fourier integral in y maps
+psi_b(sqrt(2) y) to sqrt(pi) i^b psi_b(sqrt(2) p), so
+
+    W(x, p) = sum_ab C[a, b] psi_a(sqrt(2) x) psi_b(sqrt(2) p),
+    C[a, N-a] = pi^(-1/2) i^(N-a) sum_m U^N[a, m] rho[m, N-m],
+
+with a, b <= 2 dim - 2: each anti-diagonal of C is the matching anti-diagonal
+of rho carried through one beam-splitter block. A Hermitian rho gives a real
+C, up to rounding.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,52 +204,98 @@ class PhaseSpaceGrid:
         return np.linspace(self.p_range[0], self.p_range[1], self.p_points)
 
 
-def wigner_points(rho: np.ndarray, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Wigner function of rho at paired points (x_k, p_k).
+@functools.lru_cache(maxsize=None)
+def _beam_splitter(total: int) -> np.ndarray:
+    """Real orthogonal 50:50 beam-splitter block U on the N = total photon states.
 
-    Fock-basis evaluation through the displaced-parity kernel recurrence:
-    with A = (x + ip)/sqrt(2), the |0><0| kernel is exp(-2|A|^2)/pi and the
-    |m><n| kernels follow by raising recurrences in m and n. The sum over
-    density-matrix entries is accumulated as a complex number; a Hermitian
-    rho must leave only a rounding-level imaginary part, which is checked
-    and then discarded.
+    U[a, m] is the amplitude of psi_a(x') psi_(N-a)(y') in psi_m(u) psi_(N-m)(v)
+    under the rotation x' = (u + v)/sqrt(2), y' = (v - u)/sqrt(2), so
+    U = exp(pi/4 G) for the generator G = L - L^T with
+    L[a+1, a] = sqrt((a+1)(N-a)). The exponential is taken through the
+    eigendecomposition of the Hermitian -iG, whose eigenvalues are the
+    integers -N, -N+2, ..., N.
     """
+    a = np.arange(total, dtype=float)
+    lower = np.diag(np.sqrt((a + 1.0) * (total - a)), -1)
+    lam, V = np.linalg.eigh(-1j * (lower - lower.T))
+    return ((V * np.exp(0.25j * np.pi * lam)) @ V.conj().T).real
+
+
+@functools.lru_cache(maxsize=None)
+def _coefficient_tables(dim: int) -> tuple[np.ndarray, ...]:
+    """Gather, block and scatter tables of the map rho -> C for a dim x dim rho.
+
+    rho[rows, cols] holds in row N the anti-diagonal rho[m, N-m], m = 0..dim-1,
+    with cols clipped where N - m falls outside; blocks[N] holds the columns
+    of U^N that those entries feed, and zeros for the clipped ones. The pairs
+    (a, b) with a + b <= 2 dim - 2 are the entries of C that can be nonzero,
+    and scale holds their factors i^b / sqrt(pi).
+    """
+    size = 2 * dim - 1
+    rows = np.broadcast_to(np.arange(dim), (size, dim))
+    cols = np.arange(size)[:, None] - rows
+    blocks = np.zeros((size, size, dim))
+    for total in range(size):
+        m = np.flatnonzero((cols[total] >= 0) & (cols[total] < dim))
+        blocks[total, :total + 1][:, m] = _beam_splitter(total)[:, m]
+    totals, a = np.tril_indices(size)
+    b = totals - a
+    scale = np.array([1, 1j, -1, -1j])[b % 4] / np.sqrt(np.pi)
+    return rows, np.clip(cols, 0, dim - 1), blocks, a, b, scale
+
+
+def _wigner_coefficients(rho: np.ndarray) -> np.ndarray:
+    """The (2d-1) x (2d-1) matrix C of the module docstring for a d x d rho."""
     rho = np.asarray(rho, dtype=complex)
     d = rho.shape[0]
     if rho.shape != (d, d):
         raise InvalidInputError("density operator must be square")
     if np.abs(rho - rho.conj().T).max() > 1e-10:
         raise InvalidInputError("density operator must be Hermitian")
-    A = (np.asarray(x, dtype=float) + 1j * np.asarray(p, dtype=float)) / np.sqrt(2.0)
-    # two-row ladder of |m><n| kernels, m <= n, reused as in the Fock-space
-    # raising recurrence: row 0 holds m-1, row 1 holds m
-    K = np.zeros((2, d) + A.shape, dtype=complex)
-    K[0, 0] = np.exp(-2.0 * np.abs(A) ** 2) / np.pi
-    W = rho[0, 0] * K[0, 0]
-    for n in range(1, d):
-        K[0, n] = 2.0 * A * K[0, n - 1] / np.sqrt(n)
-        W += rho[0, n] * K[0, n] + rho[n, 0] * K[0, n].conj()
-    for m in range(1, d):
-        K[1, m] = (2.0 * A.conj() * K[0, m] - np.sqrt(m) * K[0, m - 1]) / np.sqrt(m)
-        W += rho[m, m] * K[1, m]
-        for n in range(m + 1, d):
-            K[1, n] = (2.0 * A * K[1, n - 1] - np.sqrt(m) * K[0, n - 1]) / np.sqrt(n)
-            W += rho[m, n] * K[1, n] + rho[n, m] * K[1, n].conj()
-        K[0] = K[1]
+    rows, cols, blocks, a, b, scale = _coefficient_tables(d)
+    # anti[N, a] = sum_m U^N[a, m] rho[m, N-m]
+    anti = (blocks @ rho[rows, cols][:, :, None])[:, :, 0]
+    C = np.zeros((2 * d - 1, 2 * d - 1), dtype=complex)
+    C[a, b] = anti[a + b, a] * scale
+    return C
+
+
+def _real_part(W: np.ndarray) -> np.ndarray:
+    """W.real, once the imaginary part a Hermitian rho leaves is rounding-level."""
     resid = np.abs(W.imag).max() if W.size else 0.0
     if resid > 1e-8:
         raise NumericalConsistencyError(f"Wigner imaginary residue {resid:.3e} exceeds 1e-8")
     return W.real
 
 
+def wigner_points(rho: np.ndarray, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Wigner function of rho at paired points (x_k, p_k); x and p broadcast.
+
+    Evaluated through the separable expansion of the module docstring: the
+    coefficient matrix C of rho meets one Hermite-function table in sqrt(2) x
+    and one in sqrt(2) p, W_k = sum_ab C[a, b] psi_a(sqrt(2) x_k) psi_b(sqrt(2) p_k).
+    The sum is accumulated as a complex number; a Hermitian rho must leave only
+    a rounding-level imaginary part, which is checked and then discarded.
+    """
+    C = _wigner_coefficients(rho)
+    x, p = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(p, dtype=float))
+    Hx = hermite_functions(np.sqrt(2.0) * x, C.shape[0] - 1)
+    Hp = hermite_functions(np.sqrt(2.0) * p, C.shape[0] - 1)
+    return _real_part((Hx * np.tensordot(C, Hp, axes=1)).sum(0))
+
+
 def wigner(rho: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     """Wigner function on a grid, W[i, j] = W(xs[i], ps[j]).
 
-    Normalization: the grid integral of W approaches 1 for a unit-trace rho
-    once the grid covers the state's support.
+    The separable expansion makes the grid one matrix product,
+    W = Hx^T C Hp, with the Hermite-function tables Hx[a, i] = psi_a(sqrt(2) xs[i])
+    and Hp[b, j] = psi_b(sqrt(2) ps[j]). Normalization: the grid integral of W
+    approaches 1 for a unit-trace rho once the grid covers the state's support.
     """
     rho = np.asarray(rho, dtype=complex)
     if abs(np.trace(rho).real - 1.0) > 1e-8:
         raise InvalidInputError("density operator must have unit trace")
-    X, P = np.meshgrid(grid.xs, grid.ps, indexing="ij")
-    return wigner_points(rho, X, P)
+    C = _wigner_coefficients(rho)
+    Hx = hermite_functions(np.sqrt(2.0) * grid.xs, C.shape[0] - 1)
+    Hp = hermite_functions(np.sqrt(2.0) * grid.ps, C.shape[0] - 1)
+    return _real_part(Hx.T @ C @ Hp)

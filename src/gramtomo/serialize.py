@@ -105,8 +105,7 @@ def write_wigner_csv(path: Path, xs: np.ndarray, ps: np.ndarray, W: np.ndarray,
     lines = []
     if config_echo is not None:
         lines.append("# config: " + json.dumps(config_echo, sort_keys=True))
-    lines.append("x," + ",".join(repr(float(v)) for v in xs))
-    lines.append("p," + ",".join(repr(float(v)) for v in ps))
-    for i in range(W.shape[0]):
-        lines.append(",".join(repr(float(v)) for v in W[i]))
+    lines.append("x," + ",".join(map(repr, np.asarray(xs, dtype=float).tolist())))
+    lines.append("p," + ",".join(map(repr, np.asarray(ps, dtype=float).tolist())))
+    lines.extend(",".join(map(repr, row)) for row in np.asarray(W, dtype=float).tolist())
     Path(path).write_text("\n".join(lines) + "\n")

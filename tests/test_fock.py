@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from gramtomo import fock
 from gramtomo import (DegenerateStateError, InvalidInputError, NumericalConsistencyError,
                       PhaseSpaceGrid, cat_state, coherent_state, fidelity, fock_state,
                       hermite_functions, kept_weight, pure_density, quadrature_overlap,
@@ -326,3 +330,121 @@ class TestWigner:
             PhaseSpaceGrid(x_range=(2, -2), p_range=(-2, 2), x_points=5, p_points=5)
         with pytest.raises(InvalidInputError):
             PhaseSpaceGrid(x_range=(-2, 2), p_range=(-2, 2), x_points=1, p_points=5)
+
+
+def ladder_wigner(rho: np.ndarray, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The displaced-parity kernel ladder that evaluated W before the separable
+    expansion: with A = (x + ip)/sqrt(2) the |0><0| kernel is exp(-2|A|^2)/pi,
+    and the |m><n| kernels follow by raising recurrences in m and n, kept in
+    a two-row ladder. It runs in extended precision (np.clongdouble): in
+    double precision it is itself off by up to about 1e-11 at dim 30 on
+    (-5, 5)^2, where the expansion stays within 1e-16 of the mpmath oracle."""
+    dt = np.clongdouble
+    rho = np.asarray(rho, dtype=dt)
+    d = rho.shape[0]
+    A = (np.asarray(x, dtype=dt) + 1j * np.asarray(p, dtype=dt)) / np.sqrt(dt(2))
+    K = np.zeros((2, d) + A.shape, dtype=dt)
+    K[0, 0] = np.exp(-2 * np.abs(A) ** 2) / np.pi
+    W = rho[0, 0] * K[0, 0]
+    for n in range(1, d):
+        K[0, n] = 2 * A * K[0, n - 1] / np.sqrt(dt(n))
+        W += rho[0, n] * K[0, n] + rho[n, 0] * K[0, n].conj()
+    for m in range(1, d):
+        K[1, m] = (2 * A.conj() * K[0, m] - np.sqrt(dt(m)) * K[0, m - 1]) / np.sqrt(dt(m))
+        W += rho[m, m] * K[1, m]
+        for n in range(m + 1, d):
+            K[1, n] = (2 * A * K[1, n - 1] - np.sqrt(dt(m)) * K[0, n - 1]) / np.sqrt(dt(n))
+            W += rho[m, n] * K[1, n] + rho[n, m] * K[1, n].conj()
+        K[0] = K[1]
+    return W.real.astype(float)
+
+
+def laguerre_wigner(rho: np.ndarray, x: float, p: float) -> float:
+    """Closed form at 60 digits: the |m><n| kernel, m <= n, is
+    (-1)^m/pi sqrt(m!/n!) (2A)^(n-m) L_m^(n-m)(4|A|^2) exp(-2|A|^2)."""
+    d = rho.shape[0]
+    with mpmath.workdps(60):
+        A = (mpmath.mpf(x) + 1j * mpmath.mpf(p)) / mpmath.sqrt(2)
+        r2 = 4 * abs(A) ** 2
+        total = mpmath.mpc(0)
+        for m in range(d):
+            for n in range(m, d):
+                kernel = ((-1) ** m * mpmath.sqrt(mpmath.factorial(m) / mpmath.factorial(n))
+                          * (2 * A) ** (n - m) * mpmath.laguerre(m, n - m, r2)
+                          * mpmath.exp(-r2 / 2) / mpmath.pi)
+                total += mpmath.mpc(complex(rho[m, n])) * kernel
+                if n != m:
+                    total += mpmath.mpc(complex(rho[n, m])) * mpmath.conj(kernel)
+        assert abs(total.imag) < 1e-40
+        return float(total.real)
+
+
+def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    rho = (rho + rho.conj().T) / 2  # Hermitian to the last bit
+    return rho / np.trace(rho).real
+
+
+class TestSeparableWigner:
+    @pytest.mark.parametrize("dim", [1, 2, 4, 15, 30])
+    def test_grid_matches_ladder(self, dim):
+        rho = random_density(np.random.default_rng(dim), dim)
+        grid = PhaseSpaceGrid(x_range=(-5, 5), p_range=(-5, 5), x_points=81, p_points=81)
+        X, P = np.meshgrid(grid.xs, grid.ps, indexing="ij")
+        assert np.abs(wigner(rho, grid) - ladder_wigner(rho, X, P)).max() < 1e-13
+
+    def test_dim_30_against_laguerre_closed_form(self):
+        rho = random_density(np.random.default_rng(30), 30)
+        # the corners of (-5, 5)^2, and the point where the double-precision
+        # ladder strays furthest on the reference grid
+        points = [(5.0, 5.0), (-5.0, 5.0), (5.0, -5.0), (-5.0, -5.0), (3.25, 2.5)]
+        got = wigner_points(rho, np.array([x for x, _ in points]),
+                            np.array([p for _, p in points]))
+        ref = np.array([laguerre_wigner(rho, x, p) for x, p in points])
+        assert np.abs(got - ref).max() < 1e-15
+
+    def test_beam_splitter_blocks_orthogonal(self):
+        for total in range(59):
+            U = fock._beam_splitter(total)
+            assert U.shape == (total + 1, total + 1)
+            assert np.abs(U @ U.T - np.eye(total + 1)).max() < 1e-14
+
+    def test_grid_equals_points_on_meshgrid(self):
+        rho = random_density(np.random.default_rng(7), 15)
+        grid = PhaseSpaceGrid(x_range=(-4, 5), p_range=(-3, 2), x_points=19, p_points=23)
+        X, P = np.meshgrid(grid.xs, grid.ps, indexing="ij")
+        points = wigner_points(rho, X, P)
+        assert points.shape == (19, 23)
+        assert np.abs(wigner(rho, grid) - points).max() < 1e-15
+
+    def test_points_broadcast_scalar_p(self):
+        rho = random_density(np.random.default_rng(3), 6)
+        xs = np.linspace(-2, 2, 9)
+        got = wigner_points(rho, xs, 0.5)
+        assert got.shape == xs.shape
+        assert np.array_equal(got, wigner_points(rho, xs, np.full_like(xs, 0.5)))
+        assert np.abs(got - ladder_wigner(rho, xs, 0.5)).max() < 1e-13
+
+    def test_points_empty(self):
+        rho = random_density(np.random.default_rng(3), 6)
+        assert wigner_points(rho, np.array([]), np.array([])).shape == (0,)
+        assert wigner_points(rho, np.zeros((0, 3)), 0.5).shape == (0, 3)
+
+    def test_grid_bytes_independent_of_blas_threads(self):
+        script = ("import hashlib, numpy as np\n"
+                  "from gramtomo import PhaseSpaceGrid, wigner\n"
+                  "grid = PhaseSpaceGrid((-5, 5), (-5, 5), 81, 81)\n"
+                  "for dim in (15, 30):\n"
+                  "    a = np.random.default_rng(dim).normal(size=(dim, 2 * dim))\n"
+                  "    rho = (a[:, :dim] + 1j * a[:, dim:]) @ (a[:, :dim] - 1j * a[:, dim:]).T\n"
+                  "    W = wigner(rho / np.trace(rho).real, grid)\n"
+                  "    print(dim, hashlib.sha256(W.tobytes()).hexdigest())\n")
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                  env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 2

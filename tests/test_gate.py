@@ -1,0 +1,54 @@
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+GATE_PATH = Path(__file__).resolve().parent.parent / "tools" / "gate.py"
+
+
+@pytest.fixture(scope="module")
+def gate():
+    spec = importlib.util.spec_from_file_location("gate", GATE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def reconstruction(rho_01: float, iterations: int, trace: list[float], out: str) -> dict:
+    return {"density_matrix": [[[0.5, 0.0], [rho_01, 0.0]], [[rho_01, 0.0], [0.5, 0.0]]],
+            "log_likelihood": trace, "iterations": iterations, "newton_steps": 3,
+            "stop_reason": "gap", "converged": True, "config": {"out": out}}
+
+
+class TestDescribeDifference:
+    def write(self, tmp_path: Path, side: str, payload: dict) -> Path:
+        path = tmp_path / side / "reconstruction.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_density_matrix_deviation_reported_beside_iterations(self, gate, tmp_path):
+        before = self.write(tmp_path, "before",
+                            reconstruction(0.25, 110, [-2000.0, -1.5], "a"))
+        after = self.write(tmp_path, "after",
+                           reconstruction(0.25 + 2**-40, 140, [-1.0, -1.25, -1.5], "b"))
+        text = gate.describe_difference(before, after)
+        # the trace's first value moves by 1999 and hides rho's 9.1e-13
+        assert text.startswith("max |dev| 2e+03")
+        assert "density_matrix max |dev| 9.1e-13" in text
+        assert "1 values only after" in text
+        assert text.endswith(", iterations 110 -> 140, newton_steps 3 -> 3, "
+                             "stop_reason gap -> gap")
+
+    def test_unchanged_density_matrix_reads_zero(self, gate, tmp_path):
+        before = self.write(tmp_path, "before", reconstruction(0.25, 110, [-1.5], "a"))
+        after = self.write(tmp_path, "after", reconstruction(0.25, 120, [-1.5], "b"))
+        assert "density_matrix max |dev| 0," in gate.describe_difference(before, after)
+
+    def test_config_echo_alone_is_no_difference(self, gate, tmp_path):
+        before = self.write(tmp_path, "before", reconstruction(0.25, 110, [-1.5], "a"))
+        after = self.write(tmp_path, "after", reconstruction(0.25, 110, [-1.5], "b"))
+        assert gate.describe_difference(before, after) is None

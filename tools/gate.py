@@ -8,9 +8,11 @@ printed lines.
 
 `python tools/gate.py --compare BEFORE AFTER` reads two such output trees and
 prints, for each file that differs, the largest absolute deviation over its
-numbers, ignoring the config echo, and for reconstruction.json the iterations,
-newton_steps and stop_reason on both sides. Non-numeric cells that differ are
-counted.
+numbers, ignoring the config echo. For reconstruction.json it also prints the
+largest deviation of the density matrix alone, since a change of iterations or
+of the length of the log_likelihood trace dominates the overall one, and the
+iterations, newton_steps and stop_reason on both sides. Non-numeric cells that
+differ are counted.
 """
 
 import argparse
@@ -78,11 +80,13 @@ def describe_difference(before: Path, after: Path) -> str | None:
         items_a, items_b = dict(_cells(before.read_text())), dict(_cells(after.read_text()))
     if items_a == items_b:
         return None
-    dev, other = 0.0, 0
+    dev, rho_dev, other = 0.0, 0.0, 0
     for key in items_a.keys() & items_b.keys():
         x, y = items_a[key], items_b[key]
         if _is_number(x) and _is_number(y):
             dev = max(dev, abs(x - y))
+            if key[0] == "density_matrix":
+                rho_dev = max(rho_dev, abs(x - y))
         elif x != y:
             other += 1
     text = f"max |dev| {dev:.2g}"
@@ -93,6 +97,7 @@ def describe_difference(before: Path, after: Path) -> str | None:
         if extra:
             text += f", {len(extra)} values only {side}"
     if before.name == "reconstruction.json":
+        text += f", density_matrix max |dev| {rho_dev:.2g}"
         text += "".join(f", {key} {a.get(key)} -> {b.get(key)}"
                         for key in ("iterations", "newton_steps", "stop_reason"))
     return text
