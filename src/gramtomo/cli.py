@@ -36,7 +36,7 @@ from .fock import (PhaseSpaceGrid, cat_state, coherent_state, fidelity, fock_sta
                    kept_weight, wigner)
 from .frames import (dual_frame, from_coords, hadamard_identity_check, linear_inversion,
                      modal_weighting, operator_frame, operator_frame_apply, to_coords)
-from .maxlik import TOL_GAP, Dataset, SolverConfig, maxlik_solve
+from .maxlik import Dataset, SolverConfig, maxlik_solve
 from .povm import (HomodyneConfig, PovmSet, born_probabilities, build_homodyne_povm,
                    effective_rank, gram_matrix_operator_space, gram_operator, gram_spectrum,
                    subspace_basis)
@@ -64,8 +64,7 @@ DEFAULTS = {
              "range": [-5.0, 5.0], "file": None},
     "noise": {"kind": "poisson", "exposure": 100000.0, "seed": 0},
     "solver": {"dilution": 1.0, "dilution_floor": 1.0 / 64.0,
-               "probability_floor": 1e-14, "max_iterations": 20000,
-               "tol_likelihood": 1e-10, "tol_born": 1e-7},
+               "probability_floor": 1e-14, "max_iterations": 20000},
     "reconstruction": {"basis": "full", "dimension": None},
     "sweep": {"dims": list(range(1, 13)), "trials": 8, "bases": ["gram", "fock"]},
     "stability": {"basis": "gram", "dimension": 3, "trials": 4},
@@ -285,7 +284,7 @@ def cmd_reconstruct(config: dict, outdir: Path) -> list[Path]:
     basis = None
     if rc["basis"] != "full" and rc["dimension"] is not None:
         basis = subspace_basis(rc["basis"], rc["dimension"], povm)
-    solver = SolverConfig(**config["solver"], tol_gap=TOL_GAP, subspace=basis)
+    solver = SolverConfig(**config["solver"], subspace=basis)
     start = time.perf_counter()
     result = maxlik_solve(dataset, povm, solver)
     print(f"reconstruction wall time: {time.perf_counter() - start:.3f} s",
@@ -311,7 +310,7 @@ def cmd_sweep(config: dict, outdir: Path) -> list[Path]:
     povm = build_povm_from_config(config)
     target = build_target_from_config(config)
     noise = NoiseModel(**config["noise"])
-    solver = SolverConfig(**config["solver"], tol_gap=TOL_GAP)
+    solver = SolverConfig(**config["solver"])
     echo = _strip_nones(config)
     written = []
     summary = {}
@@ -346,7 +345,7 @@ def cmd_stability(config: dict, outdir: Path) -> list[Path]:
     povm = build_povm_from_config(config)
     target = build_target_from_config(config)
     noise = NoiseModel(**config["noise"])
-    solver = SolverConfig(**config["solver"], tol_gap=TOL_GAP)
+    solver = SolverConfig(**config["solver"])
     grid = build_grid_from_config(config)
     sc = config["stability"]
     result = stability_study(target, povm, sc["basis"], sc["dimension"], noise,

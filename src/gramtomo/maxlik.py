@@ -36,7 +36,7 @@ quadratic convergence has reached the optimum to rounding, or when no step
 length rises. An iterate with a floored outcome skips the polish, and a
 polish with no step whose predicted ascent is above rounding ends polishing
 for the run: at the optimum it would only repeat itself. The schedule does
-not depend on tol_gap.
+not depend on TOL_GAP, which only decides where the run stops.
 
 The recorded log-likelihood is per unit count, sum_i f_i log p_i with
 sum_k p_k = 1 enforced by the rescaling. On raw-count scale (~1e5 counts)
@@ -51,13 +51,11 @@ valid at any iterate where no observed outcome sits below the probability
 floor; the recorded gap carries an allowance of r * eps * lambda_max for the
 rounding of R' and its eigensolve, so that it stays an upper bound at an
 iterate that is optimal to rounding. Both kinds of step pass through the same
-stop checks. The run stops on the first of: this likelihood gap below tol_gap
-(stop reason "gap", when tol_gap is set), the likelihood increment and the
-Born residual both below their tolerances ("born"), a step that lowers the
+stop check. The run stops on the first of: this likelihood gap below TOL_GAP
+(stop reason "gap", the only convergence rule), a step that lowers the
 likelihood even at the floor dilution ("stalled"), or max_iterations
-("cap"). Only "gap" and "born" count as converged. Sampled data never meets
-the Born tolerance, since the ML state cannot reproduce the frequencies
-exactly, so on such data only the gap rule can certify a stop.
+("cap"). The gap rule is the one stop that certifies an optimum on sampled
+data, where the ML state cannot reproduce the frequencies exactly.
 """
 
 from __future__ import annotations
@@ -71,8 +69,7 @@ from .errors import EmptyDataError, EmptyMeasurementError, InvalidInputError
 from .povm import (PovmSet, _born, _effect_sum, born_probabilities, gram_operator,
                    gram_spectrum, weighted_effect_sum)
 
-# likelihood-gap tolerance (per count) of the CLI, dimension_sweep and
-# stability_study; the library default leaves the gap rule off
+# the solver stops, certified, once the likelihood gap (per count) is below this
 TOL_GAP = 1e-10
 
 # the R sigma R iteration hands over to a Newton polish of a factor of sigma
@@ -124,12 +121,9 @@ class SolverConfig:
     top-d Gram eigenvectors or the first d Fock states); the measurement is
     projected onto it and the result embedded back into the ambient space.
 
-    The run converges when the likelihood increment and the Born residual
-    are both below tol_likelihood and tol_born, or, with tol_gap set, when
-    the certified likelihood gap lambda_max(R') - 1 is below tol_gap at an
-    iterate where no observed outcome is floored. tol_gap = None (the
-    default) turns the gap rule off; exact data then runs until the Born
-    residual is met. max_iterations ends the run either way
+    The run converges when the certified likelihood gap lambda_max(R') - 1
+    is below the module constant TOL_GAP at an iterate where no observed
+    outcome is floored. max_iterations ends the run otherwise
     (converged=False).
     """
 
@@ -137,9 +131,6 @@ class SolverConfig:
     dilution_floor: float = 1.0 / 64.0
     probability_floor: float = 1e-14
     max_iterations: int = 20000
-    tol_likelihood: float = 1e-10
-    tol_born: float = 1e-7
-    tol_gap: float | None = None
     subspace: np.ndarray | None = None
 
     def __post_init__(self):
@@ -151,21 +142,20 @@ class SolverConfig:
             raise InvalidInputError("probability floor must be positive")
         if self.max_iterations < 1:
             raise InvalidInputError("max iterations must be >= 1")
-        if self.tol_gap is not None and not self.tol_gap > 0:
-            raise InvalidInputError("tol_gap must be positive (or None to turn it off)")
 
 
 @dataclass(frozen=True)
 class ReconstructionResult:
     """Converged (or capped) reconstruction with its diagnostics.
 
-    stop_reason is "born", "gap", "cap" or "stalled" (see the module
-    docstring); converged is True exactly when it is "born" or "gap".
-    likelihood_gap is lambda_max(R') - 1 at the returned iterate, with the
-    rounding allowance of the module docstring: an upper bound on how far
-    the per-count log-likelihood is below its maximum. It
-    is None when tol_gap is off or an observed outcome is floored there,
-    where lambda_max(R') - 1 bounds nothing. iterations counts both kinds of
+    stop_reason is "gap", "stalled" or "cap" (see the module docstring);
+    converged is True exactly when it is "gap". likelihood_gap is
+    lambda_max(R') - 1 at the returned iterate, with the rounding allowance
+    of the module docstring: an upper bound on how far the per-count
+    log-likelihood is below its maximum. It is None only when an observed
+    outcome is floored there, where lambda_max(R') - 1 bounds nothing.
+    born_residual is max_i |p_i - f_i| of the returned iterate in rescaled
+    coordinates, where sum_i p_i = 1. iterations counts both kinds of
     step, newton_steps the Newton steps among them. floor_hits counts the
     times an observed outcome's probability was raised to the floor, the
     count that the RuntimeWarning reports.
@@ -176,11 +166,14 @@ class ReconstructionResult:
     iterations: int
     born_residual: float
     extremal_residual: float
-    converged: bool
     stop_reason: str
     likelihood_gap: float | None
     newton_steps: int
     floor_hits: int
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "gap"
 
 
 def expected_probabilities(rho: np.ndarray, povm: PovmSet) -> np.ndarray:
@@ -339,7 +332,6 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
     Ym = np.ascontiguousarray(Yp[mask])
     Ymc = np.ascontiguousarray(Ypc[mask])
     eye = np.eye(r, dtype=complex)
-    tol_gap = config.tol_gap
 
     sigma = eye / r
     p = _born(Ypc, sigma, Yp)
@@ -398,11 +390,10 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
     ll = log_likelihood(floored(p))
     trace = [ll]
     eps = config.dilution
-    born = float(np.abs(p - f).max())
     stop = "cap"
     gap = None
     # top eigenvector of the last R whose spectrum was taken: while its
-    # Rayleigh quotient v^H R v >= 1 + tol_gap, so is lambda_max(R)
+    # Rayleigh quotient v^H R v >= 1 + TOL_GAP, so is lambda_max(R)
     v = None
     iterations = rsr_steps = newton_steps = 0
     # the factor of a polish in progress, whether that polish has risen by
@@ -413,11 +404,11 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
         R, was_floored = r_matrix(p)
         # an R built from floored probabilities under-weights those outcomes,
         # so its gap certifies nothing
-        if (tol_gap is not None and not was_floored
-                and (v is None or certified_gap((v.conj() @ R @ v).real) < tol_gap)):
+        if not was_floored and (v is None
+                                or certified_gap((v.conj() @ R @ v).real) < TOL_GAP):
             lam, vecs = np.linalg.eigh(R)
             gap, v = certified_gap(lam[-1]), vecs[:, -1]
-            if gap < tol_gap:
+            if gap < TOL_GAP:
                 stop = "gap"
                 break
         step = None
@@ -450,17 +441,12 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
                 break
             rsr_steps += 1
         iterations += 1
-        inc = ll_cand - ll
         sigma, p, ll = cand, p_cand, ll_cand
         trace.append(ll)
-        born = float(np.abs(p - f).max())
-        if inc < config.tol_likelihood and born < config.tol_born:
-            stop = "born"
-            break
         if step is None and polish and rsr_steps % POLISH_INTERVAL == 0:
             factor, ascended = _factor(sigma), False
 
-    if tol_gap is not None and stop != "gap":
+    if stop != "gap":
         # certificate of the returned iterate; none where it is floored
         R, was_floored = r_matrix(p)
         gap = None if was_floored else certified_gap(np.linalg.eigvalsh(R)[-1])
@@ -469,6 +455,7 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
             f"probability floor engaged {floor_hits} time(s): some observed "
             "outcomes are nominally impossible under the truncated model",
             RuntimeWarning, stacklevel=3)
+    born = float(np.abs(p - f).max())
     return sigma, np.array(trace), iterations, newton_steps, floor_hits, born, stop, gap
 
 
@@ -529,6 +516,6 @@ def maxlik_solve(dataset: Dataset, povm: PovmSet,
 
     return ReconstructionResult(rho=rho, log_likelihood=trace, iterations=iterations,
                                 born_residual=born, extremal_residual=resid,
-                                converged=stop in ("born", "gap"), stop_reason=stop,
+                                stop_reason=stop,
                                 likelihood_gap=gap, newton_steps=newton_steps,
                                 floor_hits=floor_hits)

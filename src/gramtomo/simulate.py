@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import EmptyDataError, InvalidInputError
 from .fock import PhaseSpaceGrid, fidelity, pure_density, wigner
-from .maxlik import (TOL_GAP, Dataset, SolverConfig, expected_probabilities,
-                     maxlik_solve)
+from .maxlik import Dataset, SolverConfig, expected_probabilities, maxlik_solve
 from .povm import PovmSet, subspace_basis
 
 NOISE_KINDS = ("exact", "multinomial", "poisson")
@@ -125,7 +124,7 @@ def dimension_sweep(target: np.ndarray, povm: PovmSet, basis_kind: str,
     ('fock'). Trials differ only in the noise stream; the same per-trial
     dataset is reused across dimensions. Non-converged runs are recorded
     with converged=False, never raised. Without solver_config the solves
-    stop on the likelihood gap (SolverConfig(tol_gap=TOL_GAP)).
+    run with SolverConfig().
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) == 0 or min(dims) < 1 or max(dims) > povm.dim:
@@ -137,7 +136,7 @@ def dimension_sweep(target: np.ndarray, povm: PovmSet, basis_kind: str,
     fidelities = np.zeros((len(dims), trials))
     converged = np.zeros((len(dims), trials), dtype=bool)
     for k, d in enumerate(dims):
-        config = replace(solver_config or SolverConfig(tol_gap=TOL_GAP),
+        config = replace(solver_config or SolverConfig(),
                          subspace=subspace_basis(basis_kind, d, povm))
         for t in range(trials):
             result = maxlik_solve(datasets[t], povm, config)
@@ -156,8 +155,8 @@ def stability_study(target: np.ndarray, povm: PovmSet, basis_kind: str, d: int,
 
     The instability metric is the standard deviation of fidelity across
     trials; the per-trial Wigner grids support visual comparison of the
-    reconstructions. Without solver_config the solves stop on the
-    likelihood gap (SolverConfig(tol_gap=TOL_GAP)).
+    reconstructions. Without solver_config the solves run with
+    SolverConfig().
     """
     if trials < 2:
         raise InvalidInputError("stability study needs at least 2 trials")
@@ -165,7 +164,7 @@ def stability_study(target: np.ndarray, povm: PovmSet, basis_kind: str, d: int,
         grid = PhaseSpaceGrid(x_range=(-5.0, 5.0), p_range=(-5.0, 5.0),
                               x_points=81, p_points=81)
     rho_true = pure_density(target)
-    config = replace(solver_config or SolverConfig(tol_gap=TOL_GAP),
+    config = replace(solver_config or SolverConfig(),
                      subspace=subspace_basis(basis_kind, d, povm))
     fidelities = np.zeros(trials)
     converged = np.zeros(trials, dtype=bool)

@@ -105,6 +105,21 @@ class TestConfigValidation:
         assert "config validation error" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("key", ["tol_born", "tol_likelihood"])
+    def test_retired_solver_tolerance_rejected(self, key, tmp_path):
+        # the certified likelihood gap is the only stop rule; the Born-rule
+        # tolerances are not config keys
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({**SMALL, "solver": {key: 1e-7}}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gramtomo.cli", "reconstruct", "--config", str(conf),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "config validation error" in proc.stderr and key in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("target", [{"kind": "coherent", "alpha": 30.0},
                                         {"kind": "coherent", "alpha": 1.3e154},
                                         {"kind": "cat", "alpha": 30.0}])

@@ -7,6 +7,7 @@ from gramtomo import (EmptyDataError, HomodyneConfig, InvalidInputError, NoiseMo
                       SolverConfig, StabilityResult, SweepResult, build_homodyne_povm,
                       cat_state, dimension_sweep, expected_probabilities, fock_state,
                       generate_counts, pure_density, stability_study, trial_generator)
+from gramtomo import maxlik
 
 
 @pytest.fixture(scope="module")
@@ -144,11 +145,14 @@ class TestDimensionSweep:
         assert sw.std[0] >= 0
         assert sw.trial_seeds == ((1, 0), (1, 1), (1, 2))
 
-    def test_default_solver_stops_on_gap(self, small_problem):
+    def test_default_solver_stops_on_gap(self, small_problem, monkeypatch):
         povm, psi, _ = small_problem
         noise = NoiseModel(kind="poisson", exposure=2e4, seed=1)
         certified = dimension_sweep(psi, povm, "gram", dims=[1, 3], noise=noise, trials=2)
         assert certified.converged.all()
+        # TOL_GAP = 0 never fires, since lambda_max(R') >= 1: the same solves
+        # run on to the cap and end where the certified ones stopped
+        monkeypatch.setattr(maxlik, "TOL_GAP", 0.0)
         capped = dimension_sweep(psi, povm, "gram", dims=[1, 3], noise=noise, trials=2,
                                  solver_config=SolverConfig(max_iterations=20000))
         assert not capped.converged.any()
