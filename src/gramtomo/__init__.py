@@ -10,13 +10,10 @@ from __future__ import annotations
 from .errors import (DegenerateStateError, EmptyDataError, EmptyMeasurementError,
                      InvalidInputError, NumericalConsistencyError)
 from .fock import (PhaseSpaceGrid, cat_state, coherent_state, fidelity, fock_state,
-                   hermite_functions, kept_weight, pure_density, quadrature_overlap, wigner,
-                   wigner_points)
-from .frames import (DualFrame, OperatorFrame, PartialInversionWarning,
-                     clip_to_physical, dual_effect, dual_frame, frame_reconstruct,
-                     from_coords, hadamard_identity_check, hermitian_basis,
-                     linear_inversion, modal_weighting, operator_frame,
-                     operator_frame_apply, to_coords)
+                   hermite_functions, kept_weight, pure_density, wigner, wigner_points)
+from .frames import (OperatorFrame, PartialInversionWarning, dual_frame, from_coords,
+                     hadamard_identity_check, linear_inversion, modal_weighting,
+                     operator_frame, operator_frame_apply, to_coords)
 from .maxlik import (TOL_GAP, Dataset, ReconstructionResult, SolverConfig,
                      born_residual, expected_probabilities, extremal_residual,
                      log_likelihood, maxlik_solve, r_operator, restrict_to_subspace)
@@ -32,12 +29,10 @@ __all__ = [
     "DegenerateStateError", "EmptyDataError", "EmptyMeasurementError",
     "InvalidInputError", "NumericalConsistencyError",
     "PhaseSpaceGrid", "cat_state", "coherent_state", "fidelity", "fock_state",
-    "hermite_functions", "kept_weight", "pure_density", "quadrature_overlap", "wigner",
-    "wigner_points",
-    "DualFrame", "OperatorFrame", "PartialInversionWarning", "clip_to_physical",
-    "dual_effect", "dual_frame", "frame_reconstruct", "from_coords",
-    "hadamard_identity_check", "hermitian_basis", "linear_inversion",
-    "modal_weighting", "operator_frame", "operator_frame_apply", "to_coords",
+    "hermite_functions", "kept_weight", "pure_density", "wigner", "wigner_points",
+    "OperatorFrame", "PartialInversionWarning", "dual_frame", "from_coords",
+    "hadamard_identity_check", "linear_inversion", "modal_weighting",
+    "operator_frame", "operator_frame_apply", "to_coords",
     "TOL_GAP", "Dataset", "ReconstructionResult", "SolverConfig",
     "born_residual", "expected_probabilities", "extremal_residual",
     "log_likelihood", "maxlik_solve", "r_operator", "restrict_to_subspace",

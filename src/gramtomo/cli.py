@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 import time
@@ -63,8 +64,7 @@ DEFAULTS = {
     "povm": {"kind": "homodyne", "phases": None, "phase_count": 6, "bins": 51,
              "range": [-5.0, 5.0], "file": None},
     "noise": {"kind": "poisson", "exposure": 100000.0, "seed": 0},
-    "solver": {"dilution": 1.0, "dilution_floor": 1.0 / 64.0,
-               "probability_floor": 1e-14, "max_iterations": 20000},
+    "solver": {"max_iterations": 20000},
     "reconstruction": {"basis": "full", "dimension": None},
     "sweep": {"dims": list(range(1, 13)), "trials": 8, "bases": ["gram", "fock"]},
     "stability": {"basis": "gram", "dimension": 3, "trials": 4},
@@ -85,15 +85,27 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _read_json(path: str, what: str):
+    """The JSON document in a file. Python's json reads NaN, Infinity and
+    literals beyond the float range such as 1e400 as non-finite floats or as
+    integers no float holds; they are refused."""
+
+    def finite(text: str, parse=float):
+        if not math.isfinite(float(text)):
+            raise InvalidInputError(f"{what} holds {text}, which is not a finite number")
+        return parse(text)
+
+    try:
+        return json.loads(Path(path).read_text(), parse_constant=finite, parse_float=finite,
+                          parse_int=lambda text: finite(text, int))
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
     """Read the config file, apply the overrides, validate once and merge over
     the defaults (precedence: override > file > default)."""
-    raw = {}
-    if path is not None:
-        try:
-            raw = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"config file is not valid JSON: {exc}") from exc
+    raw = _read_json(path, "config file") if path is not None else {}
     if isinstance(raw, dict):
         # a section the file sets to a non-object keeps its value, so that
         # validation reports it instead of an override replacing it
@@ -151,11 +163,7 @@ def build_povm_from_config(config: dict) -> PovmSet:
     pc = config["povm"]
     dim = config["dim"]
     if pc.get("file"):
-        try:
-            data = json.loads(Path(pc["file"]).read_text())
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"POVM file is not valid JSON: {exc}") from exc
-        povm = decode_povm(data)
+        povm = decode_povm(_read_json(pc["file"], "POVM file"))
         if povm.dim != dim:
             raise InvalidInputError(f"POVM file has dim {povm.dim} but the config has "
                                     f"dim {dim}")
@@ -399,7 +407,7 @@ def cmd_frames_check(config: dict, outdir: Path) -> list[Path]:
     duals = dual_frame(povm, analysis)
     Us = analysis.support_vectors
     projector = Us @ Us.conj().T
-    reassembled = povm.vectors.T @ duals.vectors.conj()
+    reassembled = povm.vectors.T @ duals.conj()
     checks.append(("dual_frame_projector", float(np.abs(reassembled - projector).max()),
                    1e-9))
 
@@ -481,7 +489,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; 2 means a numerical-consistency
+        # failure here, so a usage error exits 1 like any invalid input
+        if exc.code == 2:
+            return 1
+        raise
     try:
         config = load_config(args.config, _flag_overrides(args))
         outdir = resolve_output_dir(config)

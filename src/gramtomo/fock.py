@@ -1,4 +1,4 @@
-"""Truncated Fock-space states, quadrature overlaps, Wigner functions, fidelity.
+"""Truncated Fock-space states, Hermite functions, Wigner functions, fidelity.
 
 Conventions, fixed globally: hbar = 1 and x = (a + a^dag)/sqrt(2), so the
 vacuum quadrature variance is 1/2 and a coherent state |alpha> sits at
@@ -68,20 +68,6 @@ def hermite_functions(x: np.ndarray | float, nmax: int) -> np.ndarray:
     for n in range(1, nmax):
         psi[n + 1] = np.sqrt(2.0 / (n + 1)) * x * psi[n] - np.sqrt(n / (n + 1)) * psi[n - 1]
     return psi
-
-
-def quadrature_overlap(n: int, x: np.ndarray | float, theta: float) -> np.ndarray | complex:
-    """Overlap <x_theta|n> = exp(-i n theta) psi_n(x).
-
-    Scalar x gives a complex scalar; array x gives an array of overlaps.
-    """
-    if n < 0:
-        raise InvalidInputError("Fock index must be >= 0")
-    if not np.isfinite(theta):
-        raise InvalidInputError("phase must be finite")
-    psi_n = hermite_functions(x, n)[n]
-    out = np.exp(-1j * n * theta) * psi_n
-    return complex(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
 def coherent_state(alpha: complex, dim: int, normalized: bool = False) -> np.ndarray:

@@ -14,7 +14,6 @@ the thin SVD of T, whose condition number S would square (6.2e4 -> 3.8e9).
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -38,15 +37,6 @@ class PartialInversionWarning(UserWarning):
         self.support_projector = support_projector
 
 
-@dataclass(frozen=True)
-class DualFrame:
-    """Canonical dual vectors |y~_i> = G^+ |y_i| on the Gram support."""
-
-    vectors: np.ndarray
-    support_rank: int
-    threshold: float
-
-
 @dataclass(eq=False)
 class OperatorFrame:
     """Vectorized operator frame of a rank-1 POVM.
@@ -63,34 +53,14 @@ class OperatorFrame:
     dual_effects: np.ndarray
 
 
-def hermitian_basis(dim: int) -> np.ndarray:
-    """Orthonormal Hermitian basis: identity, diagonal traceless, off-diagonal pairs.
-
-    Tr(B_a B_b) = delta_ab; every Hermitian matrix has real coordinates in
-    this basis. to_coords and from_coords apply it without building it.
-    """
-    if dim < 1:
-        raise InvalidInputError("dim must be >= 1")
-    mats = [np.eye(dim, dtype=complex) / np.sqrt(dim)]
-    for k in range(1, dim):
-        v = np.zeros(dim)
-        v[:k] = 1.0
-        v[k] = -float(k)
-        mats.append(np.diag(v.astype(complex)) / np.sqrt(k * (k + 1)))
-    for m in range(dim):
-        for n in range(m + 1, dim):
-            E = np.zeros((dim, dim), dtype=complex)
-            E[m, n] = 1.0
-            mats.append((E + E.T) / np.sqrt(2.0))
-            mats.append((1j * E - 1j * E.T) / np.sqrt(2.0))
-    return np.array(mats)
-
-
 def to_coords(A: np.ndarray) -> np.ndarray:
-    """Real coordinates Tr(B_a A) of Hermitian (..., d, d) matrices, in hermitian_basis order.
+    """Real coordinates Tr(B_a A) of Hermitian (..., d, d) matrices.
 
-    Tr A / sqrt(d), the traceless diagonal from partial diagonal sums, then
-    sqrt(2) (Re A_mn, Im A_mn) for each m < n in row-major order.
+    B_a is an orthonormal Hermitian basis, never built: I / sqrt(d), the
+    traceless diagonals (1, ..., 1, -k, 0, ...) / sqrt(k (k + 1)), then
+    (E_mn + E_nm) / sqrt(2) and i (E_mn - E_nm) / sqrt(2) for each m < n in
+    row-major order. So the coordinates are Tr A / sqrt(d), the traceless
+    diagonal from partial diagonal sums, then sqrt(2) (Re A_mn, Im A_mn).
     """
     A = np.asarray(A, dtype=complex)
     dim = A.shape[-1]
@@ -125,24 +95,14 @@ def from_coords(c: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def dual_frame(povm: PovmSet, analysis: GramAnalysis) -> DualFrame:
-    """Dual vectors through the pseudo-inverse of the Gram operator."""
+def dual_frame(povm: PovmSet, analysis: GramAnalysis) -> np.ndarray:
+    """The canonical dual vectors |y~_i> = G^+ |y_i> on the Gram support, as the
+    rows of an (N, dim) array."""
     if analysis.rank == 0:
         raise EmptyMeasurementError("Gram operator has zero support")
     Us = analysis.support_vectors
     ws = analysis.support_eigenvalues
-    duals = (povm.vectors @ Us.conj() / ws) @ Us.T
-    return DualFrame(vectors=duals, support_rank=analysis.rank,
-                     threshold=analysis.threshold)
-
-
-def frame_reconstruct(psi: np.ndarray, povm: PovmSet, dual: DualFrame) -> np.ndarray:
-    """sum_i <y~_i|psi> |y_i>, the projection of psi onto the frame span."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (povm.dim,):
-        raise InvalidInputError("state dimension does not match the POVM")
-    coeff = dual.vectors.conj() @ psi
-    return povm.vectors.T @ coeff
+    return (povm.vectors @ Us.conj() / ws) @ Us.T
 
 
 def operator_frame_apply(A: np.ndarray, povm: PovmSet) -> np.ndarray:
@@ -166,11 +126,6 @@ def operator_frame(povm: PovmSet) -> OperatorFrame:
                          dual_effects=(U[:, :rank] / s[:rank]) @ Vt[:rank])
 
 
-def dual_effect(frame: OperatorFrame, index: int) -> np.ndarray:
-    """The dual effect Pi~_i = S^(-1)(Pi_i) as a Hermitian matrix."""
-    return from_coords(frame.dual_effects[index], math.isqrt(frame.dual_effects.shape[1]))
-
-
 def linear_inversion(probabilities: np.ndarray, povm: PovmSet,
                      frame: OperatorFrame | None = None) -> np.ndarray:
     """rho = sum_i p_i Pi~_i, Hermitian but deliberately not PSD-constrained.
@@ -190,21 +145,6 @@ def linear_inversion(probabilities: np.ndarray, povm: PovmSet,
             f"operator frame rank {frame.rank} < {povm.dim**2}: inversion recovers "
             "only the support component", V @ V.T), stacklevel=2)
     return from_coords(frame.dual_effects.T @ p, povm.dim)
-
-
-def clip_to_physical(rho: np.ndarray) -> np.ndarray:
-    """Optional post-processor: clip negative eigenvalues and renormalize.
-
-    Off by default everywhere; linear inversion keeps its raw output so the
-    contrast with the positivity-preserving solver stays visible.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    vals = np.clip(vals, 0.0, None)
-    total = vals.sum()
-    if total <= 0:
-        raise InvalidInputError("operator has no positive part")
-    return (vecs * (vals / total)) @ vecs.conj().T
 
 
 def hadamard_identity_check(povm: PovmSet) -> float:

@@ -17,11 +17,11 @@ The diluted R sigma R step
     sigma <- normalize(R~ sigma R~),   R~ = (1 - eps) I + eps R'(sigma)
 
 preserves positivity by congruence and has the extremal equation as its
-fixed point. eps = 1 is tried first and halved (persistently, floor 1/64)
-whenever a step would decrease the likelihood, which keeps the recorded
-likelihood trace non-decreasing on every dataset. It moves each eigenvalue
-of sigma in proportion to its own size, so the weak directions of a
-low-rank optimum crawl.
+fixed point. eps = 1 is tried first and halved (persistently, down to
+DILUTION_FLOOR) whenever a step would decrease the likelihood, which keeps
+the recorded likelihood trace non-decreasing on every dataset. It moves
+each eigenvalue of sigma in proportion to its own size, so the weak
+directions of a low-rank optimum crawl.
 
 After every POLISH_INTERVAL R sigma R steps a Newton polish takes over:
 sigma ~ A A^H / ||A||^2 with A the eigenvectors of sigma above
@@ -71,6 +71,11 @@ from .povm import (PovmSet, _born, _effect_sum, born_probabilities, gram_operato
 
 # the solver stops, certified, once the likelihood gap (per count) is below this
 TOL_GAP = 1e-10
+# the R sigma R step starts undiluted (eps = 1) and halves eps, no lower than
+# this, while a step would lower the likelihood
+DILUTION_FLOOR = 1.0 / 64.0
+# an observed outcome's probability is raised to this multiple of the largest
+PROBABILITY_FLOOR = 1e-14
 
 # the R sigma R iteration hands over to a Newton polish of a factor of sigma
 # after every POLISH_INTERVAL of its own steps; the factor keeps the
@@ -124,22 +129,14 @@ class SolverConfig:
     The run converges when the certified likelihood gap lambda_max(R') - 1
     is below the module constant TOL_GAP at an iterate where no observed
     outcome is floored. max_iterations ends the run otherwise
-    (converged=False).
+    (converged=False). The dilution floor and the probability floor are the
+    module constants DILUTION_FLOOR and PROBABILITY_FLOOR.
     """
 
-    dilution: float = 1.0
-    dilution_floor: float = 1.0 / 64.0
-    probability_floor: float = 1e-14
     max_iterations: int = 20000
     subspace: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.dilution <= 1.0:
-            raise InvalidInputError("dilution must lie in (0, 1]")
-        if not 0.0 < self.dilution_floor <= self.dilution:
-            raise InvalidInputError("dilution floor must lie in (0, dilution]")
-        if self.probability_floor <= 0:
-            raise InvalidInputError("probability floor must be positive")
         if self.max_iterations < 1:
             raise InvalidInputError("max iterations must be >= 1")
 
@@ -208,15 +205,15 @@ def log_likelihood(rho: np.ndarray, dataset: Dataset, povm: PovmSet) -> float:
     return float(np.sum(n[mask] * np.log(p[mask] / total)))
 
 
-def r_operator(rho: np.ndarray, dataset: Dataset, povm: PovmSet,
-               probability_floor: float = 1e-14) -> np.ndarray:
-    """R(rho) = sum_i (f_i/p_i) |y_i><y_i| over outcomes with f_i > 0."""
+def r_operator(rho: np.ndarray, dataset: Dataset, povm: PovmSet) -> np.ndarray:
+    """R(rho) = sum_i (f_i/p_i) |y_i><y_i| over outcomes with f_i > 0, with p_i
+    no lower than PROBABILITY_FLOOR times the largest."""
     if dataset.counts.size != povm.n_outcomes:
         raise InvalidInputError("dataset length does not match POVM outcome count")
     f = dataset.frequencies
     p = born_probabilities(rho, povm)
     mask = f > 0
-    floor = probability_floor * max(p.max(), 0.0)
+    floor = PROBABILITY_FLOOR * max(p.max(), 0.0)
     w = np.zeros_like(f)
     w[mask] = f[mask] / np.maximum(p[mask], floor)
     return weighted_effect_sum(w, povm)
@@ -342,7 +339,7 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
 
     def floored(pvec):
         nonlocal floor_hits
-        lim = config.probability_floor * pvec.max()
+        lim = PROBABILITY_FLOOR * pvec.max()
         pm = pvec[mask]
         low = pm < lim
         if low.any():
@@ -380,7 +377,7 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
             A_cand = A + t * D
             cand, p_cand = state(A_cand @ A_cand.conj().T)
             pm = p_cand[mask]
-            if pm.min() >= config.probability_floor * p_cand.max():
+            if pm.min() >= PROBABILITY_FLOOR * p_cand.max():
                 ll_cand = log_likelihood(pm)
                 if ll_cand >= ll + NEWTON_ARMIJO * t * decrement - rounding:
                     return A_cand, cand, p_cand, ll_cand, decrement / 2.0 > rounding
@@ -389,7 +386,7 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
 
     ll = log_likelihood(floored(p))
     trace = [ll]
-    eps = config.dilution
+    eps = 1.0
     stop = "cap"
     gap = None
     # top eigenvector of the last R whose spectrum was taken: while its
@@ -431,9 +428,9 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
                 R_tilde = eps * R + (1.0 - eps) * eye
                 cand, p_cand = state(R_tilde @ sigma @ R_tilde)
                 ll_cand = log_likelihood(floored(p_cand))
-                if ll_cand >= ll - 1e-12 or eps <= config.dilution_floor:
+                if ll_cand >= ll - 1e-12 or eps <= DILUTION_FLOOR:
                     break
-                eps = max(eps / 2.0, config.dilution_floor)
+                eps = max(eps / 2.0, DILUTION_FLOOR)
             if ll_cand < ll - 1e-12:
                 # even the floor dilution decreases the likelihood: keep the
                 # last good iterate rather than record a falling trace

@@ -82,6 +82,8 @@ class PovmSet:
             raise InvalidInputError("expected a 2-d (N, dim) array of effect vectors")
         if vectors.shape[0] == 0:
             raise InvalidInputError("POVM must contain at least one effect")
+        if not np.all(np.isfinite(vectors)):
+            raise InvalidInputError("effect vectors must be finite")
         vectors.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
 

@@ -8,6 +8,7 @@ parallel without reordering draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,7 +27,8 @@ class NoiseModel:
 
     exposure is the expected TOTAL count over all outcomes (multinomial:
     exact total; poisson: mean total; exact: multiplier on the raw
-    outcome probabilities).
+    outcome probabilities). A stochastic exposure is at most 1e18, since
+    numpy draws no Poisson mean or multinomial total above about 9.2e18.
     """
 
     kind: str = "poisson"
@@ -36,8 +38,10 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise InvalidInputError(f"noise kind must be one of {NOISE_KINDS}")
-        if self.kind != "exact" and self.exposure <= 0:
-            raise InvalidInputError("exposure must be positive for stochastic noise")
+        if self.kind != "exact" and not 0 < self.exposure <= 1e18:
+            raise InvalidInputError("exposure must lie in (0, 1e18] for stochastic noise")
+        if not math.isfinite(self.exposure):
+            raise InvalidInputError("exposure must be finite")
         if self.seed < 0:
             raise InvalidInputError("noise seed must be non-negative")
 

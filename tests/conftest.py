@@ -56,3 +56,27 @@ def make_random_povm():
         return PovmSet(v / np.sqrt(2.0 * dim))
 
     return make
+
+
+@pytest.fixture(scope="session")
+def hermitian_basis():
+    """Builder of the orthonormal Hermitian basis that to_coords and from_coords
+    apply without building it: identity, diagonal traceless, off-diagonal
+    pairs, as a (dim^2, dim, dim) array with Tr(B_a B_b) = delta_ab."""
+
+    def build(dim: int) -> np.ndarray:
+        mats = [np.eye(dim, dtype=complex) / np.sqrt(dim)]
+        for k in range(1, dim):
+            v = np.zeros(dim)
+            v[:k] = 1.0
+            v[k] = -float(k)
+            mats.append(np.diag(v.astype(complex)) / np.sqrt(k * (k + 1)))
+        for m in range(dim):
+            for n in range(m + 1, dim):
+                E = np.zeros((dim, dim), dtype=complex)
+                E[m, n] = 1.0
+                mats.append((E + E.T) / np.sqrt(2.0))
+                mats.append((1j * E - 1j * E.T) / np.sqrt(2.0))
+        return np.array(mats)
+
+    return build

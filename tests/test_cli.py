@@ -105,10 +105,12 @@ class TestConfigValidation:
         assert "config validation error" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("key", ["tol_born", "tol_likelihood"])
+    @pytest.mark.parametrize("key", ["tol_born", "tol_likelihood", "dilution",
+                                     "dilution_floor", "probability_floor"])
     def test_retired_solver_tolerance_rejected(self, key, tmp_path):
-        # the certified likelihood gap is the only stop rule; the Born-rule
-        # tolerances are not config keys
+        # the certified likelihood gap is the only stop rule, so the Born-rule
+        # tolerances are not config keys; nor are the dilution and probability
+        # floors, which are the solver's constants
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({**SMALL, "solver": {key: 1e-7}}))
         proc = subprocess.run(
@@ -133,6 +135,44 @@ class TestConfigValidation:
         assert proc.returncode == 1
         assert "invalid input" in proc.stderr and "dim-4 Fock truncation" in proc.stderr
         assert "Traceback" not in proc.stderr and "alpha = 0" not in proc.stderr
+
+    @pytest.mark.parametrize("command,config,povm_file", [
+        ("reconstruct", '{"wigner_grid": {"x_range": [NaN, 3.0]}}', None),
+        ("reconstruct", '{"noise": {"exposure": NaN}}', None),
+        ("reconstruct", '{"noise": {"exposure": Infinity}}', None),
+        ("reconstruct", '{"wigner_grid": {"p_range": [-1e400, 3.0]}}', None),
+        ("reconstruct", '{"noise": {"kind": "exact", "exposure": 1%s}}' % ("0" * 400), None),
+        ("gram-spectrum", '{"dim": 2, "povm": {"file": POVM_FILE}}',
+         '{"dim": 2, "effects": [{"vector": [[1.0, 0.0], [NaN, 0.0]]}]}'),
+    ], ids=["nan-range", "nan-exposure", "infinity", "1e400", "10^400", "nan-povm-file"])
+    def test_non_finite_json_constants_rejected(self, command, config, povm_file,
+                                                tmp_path):
+        # Python's json reads NaN, Infinity and 1e400 as floats, and 10^400 as an
+        # integer, that the output writer refuses or numpy cannot use
+        if povm_file is not None:
+            (tmp_path / "povm.json").write_text(povm_file)
+            config = config.replace("POVM_FILE", json.dumps(str(tmp_path / "povm.json")))
+        conf = tmp_path / "conf.json"
+        conf.write_text(config)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gramtomo.cli", command, "--config", str(conf),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "invalid input" in proc.stderr and "not a finite number" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("flags", [["--seed", "abc"], ["--bogus"]])
+    def test_usage_error_exits_1(self, flags, tmp_path):
+        # exit code 2 is kept for numerical-consistency failures
+        proc = subprocess.run(
+            [sys.executable, "-m", "gramtomo.cli", "reconstruct", *flags,
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "usage:" in proc.stderr and "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_defaults_pass_schema(self):
         assert list(CONFIG_VALIDATOR.iter_errors(_strip_nones(DEFAULTS))) == []
@@ -625,3 +665,11 @@ class TestSubprocessEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert (out / "rank_report.json").exists()
+
+
+def test_every_export_is_documented():
+    # each package-level name is listed in README's Library section
+    import gramtomo
+    library = README.split("\n## Library\n", 1)[1]
+    missing = [name for name in gramtomo.__all__ if f"`{name}`" not in library]
+    assert missing == []

@@ -13,8 +13,8 @@ from scipy.integrate import quad
 from gramtomo import fock
 from gramtomo import (DegenerateStateError, InvalidInputError, NumericalConsistencyError,
                       PhaseSpaceGrid, cat_state, coherent_state, fidelity, fock_state,
-                      hermite_functions, kept_weight, pure_density, quadrature_overlap,
-                      wigner, wigner_points)
+                      hermite_functions, kept_weight, pure_density, wigner,
+                      wigner_points)
 
 
 def mp_hermite_function(n: int, x) -> mpmath.mpf:
@@ -54,36 +54,6 @@ class TestHermiteFunctions:
             hermite_functions(0.0, -1)
         with pytest.raises(InvalidInputError):
             hermite_functions(np.inf, 3)
-
-
-class TestQuadratureOverlap:
-    def test_vacuum_at_origin(self):
-        assert quadrature_overlap(0, 0.0, 0.0) == pytest.approx(np.pi ** -0.25, abs=1e-14)
-
-    def test_first_excited_at_origin_is_zero(self):
-        for theta in (0.0, 0.3, 2.0):
-            assert quadrature_overlap(1, 0.0, theta) == 0.0
-
-    def test_high_order_against_oracle(self):
-        with mpmath.workdps(50):
-            ref = float(mp_hermite_function(14, 4.9))
-        got = quadrature_overlap(14, 4.9, np.pi / 3)
-        assert abs(got) == pytest.approx(abs(ref), abs=1e-10)
-        assert got == pytest.approx(ref * np.exp(-1j * 14 * np.pi / 3), abs=1e-10)
-
-    def test_phase_convention_sign(self):
-        # e^{-i n theta}: increasing theta rotates the phase clockwise
-        val = quadrature_overlap(2, 1.0, 0.25)
-        base = quadrature_overlap(2, 1.0, 0.0)
-        assert val == pytest.approx(base * np.exp(-1j * 2 * 0.25), abs=1e-14)
-
-    def test_completeness_independent_of_theta(self):
-        xs = np.linspace(-8, 8, 1601)
-        dx = xs[1] - xs[0]
-        for theta in (0.0, 0.7):
-            vecs = np.array([quadrature_overlap(n, xs, theta) for n in range(11)])
-            overlap = dx * vecs.conj() @ vecs.T
-            assert np.abs(overlap - np.eye(11)).max() < 1e-3
 
 
 class TestCoherentState:

@@ -328,7 +328,7 @@ class TestMaxlikSolve:
         # commuting case converges after backtracking halves the step
         povm = PovmSet(np.eye(3, dtype=complex))
         ds = Dataset(counts=np.array([5.0, 3.0, 2.0]))
-        res = maxlik_solve(ds, povm, SolverConfig(dilution=1.0))
+        res = maxlik_solve(ds, povm, SolverConfig())
         assert res.converged
         assert np.all(np.diff(res.log_likelihood) >= -1e-12)
         assert np.abs(res.rho - np.diag(ds.frequencies)).max() < 1e-10
@@ -363,11 +363,12 @@ class TestStopReason:
         assert res.log_likelihood.shape == (1,)
         assert abs(res.likelihood_gap) < TOL_GAP
 
-    def test_stalled(self):
+    def test_stalled(self, monkeypatch):
         # without backtracking room the full R rho R step lowers L at once
+        monkeypatch.setattr(maxlik, "DILUTION_FLOOR", 1.0)
         povm = PovmSet(np.eye(3, dtype=complex))
         ds = Dataset(counts=np.array([5.0, 3.0, 2.0]))
-        res = maxlik_solve(ds, povm, SolverConfig(dilution=1.0, dilution_floor=1.0))
+        res = maxlik_solve(ds, povm, SolverConfig())
         assert (res.stop_reason, res.converged) == ("stalled", False)
         assert np.all(np.diff(res.log_likelihood) >= -1e-12)
         assert res.log_likelihood.size == res.iterations + 1

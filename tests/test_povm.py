@@ -95,6 +95,13 @@ class TestPovmSet:
             with pytest.raises(InvalidInputError):
                 PovmSet(vectors)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_vectors(self, entry):
+        vectors = np.eye(3, dtype=complex)
+        vectors[1, 2] = entry
+        with pytest.raises(InvalidInputError, match="finite"):
+            PovmSet(vectors)
+
     def test_vectors_read_only(self):
         source = np.eye(3, dtype=complex)
         povm = PovmSet(source)

@@ -93,6 +93,23 @@ class TestGenerateCounts:
         with pytest.raises(InvalidInputError):
             NoiseModel(seed=-1)
 
+    @pytest.mark.parametrize("kind", ["exact", "multinomial", "poisson"])
+    @pytest.mark.parametrize("exposure", [np.nan, np.inf, -np.inf])
+    def test_non_finite_exposure_rejected(self, kind, exposure):
+        with pytest.raises(InvalidInputError):
+            NoiseModel(kind=kind, exposure=exposure)
+
+    @pytest.mark.parametrize("kind", ["multinomial", "poisson"])
+    def test_exposure_numpy_can_draw(self, kind, small_problem):
+        # numpy draws no Poisson mean or multinomial total above about 9.2e18
+        povm, _, rho = small_problem
+        ds = generate_counts(rho, povm, NoiseModel(kind=kind, exposure=1e18))
+        assert ds.counts.sum() == pytest.approx(1e18, rel=1e-6)
+        for exposure in (1.0000001e18, 1e20, 1e30):
+            with pytest.raises(InvalidInputError, match="1e18"):
+                NoiseModel(kind=kind, exposure=exposure)
+        assert NoiseModel(kind="exact", exposure=1e30).exposure == 1e30
+
 
 class TestDimensionSweep:
     def test_gram_full_dimension_exact_noise(self, small_problem):
