@@ -1,6 +1,10 @@
 """Config-driven command line front end.
 
 Subcommands: gram-spectrum, reconstruct, sweep, stability, frames-check.
+Each cmd_* only computes and returns its outputs by file stem; main then
+writes them through serialize.write_outputs, the one place that makes the
+output directory and picks csv or json. A failed command writes nothing,
+except the report of a failing frames-check.
 Every command is a pure function of (config, seed) at a fixed BLAS thread
 count: reruns with identical inputs and OPENBLAS_NUM_THREADS write
 byte-identical files. A different thread count can move the last bits: 297
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import os
@@ -41,8 +46,7 @@ from .maxlik import Dataset, SolverConfig, maxlik_solve
 from .povm import (HomodyneConfig, PovmSet, born_probabilities, build_homodyne_povm,
                    effective_rank, gram_matrix_operator_space, gram_operator, gram_spectrum,
                    subspace_basis)
-from .serialize import (decode_povm, encode_reconstruction, write_csv, write_json,
-                        write_wigner_csv)
+from .serialize import Table, WignerGrid, decode_povm, encode_reconstruction, write_outputs
 from .simulate import (NoiseModel, dimension_sweep, generate_counts, stability_study,
                        trial_generator)
 
@@ -154,15 +158,13 @@ def resolve_output_dir(config: dict) -> Path:
     directory = config["output"]["directory"]
     if directory is None:
         directory = os.environ.get(ENV_OUTPUT_DIR) or "gramtomo-out"
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(directory)
 
 
 def build_povm_from_config(config: dict) -> PovmSet:
     pc = config["povm"]
     dim = config["dim"]
-    if pc.get("file"):
+    if pc["file"]:
         povm = decode_povm(_read_json(pc["file"], "POVM file"))
         if povm.dim != dim:
             raise InvalidInputError(f"POVM file has dim {povm.dim} but the config has "
@@ -170,7 +172,7 @@ def build_povm_from_config(config: dict) -> PovmSet:
         return povm
     if pc["kind"] == "projective":
         return PovmSet(np.eye(dim, dtype=complex))
-    if pc.get("phases") is not None:
+    if pc["phases"] is not None:
         hconf = HomodyneConfig(phases=tuple(float(v) for v in pc["phases"]),
                                bins=pc["bins"], x_range=tuple(pc["range"]))
     else:
@@ -184,17 +186,14 @@ def build_target_from_config(config: dict) -> np.ndarray:
     drops more than TRUNCATION_LEAK_WARNING of the state's weight."""
     tc = config["target"]
     dim = config["dim"]
-    alpha = tc.get("alpha", 0.0)
+    alpha = tc["alpha"]
     if isinstance(alpha, (list, tuple)):
         alpha = complex(alpha[0], alpha[1])
     if tc["kind"] == "fock":
-        return fock_state(tc.get("n", 0), dim)
-    if tc["kind"] == "cat":
-        parity = tc.get("parity", "even")
-        target = cat_state(alpha, parity, dim)
-    else:
-        parity = None
-        target = coherent_state(alpha, dim, normalized=True)
+        return fock_state(tc["n"], dim)
+    parity = tc["parity"] if tc["kind"] == "cat" else None
+    target = (coherent_state(alpha, dim, normalized=True) if parity is None
+              else cat_state(alpha, parity, dim))
     kept = kept_weight(alpha, dim, parity)
     if 1.0 - kept > TRUNCATION_LEAK_WARNING:
         print(f"warning: the dim-{dim} Fock truncation keeps {kept:.3g} of the target "
@@ -211,7 +210,7 @@ def build_grid_from_config(config: dict) -> PhaseSpaceGrid:
 
 def load_counts_file(path: str, povm: PovmSet, config: dict) -> Dataset:
     """CSV bridge to measured data: columns phase_index,bin_index,count."""
-    if config["povm"]["kind"] != "homodyne" or config["povm"].get("file"):
+    if config["povm"]["kind"] != "homodyne" or config["povm"]["file"]:
         raise InvalidInputError("counts files require an inline homodyne POVM config")
     lines = [ln.strip() for ln in Path(path).read_text().splitlines()
              if ln.strip() and not ln.startswith("#")]
@@ -244,26 +243,18 @@ def load_counts_file(path: str, povm: PovmSet, config: dict) -> Dataset:
     return Dataset(counts=counts)
 
 
-def cmd_gram_spectrum(config: dict, outdir: Path) -> list[Path]:
+def cmd_gram_spectrum(config: dict) -> dict:
     povm = build_povm_from_config(config)
     analysis = gram_spectrum(povm)
     if analysis.rank == 0:
         raise EmptyMeasurementError("Gram operator has zero support")
     q_vals = np.linalg.eigvalsh(gram_matrix_operator_space(povm))[::-1]
-    echo = _strip_nones(config)
-    fmt = config["output"]["format"]
-    written = []
-    for name, values in (("g_spectrum", analysis.eigenvalues), ("q_spectrum", q_vals)):
-        if fmt == "csv":
-            path = outdir / f"{name}.csv"
-            write_csv(path, ["index", "value"],
-                      [(k + 1, float(v)) for k, v in enumerate(values)], echo)
-        else:
-            path = outdir / f"{name}.json"
-            write_json(path, {"values": [float(v) for v in values], "config": echo})
-        written.append(path)
+    outputs = {name: Table(["index", "value"],
+                           [(k + 1, float(v)) for k, v in enumerate(values)], values=True)
+               for name, values in (("g_spectrum", analysis.eigenvalues),
+                                    ("q_spectrum", q_vals))}
     lam = analysis.eigenvalues
-    report = {
+    outputs["rank_report"] = {
         "support_rank": analysis.rank,
         "support_threshold": float(analysis.threshold),
         "effective_rank": effective_rank(analysis, 1e-3),
@@ -272,15 +263,16 @@ def cmd_gram_spectrum(config: dict, outdir: Path) -> list[Path]:
         # (lambda_d - lambda_{d+1}) / lambda_1, d = 1..dim-1: top-d Gram-subspace
         # outputs rest on the eigensolver's choice where this gap is small
         "relative_spectral_gaps": [float(v) for v in (lam[:-1] - lam[1:]) / lam[0]],
-        "config": echo,
     }
-    path = outdir / "rank_report.json"
-    write_json(path, report)
-    written.append(path)
-    return written
+    return outputs
 
 
-def cmd_reconstruct(config: dict, outdir: Path) -> list[Path]:
+def cmd_reconstruct(config: dict) -> dict:
+    rc = config["reconstruction"]
+    if (rc["basis"] == "full") != (rc["dimension"] is None):
+        raise InvalidInputError(
+            f"reconstruction.basis {rc['basis']!r} with dimension {rc['dimension']}: "
+            "'full' takes a null dimension, 'gram' and 'fock' a subspace dimension")
     povm = build_povm_from_config(config)
     target = build_target_from_config(config)
     rho_true = np.outer(target, target.conj())
@@ -288,52 +280,33 @@ def cmd_reconstruct(config: dict, outdir: Path) -> list[Path]:
         dataset = load_counts_file(config["counts_file"], povm, config)
     else:
         dataset = generate_counts(rho_true, povm, NoiseModel(**config["noise"]))
-    rc = config["reconstruction"]
-    basis = None
-    if rc["basis"] != "full" and rc["dimension"] is not None:
-        basis = subspace_basis(rc["basis"], rc["dimension"], povm)
+    basis = (None if rc["basis"] == "full"
+             else subspace_basis(rc["basis"], rc["dimension"], povm))
     solver = SolverConfig(**config["solver"], subspace=basis)
     start = time.perf_counter()
     result = maxlik_solve(dataset, povm, solver)
     print(f"reconstruction wall time: {time.perf_counter() - start:.3f} s",
           file=sys.stderr)
-    echo = _strip_nones(config)
-    payload = encode_reconstruction(result, echo)
+    payload = encode_reconstruction(result)
     payload["fidelity_to_target"] = fidelity(target, result.rho)
-    path_json = outdir / "reconstruction.json"
-    write_json(path_json, payload)
     grid = build_grid_from_config(config)
-    W = wigner(result.rho, grid)
-    if config["output"]["format"] == "csv":
-        path_w = outdir / "wigner.csv"
-        write_wigner_csv(path_w, grid.xs, grid.ps, W, echo)
-    else:
-        path_w = outdir / "wigner.json"
-        write_json(path_w, {"x": grid.xs.tolist(), "p": grid.ps.tolist(), "w": W.tolist(),
-                            "config": echo})
-    return [path_json, path_w]
+    return {"reconstruction": payload,
+            "wigner": WignerGrid(grid.xs, grid.ps, wigner(result.rho, grid))}
 
 
-def cmd_sweep(config: dict, outdir: Path) -> list[Path]:
+def cmd_sweep(config: dict) -> dict:
     povm = build_povm_from_config(config)
     target = build_target_from_config(config)
     noise = NoiseModel(**config["noise"])
     solver = SolverConfig(**config["solver"])
-    echo = _strip_nones(config)
-    written = []
-    summary = {}
+    outputs, summary = {}, {}
     for basis in config["sweep"]["bases"]:
         result = dimension_sweep(target, povm, basis, config["sweep"]["dims"], noise,
                                  config["sweep"]["trials"], solver_config=solver)
-        rows = [(d, t, float(result.fidelities[k, t]), bool(result.converged[k, t]))
-                for k, d in enumerate(result.dims) for t in range(result.trials)]
-        if config["output"]["format"] == "csv":
-            path = outdir / f"sweep_{basis}.csv"
-            write_csv(path, ["dimension", "trial", "fidelity", "converged"], rows, echo)
-        else:
-            path = outdir / f"sweep_{basis}.json"
-            write_json(path, {"rows": [list(r) for r in rows], "config": echo})
-        written.append(path)
+        outputs[f"sweep_{basis}"] = Table(
+            ["dimension", "trial", "fidelity", "converged"],
+            [(d, t, float(result.fidelities[k, t]), bool(result.converged[k, t]))
+             for k, d in enumerate(result.dims) for t in range(result.trials)])
         summary[basis] = {
             "dims": list(result.dims),
             "mean": [float(v) for v in result.mean],
@@ -343,13 +316,11 @@ def cmd_sweep(config: dict, outdir: Path) -> list[Path]:
             "converged_fraction": [float(v) for v in result.converged.mean(axis=1)],
             "trial_seeds": [list(s) for s in result.trial_seeds],
         }
-    path = outdir / "sweep_summary.json"
-    write_json(path, {"bases": summary, "config": echo})
-    written.append(path)
-    return written
+    outputs["sweep_summary"] = {"bases": summary}
+    return outputs
 
 
-def cmd_stability(config: dict, outdir: Path) -> list[Path]:
+def cmd_stability(config: dict) -> dict:
     povm = build_povm_from_config(config)
     target = build_target_from_config(config)
     noise = NoiseModel(**config["noise"])
@@ -358,38 +329,26 @@ def cmd_stability(config: dict, outdir: Path) -> list[Path]:
     sc = config["stability"]
     result = stability_study(target, povm, sc["basis"], sc["dimension"], noise,
                              sc["trials"], grid=grid, solver_config=solver)
-    echo = _strip_nones(config)
-    written = []
-    rows = [(t, float(result.fidelities[t]), bool(result.converged[t]))
-            for t in range(result.trials)]
-    if config["output"]["format"] == "csv":
-        path = outdir / "stability.csv"
-        write_csv(path, ["trial", "fidelity", "converged"], rows, echo)
-    else:
-        path = outdir / "stability.json"
-        write_json(path, {"rows": [list(r) for r in rows], "config": echo})
-    written.append(path)
-    summary = {
-        "basis": result.basis,
-        "dimension": result.dim,
-        "trials": result.trials,
-        "fidelity_spread": result.spread,
-        "fidelities": [float(v) for v in result.fidelities],
-        "converged_fraction": float(result.converged.mean()),
-        "trial_seeds": [list(s) for s in result.trial_seeds],
-        "config": echo,
+    outputs = {
+        "stability": Table(["trial", "fidelity", "converged"],
+                           [(t, float(result.fidelities[t]), bool(result.converged[t]))
+                            for t in range(result.trials)]),
+        "stability_summary": {
+            "basis": result.basis,
+            "dimension": result.dim,
+            "trials": result.trials,
+            "fidelity_spread": result.spread,
+            "fidelities": [float(v) for v in result.fidelities],
+            "converged_fraction": float(result.converged.mean()),
+            "trial_seeds": [list(s) for s in result.trial_seeds],
+        },
     }
-    path = outdir / "stability_summary.json"
-    write_json(path, summary)
-    written.append(path)
     for t, W in enumerate(result.wigner_grids):
-        path = outdir / f"wigner_trial_{t}.csv"
-        write_wigner_csv(path, grid.xs, grid.ps, W, echo)
-        written.append(path)
-    return written
+        outputs[f"wigner_trial_{t}"] = WignerGrid(grid.xs, grid.ps, W)
+    return outputs
 
 
-def cmd_frames_check(config: dict, outdir: Path) -> list[Path]:
+def cmd_frames_check(config: dict) -> dict:
     povm = build_povm_from_config(config)
     dim = povm.dim
     analysis = gram_spectrum(povm)
@@ -399,10 +358,7 @@ def cmd_frames_check(config: dict, outdir: Path) -> list[Path]:
         M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         return (M + M.conj().T) / 2.0
 
-    checks = []
-
-    dev = hadamard_identity_check(povm)
-    checks.append(("hadamard_identity", dev, 1e-14))
+    checks = [("hadamard_identity", hadamard_identity_check(povm), 1e-14)]
 
     duals = dual_frame(povm, analysis)
     Us = analysis.support_vectors
@@ -434,21 +390,14 @@ def cmd_frames_check(config: dict, outdir: Path) -> list[Path]:
     dev = float(np.abs((U @ weighted @ U.conj().T) - G @ D @ G).max())
     checks.append(("modal_weighting_congruence", dev, 1e-9))
 
-    report = {
-        "checks": [
-            {"name": name, "deviation": float(dev), "tolerance": tol,
-             "pass": bool(dev < tol)}
-            for name, dev, tol in checks
-        ],
-        "all_pass": bool(all(dev < tol for _, dev, tol in checks)),
-        "config": _strip_nones(config),
-    }
-    path = outdir / "frames_report.json"
-    write_json(path, report)
-    if not report["all_pass"]:
-        failing = [c["name"] for c in report["checks"] if not c["pass"]]
-        raise NumericalConsistencyError(f"frame identities beyond tolerance: {failing}")
-    return [path]
+    rows = [{"name": name, "deviation": float(dev), "tolerance": tol, "pass": bool(dev < tol)}
+            for name, dev, tol in checks]
+    outputs = {"frames_report": {"checks": rows, "all_pass": all(r["pass"] for r in rows)}}
+    failing = [r["name"] for r in rows if not r["pass"]]
+    if failing:
+        raise NumericalConsistencyError(f"frame identities beyond tolerance: {failing}",
+                                        outputs)
+    return outputs
 
 
 COMMANDS = {
@@ -480,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="noise seed override")
         p.add_argument("--out", help=f"output directory (default ${ENV_OUTPUT_DIR} "
                                      "or ./gramtomo-out)")
-        p.add_argument("--format", choices=["csv", "json"], help="tabular output format")
+        p.add_argument("--format", choices=["csv", "json"],
+                       help="format of the tables and Wigner grids")
         p.add_argument("--trials", type=int, help="trial count override")
         p.add_argument("--dims", help="comma-separated sweep dimensions")
         p.add_argument("--basis", choices=["gram", "fock"], help="basis override")
@@ -499,8 +449,17 @@ def main(argv: list[str] | None = None) -> int:
         raise
     try:
         config = load_config(args.config, _flag_overrides(args))
-        outdir = resolve_output_dir(config)
-        written = COMMANDS[args.command](config, outdir)
+        write = functools.partial(write_outputs, resolve_output_dir(config),
+                                  file_format=config["output"]["format"],
+                                  config_echo=_strip_nones(config))
+        try:
+            outputs = COMMANDS[args.command](config)
+        except NumericalConsistencyError as exc:
+            # a failed command writes nothing but the outputs its error carries
+            if exc.outputs:
+                write(exc.outputs)
+            raise
+        written = write(outputs)
     except ValidationError as exc:
         print(f"config validation error: {exc.message}", file=sys.stderr)
         return 1

@@ -22,4 +22,9 @@ class EmptyDataError(InvalidInputError):
 
 
 class NumericalConsistencyError(ArithmeticError):
-    """An internal cross-check exceeded its tolerance."""
+    """An internal cross-check exceeded its tolerance; the CLI writes the
+    command outputs it carries (frames-check's report) before it exits 2."""
+
+    def __init__(self, message: str, outputs: dict | None = None):
+        super().__init__(message)
+        self.outputs = outputs or {}

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,12 +30,17 @@ class PartialInversionWarning(UserWarning):
 
     The result is the projection onto the operator-space support; the
     instance carries the support projector (in vectorized coordinates) as
-    the attribute support_projector.
+    the attribute support_projector, formed when first read, so that a caller
+    that ignores the warning never pays for the d^2 x d^2 product.
     """
 
-    def __init__(self, message: str, support_projector: np.ndarray):
+    def __init__(self, message: str, support_basis: np.ndarray):
         super().__init__(message)
-        self.support_projector = support_projector
+        self._support_basis = support_basis
+
+    @cached_property
+    def support_projector(self) -> np.ndarray:
+        return self._support_basis @ self._support_basis.T
 
 
 @dataclass(eq=False)
@@ -140,10 +146,10 @@ def linear_inversion(probabilities: np.ndarray, povm: PovmSet,
     if frame is None:
         frame = operator_frame(povm)
     if frame.rank < povm.dim**2:
-        V = frame.eigenvectors[:, : frame.rank]
         warnings.warn(PartialInversionWarning(
             f"operator frame rank {frame.rank} < {povm.dim**2}: inversion recovers "
-            "only the support component", V @ V.T), stacklevel=2)
+            "only the support component", frame.eigenvectors[:, : frame.rank]),
+            stacklevel=2)
     return from_coords(frame.dual_effects.T @ p, povm.dim)
 
 

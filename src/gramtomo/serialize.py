@@ -8,7 +8,9 @@ same inputs therefore produce byte-identical files.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +54,7 @@ def decode_povm(data: dict) -> PovmSet:
     return PovmSet(np.reshape(vectors, (len(vectors), dim)))
 
 
-def encode_reconstruction(result: ReconstructionResult, config_echo: dict) -> dict:
+def encode_reconstruction(result: ReconstructionResult) -> dict:
     return {
         "density_matrix": encode_complex_matrix(result.rho),
         "log_likelihood": [float(v) for v in result.log_likelihood],
@@ -65,47 +67,85 @@ def encode_reconstruction(result: ReconstructionResult, config_echo: dict) -> di
                            else float(result.likelihood_gap)),
         "newton_steps": result.newton_steps,
         "floor_hits": result.floor_hits,
-        "config": config_echo,
     }
 
 
-def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
 def write_json(path: Path, obj) -> None:
-    Path(path).write_text(canonical_dumps(obj))
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def fmt(value) -> str:
     """Canonical cell format: shortest round-trip repr for floats."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows, config_echo: dict | None = None) -> None:
-    """CSV with an optional leading '# config: ...' comment line."""
-    lines = []
-    if config_echo is not None:
-        lines.append("# config: " + json.dumps(config_echo, sort_keys=True))
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+def write_csv(path: Path, header: list[str], rows, config_echo: dict) -> None:
+    """CSV with a leading '# config: ...' comment line."""
+    lines = [_config_line(config_echo), ",".join(header)]
+    lines.extend(",".join(fmt(v) for v in row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_wigner_csv(path: Path, xs: np.ndarray, ps: np.ndarray, W: np.ndarray,
-                     config_echo: dict | None = None) -> None:
-    """Dense grid format: axis header rows, then one W row per x sample."""
-    lines = []
-    if config_echo is not None:
-        lines.append("# config: " + json.dumps(config_echo, sort_keys=True))
-    lines.append("x," + ",".join(map(repr, np.asarray(xs, dtype=float).tolist())))
-    lines.append("p," + ",".join(map(repr, np.asarray(ps, dtype=float).tolist())))
+                     config_echo: dict) -> None:
+    """Dense grid format: config comment, axis header rows, then one W row per x sample."""
+    lines = [_config_line(config_echo),
+             "x," + ",".join(map(repr, np.asarray(xs, dtype=float).tolist())),
+             "p," + ",".join(map(repr, np.asarray(ps, dtype=float).tolist()))]
     lines.extend(",".join(map(repr, row)) for row in np.asarray(W, dtype=float).tolist())
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _config_line(config_echo: dict) -> str:
+    return "# config: " + json.dumps(config_echo, sort_keys=True)
+
+
+class Table(NamedTuple):
+    """Header and rows: a CSV file, or {"rows": [...]} in JSON. A spectrum
+    (values=True) is {"values": [...]}, its last column, in JSON."""
+
+    header: list[str]
+    rows: list[tuple]
+    values: bool = False
+
+
+class WignerGrid(NamedTuple):
+    """W on the xs x ps grid: write_wigner_csv's file, or {"x", "p", "w"} in JSON."""
+
+    xs: np.ndarray
+    ps: np.ndarray
+    w: np.ndarray
+
+
+def _json_form(output: dict | Table | WignerGrid) -> dict:
+    if isinstance(output, WignerGrid):
+        return {"x": output.xs.tolist(), "p": output.ps.tolist(), "w": output.w.tolist()}
+    if isinstance(output, Table):
+        if output.values:
+            return {"values": [row[-1] for row in output.rows]}
+        return {"rows": [list(row) for row in output.rows]}
+    return output
+
+
+def write_outputs(directory: Path, outputs: Mapping[str, dict | Table | WignerGrid],
+                  file_format: str, config_echo: dict) -> list[Path]:
+    """Make the directory and write each output, with config_echo, to <stem>.json
+    or <stem>.csv: a dict is always a JSON document, a Table or a WignerGrid
+    follows file_format ("csv" or "json"). Returns the paths in order."""
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for stem, output in outputs.items():
+        as_json = isinstance(output, dict) or file_format == "json"
+        path = directory / f"{stem}.{'json' if as_json else 'csv'}"
+        if as_json:
+            write_json(path, {**_json_form(output), "config": config_echo})
+        elif isinstance(output, Table):
+            write_csv(path, output.header, output.rows, config_echo)
+        else:
+            write_wigner_csv(path, output.xs, output.ps, output.w, config_echo)
+        paths.append(path)
+    return paths

@@ -69,6 +69,14 @@ class TestConfigValidation:
         assert code == 1
         assert "invalid input" in err
 
+    def test_unwritable_out_is_io_error(self, small_config, tmp_path, capsys):
+        # the directory is made only after the command has computed its outputs
+        (tmp_path / "plain-file").write_text("")
+        code, stdout, err = run(["gram-spectrum", "--config", str(small_config), "--out",
+                                 str(tmp_path / "plain-file" / "out")], capsys)
+        assert code == 3
+        assert "io error" in err and stdout == ""
+
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         code, _, err = run(["gram-spectrum", "--config",
                             str(tmp_path / "absent.json")], capsys)
@@ -161,6 +169,8 @@ class TestConfigValidation:
         assert proc.returncode == 1
         assert "invalid input" in proc.stderr and "not a finite number" in proc.stderr
         assert "Traceback" not in proc.stderr
+        # the refused run leaves no output directory behind
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags", [["--seed", "abc"], ["--bogus"]])
     def test_usage_error_exits_1(self, flags, tmp_path):
@@ -326,7 +336,29 @@ class TestReconstructCommand:
                             str(tmp_path / "out")], capsys)
         assert code == 1
         assert "invalid input" in err
-        assert not (tmp_path / "out" / "reconstruction.json").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section,flags", [
+        ({"basis": "gram", "dimension": None}, []),
+        ({"basis": "fock", "dimension": None}, []),
+        ({"basis": "full", "dimension": 2}, []),
+        ({"basis": "full", "dimension": None}, ["--basis", "gram"]),
+    ], ids=["gram-null", "fock-null", "full-2", "flag-gram-null"])
+    def test_basis_and_dimension_must_agree(self, section, flags, small_config, tmp_path):
+        # a subspace basis needs a dimension, and the full basis takes none; the
+        # run is refused rather than solved in a basis that the echo misnames
+        conf = json.loads(small_config.read_text())
+        conf["reconstruction"] = section
+        path = small_config.parent / "basis.json"
+        path.write_text(json.dumps(conf))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gramtomo.cli", "reconstruct", "--config", str(path),
+             "--out", str(tmp_path / "out"), *flags],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "invalid input" in proc.stderr and "reconstruction.basis" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_subspace_embeds_in_ambient(self, small_config, tmp_path, capsys):
         conf = json.loads(small_config.read_text())
@@ -411,7 +443,7 @@ class TestCountsFile:
                            capsys)
         assert code == 1
         assert "invalid input" in err and repr(row) in err
-        assert not (out / "reconstruction.json").exists()
+        assert not out.exists()
 
     def test_counts_need_inline_homodyne(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"
@@ -456,7 +488,7 @@ class TestPovmFile:
                            capsys)
         assert code == 1
         assert "invalid input" in err and "dim 6" in err and "dim 3" in err
-        assert not (out / "g_spectrum.csv").exists()
+        assert not out.exists()
 
     def test_all_zero_effects_rejected(self, tmp_path):
         povm_path = tmp_path / "zero.json"
@@ -654,6 +686,56 @@ class TestFramesCheckCommand:
         assert "hadamard_identity" in err
         report = json.loads((out / "frames_report.json").read_text())
         assert report["all_pass"] is False
+
+
+class TestJsonFormat:
+    """--format json writes each table as {"rows": [...]} and each Wigner grid as
+    {"x", "p", "w"}, with the numbers of the csv run; documents do not change."""
+
+    @staticmethod
+    def csv_form(path: Path, kind: str) -> dict:
+        # a table: config comment, header, rows; a grid: config comment, the
+        # rows "x,..." and "p,...", then one row of W per x
+        lines = path.read_text().splitlines()[1:]
+        if kind == "rows":
+            return {"rows": [[json.loads(cell) for cell in line.split(",")]
+                             for line in lines[1:]]}
+        x, p = ([json.loads(cell) for cell in line.split(",")[1:]] for line in lines[:2])
+        return {"x": x, "p": p, "w": [[json.loads(cell) for cell in line.split(",")]
+                                      for line in lines[2:]]}
+
+    @pytest.mark.parametrize("command,files", [
+        ("reconstruct", {"reconstruction": "document", "wigner": "grid"}),
+        ("sweep", {"sweep_gram": "rows", "sweep_fock": "rows", "sweep_summary": "document"}),
+        ("stability", {"stability": "rows", "stability_summary": "document",
+                       "wigner_trial_0": "grid", "wigner_trial_1": "grid"}),
+        ("frames-check", {"frames_report": "document"}),
+    ])
+    def test_outputs_follow_format(self, command, files, small_config, tmp_path, capsys):
+        written = {}
+        for fmt in ("csv", "json"):
+            out = tmp_path / fmt
+            code, stdout, _ = run([command, "--config", str(small_config), "--out",
+                                   str(out), "--format", fmt], capsys)
+            assert code == 0
+            written[fmt] = [Path(p) for p in stdout.split()]
+            assert sorted(out.iterdir()) == sorted(written[fmt])
+        names = [f"{stem}.json" if fmt == "json" or kind == "document" else f"{stem}.csv"
+                 for fmt in ("csv", "json") for stem, kind in files.items()]
+        assert [p.name for p in written["csv"] + written["json"]] == names
+        for (stem, kind), csv_path in zip(files.items(), written["csv"]):
+            doc = json.loads((tmp_path / "json" / f"{stem}.json").read_text())
+            assert doc.pop("config")["output"]["format"] == "json"
+            if kind == "document":
+                expected = json.loads(csv_path.read_text())
+                del expected["config"]
+            else:
+                expected = self.csv_form(csv_path, kind)
+            assert doc == expected
+        if command == "reconstruct":
+            grid = json.loads((tmp_path / "json" / "wigner.json").read_text())
+            assert len(grid["x"]) == len(grid["p"]) == len(grid["w"]) == 7
+            assert all(len(row) == 7 for row in grid["w"])
 
 
 class TestSubprocessEntry:

@@ -1,8 +1,8 @@
-"""Byte-identity gate: run the five gate configs and print a sha256 per output file.
+"""Byte-identity gate: run the six gate configs and print a sha256 per output file.
 
 `python tools/gate.py OUT [--src SRC]` runs the CLI with PYTHONPATH=SRC (default
 src/), one BLAS thread and --seed 0 into OUT/<case>/<command>/ and prints
-"<sha256>  <path>" for the 40 files. Outputs echo their directory: to compare
+"<sha256>  <path>" for the 53 files. Outputs echo their directory: to compare
 two source trees by hash, run both into the same OUT in turn and diff the
 printed lines.
 
@@ -24,15 +24,17 @@ import sys
 from pathlib import Path
 
 ALL = ("gram-spectrum", "reconstruct", "sweep", "stability", "frames-check")
+# the determinism (criterion 10) config
+SMALL = {"dim": 4, "target": {"kind": "cat", "alpha": 1.2, "parity": "even"},
+         "povm": {"phase_count": 3, "bins": 13, "range": [-4.0, 4.0]},
+         "noise": {"exposure": 5000.0}, "solver": {"max_iterations": 300},
+         "sweep": {"dims": [1, 2], "trials": 2, "bases": ["gram", "fock"]},
+         "stability": {"basis": "gram", "dimension": 2, "trials": 2},
+         "wigner_grid": {"x_range": [-3.0, 3.0], "p_range": [-3.0, 3.0],
+                         "x_points": 7, "p_points": 7}}
 CASES = {
-    # the determinism (criterion 10) config
-    "small": ({"dim": 4, "target": {"kind": "cat", "alpha": 1.2, "parity": "even"},
-               "povm": {"phase_count": 3, "bins": 13, "range": [-4.0, 4.0]},
-               "noise": {"exposure": 5000.0}, "solver": {"max_iterations": 300},
-               "sweep": {"dims": [1, 2], "trials": 2, "bases": ["gram", "fock"]},
-               "stability": {"basis": "gram", "dimension": 2, "trials": 2},
-               "wigner_grid": {"x_range": [-3.0, 3.0], "p_range": [-3.0, 3.0],
-                               "x_points": 7, "p_points": 7}}, ALL),
+    "small": (SMALL, ALL),
+    "small-json": ({**SMALL, "output": {"format": "json"}}, ALL),
     "reference": ({"stability": {"basis": "gram", "dimension": 3, "trials": 8},
                    "sweep": {"dims": [1, 2], "trials": 2, "bases": ["gram", "fock"]}}, ALL),
     "reference-gram5": ({"reconstruction": {"basis": "gram", "dimension": 5}}, ("reconstruct",)),
