@@ -732,10 +732,6 @@ class TestJsonFormat:
             else:
                 expected = self.csv_form(csv_path, kind)
             assert doc == expected
-        if command == "reconstruct":
-            grid = json.loads((tmp_path / "json" / "wigner.json").read_text())
-            assert len(grid["x"]) == len(grid["p"]) == len(grid["w"]) == 7
-            assert all(len(row) == 7 for row in grid["w"])
 
 
 class TestSubprocessEntry:
