@@ -34,8 +34,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from jsonschema.exceptions import ValidationError, best_match
-from jsonschema.validators import validator_for
 
 from .errors import EmptyMeasurementError, InvalidInputError, NumericalConsistencyError
 from .fock import (PhaseSpaceGrid, cat_state, coherent_state, fidelity, fock_state,
@@ -56,11 +54,82 @@ ENV_OUTPUT_DIR = "GRAMTOMO_OUT"
 # reported on stderr
 TRUNCATION_LEAK_WARNING = 1e-3
 
+
+class ConfigValidationError(InvalidInputError):
+    """A config that breaks the config schema; the message starts with the
+    dotted key path of the offending value."""
+
+
+# the JSON-Schema keywords and types that _schema_error implements; a schema
+# that uses any other is refused when it is loaded, so none is silently ignored
+_SCHEMA_KEYWORDS = {"$schema", "type", "properties", "additionalProperties", "enum", "oneOf",
+                    "items", "minItems", "maxItems", "minimum", "exclusiveMinimum"}
+# an "integer" is a JSON integer: 4.0 is not one, though JSON-Schema accepts it
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "null": type(None),
+               "number": (int, float), "integer": int}
+
+
+def _type_names(schema: dict) -> list[str]:
+    names = schema.get("type", [])
+    return [names] if isinstance(names, str) else names
+
+
+def _is_type(value, name: str) -> bool:
+    return not isinstance(value, bool) and isinstance(value, _JSON_TYPES[name])
+
+
+def _supported_schema(schema: dict) -> dict:
+    """The schema, once it and all its subschemas keep to what _schema_error
+    implements; raises ValueError otherwise."""
+    unknown = (set(schema) - _SCHEMA_KEYWORDS) | (set(_type_names(schema)) - set(_JSON_TYPES))
+    if unknown or schema.get("additionalProperties", False) is not False:
+        raise ValueError(f"config schema uses unsupported keywords or types {sorted(unknown)}, "
+                         "or an additionalProperties other than false")
+    for sub in [*schema.get("properties", {}).values(), *schema.get("oneOf", []),
+                *([schema["items"]] if "items" in schema else [])]:
+        _supported_schema(sub)
+    return schema
+
+
+def _schema_error(value, schema: dict, where: str = "") -> str | None:
+    """The first way that value breaks schema, led by its dotted key path, or None."""
+    at = where or "config"
+    names = _type_names(schema)
+    if names and not any(_is_type(value, name) for name in names):
+        return f"{at}: {value!r} is not of type {' or '.join(names)}"
+    if "enum" in schema and value not in schema["enum"]:
+        return f"{at}: {value!r} is not one of {schema['enum']}"
+    if "oneOf" in schema:
+        matches = sum(_schema_error(value, sub) is None for sub in schema["oneOf"])
+        if matches != 1:
+            return f"{at}: {value!r} matches {matches} of the allowed forms, not one"
+    if _is_type(value, "number"):
+        if "minimum" in schema and value < schema["minimum"]:
+            return f"{at}: {value!r} is less than the minimum of {schema['minimum']}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return f"{at}: {value!r} is not above {schema['exclusiveMinimum']}"
+    if isinstance(value, list):
+        if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
+            return f"{at}: {value!r} has {len(value)} items, outside the allowed count"
+        errors = (_schema_error(item, schema["items"], f"{at}[{index}]")
+                  for index, item in enumerate(value if "items" in schema else []))
+        return next(filter(None, errors), None)
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key, item in value.items():
+            path = f"{where}.{key}" if where else key
+            if key in properties:
+                error = _schema_error(item, properties[key], path)
+            else:
+                error = f"{path}: unknown key" if "additionalProperties" in schema else None
+            if error:
+                return error
+    return None
+
+
 # the only copy of the config schema; README and --config --help name this file
 CONFIG_SCHEMA_PATH = Path(__file__).with_name("config-schema.json")
-CONFIG_SCHEMA = json.loads(CONFIG_SCHEMA_PATH.read_text())
-CONFIG_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-CONFIG_VALIDATOR.check_schema(CONFIG_SCHEMA)
+CONFIG_SCHEMA = _supported_schema(json.loads(CONFIG_SCHEMA_PATH.read_text()))
 
 DEFAULTS = {
     "dim": 15,
@@ -115,32 +184,31 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
         # validation reports it instead of an override replacing it
         raw = _merge(raw, {key: section for key, section in (overrides or {}).items()
                            if isinstance(raw.get(key, {}), dict)})
-    error = best_match(CONFIG_VALIDATOR.iter_errors(raw))
+    error = _schema_error(raw, CONFIG_SCHEMA)
     if error is not None:
-        raise error
+        raise ConfigValidationError(error)
     return _merge(DEFAULTS, raw)
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict:
-    """The config sections that the flags set. --trials and --basis set the
-    section of the command that runs, and no other."""
-    dims = None
-    if args.dims is not None:
-        try:
-            dims = [int(v) for v in args.dims.split(",") if v.strip()]
-        except ValueError as exc:
-            raise InvalidInputError(
-                f"--dims {args.dims!r} is not a comma-separated list of integers") from exc
+    """The config sections that the flags set. A command is given only the flags
+    it reads (build_parser), and they set its own section."""
     sections = {"noise": {"seed": args.seed},
-                "output": {"directory": args.out, "format": args.format},
-                "sweep": {"dims": dims}}
-    if args.command == "sweep":
-        sections["sweep"].update(trials=args.trials,
-                                 bases=None if args.basis is None else [args.basis])
+                "output": {"directory": args.out, "format": args.format}}
+    if args.command == "reconstruct":
+        sections["reconstruction"] = {"basis": args.basis}
     elif args.command == "stability":
         sections["stability"] = {"trials": args.trials, "basis": args.basis}
-    else:
-        sections["reconstruction"] = {"basis": args.basis}
+    elif args.command == "sweep":
+        dims = None
+        if args.dims is not None:
+            try:
+                dims = [int(v) for v in args.dims.split(",") if v.strip()]
+            except ValueError as exc:
+                raise InvalidInputError(
+                    f"--dims {args.dims!r} is not a comma-separated list of integers") from exc
+        sections["sweep"] = {"dims": dims, "trials": args.trials,
+                             "bases": None if args.basis is None else [args.basis]}
     return {key: section for key, section in _strip_nones(sections).items() if section}
 
 
@@ -431,9 +499,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      "or ./gramtomo-out)")
         p.add_argument("--format", choices=["csv", "json"],
                        help="format of the tables and Wigner grids")
-        p.add_argument("--trials", type=int, help="trial count override")
-        p.add_argument("--dims", help="comma-separated sweep dimensions")
-        p.add_argument("--basis", choices=["gram", "fock"], help="basis override")
+        # each command takes only the flags it reads; any other is a usage error
+        if name in ("sweep", "stability"):
+            p.add_argument("--trials", type=int, help=f"overrides {name}.trials")
+        if name == "sweep":
+            p.add_argument("--dims", help="comma-separated sweep dimensions")
+        if name in ("reconstruct", "sweep", "stability"):
+            p.add_argument("--basis", choices=["gram", "fock"], help="basis override")
     return parser
 
 
@@ -460,8 +532,8 @@ def main(argv: list[str] | None = None) -> int:
                 write(exc.outputs)
             raise
         written = write(outputs)
-    except ValidationError as exc:
-        print(f"config validation error: {exc.message}", file=sys.stderr)
+    except ConfigValidationError as exc:
+        print(f"config validation error: {exc}", file=sys.stderr)
         return 1
     except InvalidInputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

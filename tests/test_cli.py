@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+import random
 import re
 import subprocess
 import sys
@@ -9,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from jsonschema import Draft202012Validator
+from jsonschema.validators import extend
 
 from gramtomo import NoiseModel, PovmSet, cat_state, generate_counts, pure_density
-from gramtomo.cli import (CONFIG_SCHEMA, CONFIG_SCHEMA_PATH, CONFIG_VALIDATOR, DEFAULTS,
-                          _strip_nones, build_povm_from_config, load_config, main)
+from gramtomo.cli import (CONFIG_SCHEMA, CONFIG_SCHEMA_PATH, DEFAULTS, _schema_error,
+                          _strip_nones, _supported_schema, build_povm_from_config,
+                          load_config, main)
 from gramtomo.serialize import encode_povm
 
 ROOT = Path(__file__).parent.parent
@@ -93,7 +97,11 @@ class TestConfigValidation:
         assert (ROOT / readme_path).resolve() == CONFIG_SCHEMA_PATH.resolve()
         assert json.loads((ROOT / readme_path).read_text()) == CONFIG_SCHEMA
 
-    @pytest.mark.parametrize("section,value", [("noise", {"seed": -1})])
+    # integer fields take JSON integers only: JSON-Schema's integer takes 4.0,
+    # which numpy and range() then refuse with a TypeError
+    @pytest.mark.parametrize("section,value", [
+        ("noise", {"seed": -1}), ("dim", 4.0), ("stability", {"trials": 2.0}),
+        ("povm", {"phase_count": 3.0}), ("wigner_grid", {"x_points": 7.0})])
     def test_out_of_range_value_rejected(self, section, value, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({section: value}))
@@ -101,7 +109,7 @@ class TestConfigValidation:
         code, _, err = run(["reconstruct", "--config", str(bad), "--out", str(out)],
                            capsys)
         assert code == 1
-        assert "config validation error" in err
+        assert "config validation error" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_negative_seed_flag_rejected(self, small_config, tmp_path):
@@ -184,8 +192,50 @@ class TestConfigValidation:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,flags", [
+        ("gram-spectrum", ["--basis", "gram"]),
+        ("gram-spectrum", ["--trials", "3"]),
+        ("gram-spectrum", ["--dims", "1,2"]),
+        ("frames-check", ["--basis", "fock"]),
+        ("frames-check", ["--trials", "3"]),
+        ("reconstruct", ["--trials", "3"]),
+        ("reconstruct", ["--dims", "1,2"]),
+        ("stability", ["--dims", "1,2"]),
+    ])
+    def test_flag_the_command_ignores_is_usage_error(self, command, flags, small_config,
+                                                     tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, err = run([command, "--config", str(small_config), "--out", str(out),
+                            *flags], capsys)
+        assert code == 1
+        assert "usage:" in err and f"unrecognized arguments: {flags[0]}" in err
+        assert not out.exists()
+
     def test_defaults_pass_schema(self):
-        assert list(CONFIG_VALIDATOR.iter_errors(_strip_nones(DEFAULTS))) == []
+        assert _schema_error(_strip_nones(DEFAULTS), CONFIG_SCHEMA) is None
+
+    @pytest.mark.parametrize("schema", [
+        {"type": "object", "properties": {"file": {"type": "string", "pattern": "json$"}}},
+        {"type": "object", "required": ["dim"]},
+        {"type": "object", "additionalProperties": {"type": "integer"}},
+        {"type": "object", "properties": {"on": {"type": "boolean"}}},
+        {"oneOf": [{"type": "number"}, {"type": "array", "uniqueItems": True}]},
+    ], ids=["pattern", "required", "additionalProperties-schema", "boolean", "in-oneOf"])
+    def test_unsupported_schema_keyword_refused(self, schema):
+        # the checker implements only the keywords the config schema uses; any
+        # other would be ignored, so a schema holding one is refused outright
+        with pytest.raises(ValueError, match="unsupported"):
+            _supported_schema(schema)
+
+    def test_cli_import_leaves_jsonschema_out(self):
+        # jsonschema and its dependencies cost about 75 ms of every command's start
+        proc = subprocess.run(
+            [sys.executable, "-c", "import gramtomo.cli, sys; print(sorted(m for m in "
+             "sys.modules if m.split('.')[0] in {'jsonschema', 'referencing', 'attrs', "
+             "'rpds'}))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_readme_defaults_match(self):
         block = re.search(r"defaults shown:\n\n```json\n(.*?)\n```", README, re.S).group(1)
@@ -193,6 +243,123 @@ class TestConfigValidation:
         expected["reconstruction"]["dimension"] = None
         expected["output"]["directory"] = None
         assert json.loads(block) == expected
+
+
+def _schema_paths(schema: dict, path: tuple = ()) -> list[tuple]:
+    """Every key path the schema names; an array's items are reached at index 0."""
+    paths = [path]
+    for key, sub in schema.get("properties", {}).items():
+        paths += _schema_paths(sub, path + (key,))
+    if "items" in schema:
+        paths += _schema_paths(schema["items"], path + (0,))
+    return paths
+
+
+def _mutate(config: dict, rng: random.Random, paths: list[tuple]):
+    """config with one to three random edits: a value replaced by a random one
+    of any type, range, enum member, length or integral float, a key removed or
+    an unknown key added."""
+    numbers = [0, 1, 2, 3, 7, 30, -1, -2, 0.0, 1.0, 2.0, 3.0, 4.0, 7.0, -1.0, 0.5, 2.5]
+    others = [True, False, None, "", "cat", "coherent", "fock", "homodyne", "projective",
+              "exact", "multinomial", "poisson", "full", "gram", "csv", "json", "odd",
+              "even", "bogus"]
+
+    def value(nested=False):
+        roll = rng.random()
+        if roll < 0.4:
+            return rng.choice(numbers)
+        if roll < 0.7 or nested:
+            return rng.choice(others)
+        if roll < 0.8:
+            # numbers, pairs, triples and empty arrays: alpha and the ranges
+            return [rng.choice(numbers) for _ in range(rng.randrange(4))]
+        if roll < 0.95:
+            return [value(True) for _ in range(rng.randrange(4))]
+        return {rng.choice(["kind", "seed", "widgets"]): value(True)}
+
+    config = copy.deepcopy(config)
+    for _ in range(rng.choice([1, 1, 2, 3])):
+        path = rng.choice(paths)
+        if not path:
+            if rng.random() < 0.05:
+                return value()
+            config[rng.choice(["widgets", "tol_born"])] = value()
+            continue
+        *steps, key = path
+        parent = config
+        for step in steps:
+            # an earlier edit may have replaced a section, so the path can end early
+            if isinstance(parent, dict) and isinstance(step, str):
+                parent = parent.setdefault(step, {})
+            else:
+                parent = parent[0] if isinstance(parent, list) and parent and step == 0 else None
+        if isinstance(parent, dict) and isinstance(key, str):
+            roll = rng.random()
+            if roll < 0.1:
+                parent.pop(key, None)
+            elif roll < 0.2:
+                parent["widgets"] = value()
+            else:
+                parent[key] = value()
+        elif isinstance(parent, list) and parent and key == 0:
+            parent[rng.randrange(len(parent))] = value()
+    return config
+
+
+def _holds_integral_float(value) -> bool:
+    if isinstance(value, float):
+        return value.is_integer()
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, list) and any(map(_holds_integral_float, value))
+
+
+class TestSchemaOracle:
+    """The config checker against jsonschema's Draft 2020-12 validator."""
+
+    def test_schema_is_valid_2020_12(self):
+        Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize("schema,value", [
+        ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1),
+        ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1.5),
+        ({"oneOf": [{"type": "string"}, {"type": "null"}]}, 1),
+        ({"type": "object", "properties": {"a": {"type": "integer"}}}, {"b": 1.5}),
+        ({"type": ["integer", "null"], "minimum": 1}, None),
+        ({"type": "array", "items": {"enum": ["a"]}, "maxItems": 1}, ["a", "a"]),
+    ], ids=["oneOf-two-match", "oneOf-one-matches", "oneOf-none-match",
+            "extra-keys-allowed", "null-skips-minimum", "maxItems"])
+    def test_keywords_agree_on_small_schemas(self, schema, value):
+        # cases the config schema cannot show: overlapping oneOf branches and an
+        # object without additionalProperties
+        accepted = _schema_error(value, _supported_schema(schema)) is None
+        assert accepted == Draft202012Validator(schema).is_valid(value)
+
+    def test_agrees_with_jsonschema(self):
+        # the checker's one deliberate difference: an integer is a JSON integer,
+        # so 4.0 is not one; where a config holds an integral float, the checker
+        # agrees with a Draft202012Validator that has this integer rule instead
+        plain = Draft202012Validator(CONFIG_SCHEMA)
+        integer = Draft202012Validator.TYPE_CHECKER.redefine(
+            "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool))
+        strict = extend(Draft202012Validator, type_checker=integer)(CONFIG_SCHEMA)
+        rng = random.Random(20261019)
+        paths = _schema_paths(CONFIG_SCHEMA)
+        accepted = refused_integral_floats = 0
+        for base in (_strip_nones(DEFAULTS), SMALL):
+            for _ in range(2500):
+                config = _mutate(base, rng, paths)
+                error = _schema_error(config, CONFIG_SCHEMA)
+                accepted += error is None
+                if not _holds_integral_float(config):
+                    assert (error is None) == plain.is_valid(config), (config, error)
+                    continue
+                assert (error is None) == strict.is_valid(config), (config, error)
+                if error is not None and plain.is_valid(config):
+                    assert re.search(r": -?\d+\.0 is not of type integer", error), error
+                    refused_integral_floats += 1
+        assert 250 < accepted < 4750
+        assert refused_integral_floats > 50
 
 
 class TestGramSpectrumCommand:
