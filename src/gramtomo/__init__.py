@@ -20,8 +20,8 @@ from .maxlik import (TOL_GAP, Dataset, ReconstructionResult, SolverConfig,
 from .povm import (GramAnalysis, HomodyneConfig, PovmSet, build_homodyne_povm,
                    effective_rank, gram_matrix_operator_space, gram_matrix_state_space,
                    gram_operator, gram_spectrum, subspace_basis)
-from .simulate import (NoiseModel, StabilityResult, SweepResult, dimension_sweep,
-                       generate_counts, stability_study, trial_generator)
+from .simulate import (NoiseModel, SweepResult, dimension_sweep, generate_counts,
+                       stability_study, trial_generator)
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,7 @@ __all__ = [
     "GramAnalysis", "HomodyneConfig", "PovmSet", "build_homodyne_povm",
     "effective_rank", "gram_matrix_operator_space", "gram_matrix_state_space",
     "gram_operator", "gram_spectrum", "subspace_basis",
-    "NoiseModel", "StabilityResult", "SweepResult", "dimension_sweep",
-    "generate_counts", "stability_study", "trial_generator",
+    "NoiseModel", "SweepResult", "dimension_sweep", "generate_counts",
+    "stability_study", "trial_generator",
     "__version__",
 ]

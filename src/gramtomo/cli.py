@@ -280,8 +280,8 @@ def load_counts_file(path: str, povm: PovmSet, config: dict) -> Dataset:
     """CSV bridge to measured data: columns phase_index,bin_index,count."""
     if config["povm"]["kind"] != "homodyne" or config["povm"]["file"]:
         raise InvalidInputError("counts files require an inline homodyne POVM config")
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines()
-             if ln.strip() and not ln.startswith("#")]
+    stripped = (ln.strip() for ln in Path(path).read_text().splitlines())
+    lines = [ln for ln in stripped if ln and not ln.startswith("#")]
     if lines and lines[0].replace(" ", "") == "phase_index,bin_index,count":
         lines = lines[1:]
     bins = config["povm"]["bins"]
@@ -396,23 +396,24 @@ def cmd_stability(config: dict) -> dict:
     grid = build_grid_from_config(config)
     sc = config["stability"]
     result = stability_study(target, povm, sc["basis"], sc["dimension"], noise,
-                             sc["trials"], grid=grid, solver_config=solver)
+                             sc["trials"], solver_config=solver)
+    fidelities, converged = result.fidelities[0], result.converged[0]
     outputs = {
         "stability": Table(["trial", "fidelity", "converged"],
-                           [(t, float(result.fidelities[t]), bool(result.converged[t]))
+                           [(t, float(fidelities[t]), bool(converged[t]))
                             for t in range(result.trials)]),
         "stability_summary": {
             "basis": result.basis,
-            "dimension": result.dim,
+            "dimension": result.dims[0],
             "trials": result.trials,
-            "fidelity_spread": result.spread,
-            "fidelities": [float(v) for v in result.fidelities],
-            "converged_fraction": float(result.converged.mean()),
+            "fidelity_spread": float(result.std[0]),
+            "fidelities": [float(v) for v in fidelities],
+            "converged_fraction": float(converged.mean()),
             "trial_seeds": [list(s) for s in result.trial_seeds],
         },
     }
-    for t, W in enumerate(result.wigner_grids):
-        outputs[f"wigner_trial_{t}"] = WignerGrid(grid.xs, grid.ps, W)
+    for t, trial in enumerate(result.results[0]):
+        outputs[f"wigner_trial_{t}"] = WignerGrid(grid.xs, grid.ps, wigner(trial.rho, grid))
     return outputs
 
 

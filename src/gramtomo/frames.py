@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyMeasurementError, InvalidInputError, NumericalConsistencyError
+from .errors import EmptyMeasurementError, InvalidInputError
 from .povm import (SUPPORT_THRESHOLD, GramAnalysis, PovmSet, born_probabilities,
                    gram_matrix_operator_space, gram_matrix_state_space, weighted_effect_sum)
 
@@ -163,10 +163,10 @@ def hadamard_identity_check(povm: PovmSet) -> float:
 def modal_weighting(rho: np.ndarray, analysis: GramAnalysis) -> tuple[np.ndarray, np.ndarray]:
     """Modal coefficients rho~ = U^H rho U and their Gram-weighted form.
 
-    Returns (rho~, weighted) with weighted_kl = lambda_k lambda_l rho~_kl;
-    the weighted matrix is checked against U^H (G rho G) U within 1e-9,
-    the congruence identity that shows how weakly measured modes are
-    suppressed quadratically.
+    Returns (rho~, weighted) with weighted_kl = lambda_k lambda_l rho~_kl,
+    which equals U^H (G rho G) U: weakly measured modes are suppressed
+    quadratically. frames-check tests that congruence against a G summed
+    from the effects.
     """
     rho = np.asarray(rho, dtype=complex)
     U = analysis.eigenvectors
@@ -174,11 +174,4 @@ def modal_weighting(rho: np.ndarray, analysis: GramAnalysis) -> tuple[np.ndarray
     if rho.shape != (U.shape[0], U.shape[0]):
         raise InvalidInputError("operator dimension does not match the analysis")
     rho_modes = U.conj().T @ rho @ U
-    weighted = np.outer(lam, lam) * rho_modes
-    G = (U * lam) @ U.conj().T
-    check = U.conj().T @ (G @ rho @ G) @ U
-    dev = float(np.abs(weighted - check).max())
-    if dev > 1e-9:
-        raise NumericalConsistencyError(
-            f"modal weighting congruence deviates by {dev:.3e} (> 1e-9)")
-    return rho_modes, weighted
+    return rho_modes, np.outer(lam, lam) * rho_modes

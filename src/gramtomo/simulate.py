@@ -14,8 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyDataError, InvalidInputError
-from .fock import PhaseSpaceGrid, fidelity, pure_density, wigner
-from .maxlik import Dataset, SolverConfig, expected_probabilities, maxlik_solve
+from .fock import fidelity, pure_density
+from .maxlik import (Dataset, ReconstructionResult, SolverConfig, expected_probabilities,
+                     maxlik_solve)
 from .povm import PovmSet, subspace_basis
 
 NOISE_KINDS = ("exact", "multinomial", "poisson")
@@ -48,14 +49,22 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Fidelity-versus-dimension sweep for one basis kind."""
+    """Fidelity-versus-dimension sweep for one basis kind.
+
+    results[k][t] is the reconstruction at dims[k] from trial t's dataset,
+    and fidelities[k, t] its fidelity to the target.
+    """
 
     basis: str
     dims: tuple[int, ...]
     trials: int
     fidelities: np.ndarray
-    converged: np.ndarray
+    results: tuple[tuple[ReconstructionResult, ...], ...]
     trial_seeds: tuple[tuple[int, int], ...]
+
+    @property
+    def converged(self) -> np.ndarray:
+        return np.array([[r.converged for r in row] for row in self.results], dtype=bool)
 
     @property
     def mean(self) -> np.ndarray:
@@ -72,21 +81,6 @@ class SweepResult:
     @property
     def std(self) -> np.ndarray:
         return self.fidelities.std(axis=1)
-
-
-@dataclass(frozen=True)
-class StabilityResult:
-    """Repeated reconstructions at one dimension, with their Wigner grids."""
-
-    basis: str
-    dim: int
-    trials: int
-    fidelities: np.ndarray
-    converged: np.ndarray
-    spread: float
-    wigner_grids: tuple[np.ndarray, ...]
-    grid: PhaseSpaceGrid
-    trial_seeds: tuple[tuple[int, int], ...]
 
 
 def trial_generator(seed: int, trial: int) -> np.random.Generator:
@@ -126,9 +120,9 @@ def dimension_sweep(target: np.ndarray, povm: PovmSet, basis_kind: str,
     For each dimension d the reconstruction runs in the span of the top-d
     Gram eigenvectors (basis_kind='gram') or the first d Fock states
     ('fock'). Trials differ only in the noise stream; the same per-trial
-    dataset is reused across dimensions. Non-converged runs are recorded
-    with converged=False, never raised. Without solver_config the solves
-    run with SolverConfig().
+    dataset is reused across dimensions. Every solve is kept in results; a
+    non-converged one reads converged=False, never raised. Without
+    solver_config the solves run with SolverConfig().
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) == 0 or min(dims) < 1 or max(dims) > povm.dim:
@@ -137,50 +131,25 @@ def dimension_sweep(target: np.ndarray, povm: PovmSet, basis_kind: str,
         raise InvalidInputError("trials must be >= 1")
     rho_true = pure_density(target)
     datasets = [generate_counts(rho_true, povm, noise, trial=t) for t in range(trials)]
-    fidelities = np.zeros((len(dims), trials))
-    converged = np.zeros((len(dims), trials), dtype=bool)
-    for k, d in enumerate(dims):
+    results = []
+    for d in dims:
         config = replace(solver_config or SolverConfig(),
                          subspace=subspace_basis(basis_kind, d, povm))
-        for t in range(trials):
-            result = maxlik_solve(datasets[t], povm, config)
-            fidelities[k, t] = fidelity(target, result.rho)
-            converged[k, t] = result.converged
+        results.append(tuple(maxlik_solve(dataset, povm, config) for dataset in datasets))
+    fidelities = np.array([[fidelity(target, r.rho) for r in row] for row in results])
     seeds = tuple((noise.seed, t) for t in range(trials))
-    return SweepResult(basis=basis_kind, dims=dims, trials=trials,
-                       fidelities=fidelities, converged=converged, trial_seeds=seeds)
+    return SweepResult(basis=basis_kind, dims=dims, trials=trials, fidelities=fidelities,
+                       results=tuple(results), trial_seeds=seeds)
 
 
 def stability_study(target: np.ndarray, povm: PovmSet, basis_kind: str, d: int,
                     noise: NoiseModel, trials: int,
-                    grid: PhaseSpaceGrid | None = None,
-                    solver_config: SolverConfig | None = None) -> StabilityResult:
-    """Repeated reconstructions at fixed dimension, with Wigner grids.
+                    solver_config: SolverConfig | None = None) -> SweepResult:
+    """Repeated reconstructions at fixed dimension: the one-row sweep over [d].
 
     The instability metric is the standard deviation of fidelity across
-    trials; the per-trial Wigner grids support visual comparison of the
-    reconstructions. Without solver_config the solves run with
-    SolverConfig().
+    trials, std[0]; results[0] holds the reconstructions.
     """
     if trials < 2:
         raise InvalidInputError("stability study needs at least 2 trials")
-    if grid is None:
-        grid = PhaseSpaceGrid(x_range=(-5.0, 5.0), p_range=(-5.0, 5.0),
-                              x_points=81, p_points=81)
-    rho_true = pure_density(target)
-    config = replace(solver_config or SolverConfig(),
-                     subspace=subspace_basis(basis_kind, d, povm))
-    fidelities = np.zeros(trials)
-    converged = np.zeros(trials, dtype=bool)
-    grids = []
-    for t in range(trials):
-        dataset = generate_counts(rho_true, povm, noise, trial=t)
-        result = maxlik_solve(dataset, povm, config)
-        fidelities[t] = fidelity(target, result.rho)
-        converged[t] = result.converged
-        grids.append(wigner(result.rho, grid))
-    seeds = tuple((noise.seed, t) for t in range(trials))
-    return StabilityResult(basis=basis_kind, dim=d, trials=trials,
-                           fidelities=fidelities, converged=converged,
-                           spread=float(fidelities.std()), wigner_grids=tuple(grids),
-                           grid=grid, trial_seeds=seeds)
+    return dimension_sweep(target, povm, basis_kind, [d], noise, trials, solver_config)

@@ -272,9 +272,9 @@ def test_criterion_07_overfitting_instability(reference_povm, reference_analysis
     angle = float(np.arcsin(min(1.0, np.linalg.norm(V2[2:], 2))))
     start = time.perf_counter()
     spread11 = stability_study(cat_target, reference_povm, "gram", 11, REFERENCE_NOISE,
-                               trials=8).spread
+                               trials=8).std[0]
     spread3 = stability_study(cat_target, reference_povm, "gram", 3, REFERENCE_NOISE,
-                              trials=8).spread
+                              trials=8).std[0]
     mean_fock2 = stability_study(cat_target, reference_povm, "fock", 2, REFERENCE_NOISE,
                                  trials=8).fidelities.mean()
     mean_gram2 = stability_study(cat_target, reference_povm, "gram", 2, REFERENCE_NOISE,

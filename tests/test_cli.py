@@ -13,7 +13,8 @@ import pytest
 from jsonschema import Draft202012Validator
 from jsonschema.validators import extend
 
-from gramtomo import NoiseModel, PovmSet, cat_state, generate_counts, pure_density
+from gramtomo import (HomodyneConfig, NoiseModel, PovmSet, build_homodyne_povm, cat_state,
+                      generate_counts, pure_density)
 from gramtomo.cli import (CONFIG_SCHEMA, CONFIG_SCHEMA_PATH, DEFAULTS, _schema_error,
                           _strip_nones, _supported_schema, build_povm_from_config,
                           load_config, main)
@@ -576,6 +577,26 @@ class TestCountsFile:
         assert rec_a["density_matrix"] == rec_b["density_matrix"]
         assert rec_a["fidelity_to_target"] == rec_b["fidelity_to_target"]
 
+    def test_indented_comment_is_not_a_row(self, tmp_path, capsys):
+        conf = {"dim": 4, "target": SMALL["target"], "povm": {"phase_count": 2, "bins": 5},
+                "wigner_grid": SMALL["wigner_grid"]}
+        written = {}
+        for name, comment in (("plain", []), ("indented", ["  # note"])):
+            counts_path = tmp_path / f"{name}.csv"
+            counts_path.write_text("\n".join(
+                ["phase_index,bin_index,count"] + comment
+                + [f"{i // 5},{i % 5},{100 + 7 * i}" for i in range(10)]) + "\n")
+            conf_path = tmp_path / f"{name}.json"
+            conf_path.write_text(json.dumps({**conf, "counts_file": str(counts_path)}))
+            out = tmp_path / f"out-{name}"
+            code, _, err = run(["reconstruct", "--config", str(conf_path), "--out", str(out)],
+                               capsys)
+            assert code == 0, err
+            written[name] = json.loads((out / "reconstruction.json").read_text())
+            # the echo names the counts file and the output directory
+            del written[name]["config"]
+        assert written["indented"] == written["plain"]
+
     def test_row_count_mismatch_names_both_lengths(self, small_config, tmp_path,
                                                    capsys):
         counts_path = tmp_path / "counts.csv"
@@ -804,6 +825,34 @@ class TestStabilityCommand:
         assert (out / "wigner_trial_0.csv").exists()
         assert (out / "wigner_trial_1.csv").exists()
 
+    def test_wigner_grids_shaped(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({**SMALL, "stability": {"basis": "fock", "dimension": 4,
+                                                           "trials": 3},
+                                    "wigner_grid": {"x_range": [-3.0, 3.0],
+                                                    "p_range": [-3.0, 3.0],
+                                                    "x_points": 11, "p_points": 9}}))
+        out = tmp_path / "out"
+        assert run(["stability", "--config", str(conf), "--out", str(out)], capsys)[0] == 0
+        for t in range(3):
+            # config comment, the x and p axes, then one row of W per x
+            rows = (out / f"wigner_trial_{t}.csv").read_text().splitlines()[3:]
+            assert [len(row.split(",")) for row in rows] == [9] * 11
+
+    def test_fidelities_match_sweep_text(self, small_config, tmp_path, capsys):
+        # stability at (gram, d = 2, 2 trials) is the d = 2 row of the sweep
+        out = tmp_path / "out"
+        for command in ("stability", "sweep"):
+            assert run([command, "--config", str(small_config), "--out", str(out),
+                        "--basis", "gram"], capsys)[0] == 0
+        stability = [row.split(",") for row in
+                     (out / "stability.csv").read_text().splitlines()[2:]]
+        sweep = [row.split(",") for row in
+                 (out / "sweep_gram.csv").read_text().splitlines()[2:]]
+        dimension = str(SMALL["stability"]["dimension"])
+        assert len(stability) == SMALL["stability"]["trials"]
+        assert stability == [row[1:] for row in sweep if row[0] == dimension]
+
     def test_basis_flag_reaches_stability(self, small_config, tmp_path, capsys):
         out = tmp_path / "out"
         code, _, _ = run(["stability", "--config", str(small_config), "--out",
@@ -853,6 +902,24 @@ class TestFramesCheckCommand:
         assert "hadamard_identity" in err
         report = json.loads((out / "frames_report.json").read_text())
         assert report["all_pass"] is False
+
+    def test_scaled_povm_reports_failing_congruence(self, tmp_path, capsys):
+        # the dim-6 reference POVM with every effect vector scaled by 100: the
+        # absolute tolerances then fail, and the report must still be written
+        povm = build_homodyne_povm(HomodyneConfig.uniform(6, 51, (-5.0, 5.0)), 6)
+        povm_path = tmp_path / "povm.json"
+        povm_path.write_text(json.dumps(encode_povm(PovmSet(100.0 * povm.vectors))))
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"dim": 6, "povm": {"file": str(povm_path)}}))
+        out = tmp_path / "out"
+        code, _, err = run(["frames-check", "--config", str(conf), "--out", str(out)],
+                           capsys)
+        assert code == 2
+        assert "modal_weighting_congruence" in err
+        report = json.loads((out / "frames_report.json").read_text())
+        assert report["all_pass"] is False
+        row = {c["name"]: c for c in report["checks"]}["modal_weighting_congruence"]
+        assert row["pass"] is False and row["deviation"] >= row["tolerance"]
 
 
 class TestJsonFormat:

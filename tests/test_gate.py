@@ -52,3 +52,39 @@ class TestDescribeDifference:
         before = self.write(tmp_path, "before", reconstruction(0.25, 110, [-1.5], "a"))
         after = self.write(tmp_path, "after", reconstruction(0.25, 110, [-1.5], "b"))
         assert gate.describe_difference(before, after) is None
+
+
+class TestCompare:
+    """compare's exit status: 1 when any file differs or is missing, else 0."""
+
+    def tree(self, tmp_path: Path, side: str, files: dict) -> Path:
+        root = tmp_path / side
+        for name, payload in files.items():
+            path = root / "small" / "reconstruct" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(payload))
+        return root
+
+    def test_numeric_difference_exits_1(self, gate, tmp_path, capsys):
+        before = self.tree(tmp_path, "before",
+                           {"reconstruction.json": reconstruction(0.25, 110, [-1.5], "a")})
+        after = self.tree(tmp_path, "after",
+                          {"reconstruction.json": reconstruction(0.26, 110, [-1.5], "b")})
+        assert gate.compare(before, after) == 1
+        assert "1 of 1 files differ" in capsys.readouterr().out
+
+    def test_config_echo_alone_exits_0(self, gate, tmp_path, capsys):
+        before = self.tree(tmp_path, "before",
+                           {"reconstruction.json": reconstruction(0.25, 110, [-1.5], "a")})
+        after = self.tree(tmp_path, "after",
+                          {"reconstruction.json": reconstruction(0.25, 110, [-1.5], "b")})
+        assert gate.compare(before, after) == 0
+        assert "0 of 1 files differ, 0 on one side only" in capsys.readouterr().out
+
+    def test_missing_file_exits_1(self, gate, tmp_path, capsys):
+        document = reconstruction(0.25, 110, [-1.5], "a")
+        before = self.tree(tmp_path, "before", {"reconstruction.json": document,
+                                                "extra.json": {"value": 1.0}})
+        after = self.tree(tmp_path, "after", {"reconstruction.json": document})
+        assert gate.compare(before, after) == 1
+        assert "0 of 2 files differ, 1 on one side only" in capsys.readouterr().out

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from gramtomo import (EmptyDataError, HomodyneConfig, InvalidInputError, NoiseModel,
-                      SolverConfig, StabilityResult, SweepResult, build_homodyne_povm,
-                      cat_state, dimension_sweep, expected_probabilities, fock_state,
-                      generate_counts, pure_density, stability_study, trial_generator)
+                      ReconstructionResult, SolverConfig, SweepResult, build_homodyne_povm,
+                      cat_state, dimension_sweep, expected_probabilities, fidelity,
+                      fock_state, generate_counts, pure_density, stability_study,
+                      trial_generator)
 from gramtomo import maxlik
 
 
@@ -175,6 +176,22 @@ class TestDimensionSweep:
         assert not capped.converged.any()
         assert np.abs(certified.fidelities - capped.fidelities).max() < 1e-6
 
+    def test_results_agree_with_fidelities_and_converged(self, small_problem):
+        povm, psi, _ = small_problem
+        sw = dimension_sweep(psi, povm, "gram", dims=[2, 4],
+                             noise=NoiseModel(kind="poisson", exposure=2e4, seed=3),
+                             trials=2, solver_config=SolverConfig(max_iterations=40))
+        assert sw.converged.shape == sw.fidelities.shape == (2, 2)
+        # d = 2 certifies in about 24 iterations and d = 4 in about 100, so a
+        # 40-iteration cap leaves both flags in the table
+        assert sw.converged.any() and not sw.converged.all()
+        for k in range(2):
+            for t in range(2):
+                r = sw.results[k][t]
+                assert isinstance(r, ReconstructionResult)
+                assert fidelity(psi, r.rho) == sw.fidelities[k, t]
+                assert r.converged == sw.converged[k, t]
+
     def test_dims_validation(self, small_problem):
         povm, psi, _ = small_problem
         noise = NoiseModel(kind="exact")
@@ -193,22 +210,21 @@ class TestStabilityStudy:
                                  noise=NoiseModel(kind="exact", exposure=1e5),
                                  trials=3,
                                  solver_config=SolverConfig(max_iterations=2000))
-        assert isinstance(result, StabilityResult)
-        assert result.spread < 1e-12
+        assert isinstance(result, SweepResult)
+        assert result.dims == (6,)
+        assert result.std[0] < 1e-12
 
-    def test_poisson_spread_positive_and_grids_shaped(self, small_problem):
-        from gramtomo import PhaseSpaceGrid
+    def test_poisson_spread_positive_and_results_shaped(self, small_problem):
         povm, psi, _ = small_problem
-        grid = PhaseSpaceGrid(x_range=(-3.0, 3.0), p_range=(-3.0, 3.0),
-                              x_points=11, p_points=9)
         result = stability_study(psi, povm, "fock", d=4,
                                  noise=NoiseModel(kind="poisson", exposure=2e4, seed=2),
-                                 trials=3, grid=grid,
+                                 trials=3,
                                  solver_config=SolverConfig(max_iterations=500))
-        assert result.spread > 0
-        assert len(result.wigner_grids) == 3
-        assert all(w.shape == (11, 9) for w in result.wigner_grids)
-        assert result.spread == pytest.approx(result.fidelities.std(), abs=0)
+        assert result.std[0] > 0
+        assert result.std[0] == pytest.approx(result.fidelities[0].std(), abs=0)
+        assert result.fidelities.shape == (1, 3)
+        assert len(result.results) == 1 and len(result.results[0]) == 3
+        assert all(r.rho.shape == (6, 6) for r in result.results[0])
         assert result.trial_seeds == ((2, 0), (2, 1), (2, 2))
 
     def test_default_solver_stops_on_gap(self, small_problem):

@@ -8,7 +8,8 @@ printed lines.
 
 `python tools/gate.py --compare BEFORE AFTER` reads two such output trees and
 prints, for each file that differs, the largest absolute deviation over its
-numbers, ignoring the config echo. For reconstruction.json it also prints the
+numbers, ignoring the config echo; it exits 1 when any file differs or exists
+on one side only, 0 when all agree. For reconstruction.json it also prints the
 largest deviation of the density matrix alone, since a change of iterations or
 of the length of the log_likelihood trace dominates the overall one, and the
 iterations, newton_steps and stop_reason on both sides. Non-numeric cells that
@@ -106,8 +107,8 @@ def describe_difference(before: Path, after: Path) -> str | None:
 
 
 def compare(before: Path, after: Path) -> int:
-    """Print each differing output file with its largest deviation; 1 if a file
-    exists on one side only."""
+    """Print each differing output file with its largest deviation; 1 if any
+    file differs apart from its config echo or exists on one side only."""
     paths = sorted({p.relative_to(root) for root in (before, after)
                     for p in root.glob("*/*/*") if p.is_file()})
     differing = missing = 0
@@ -120,7 +121,7 @@ def compare(before: Path, after: Path) -> int:
             differing += 1
             print(f"{rel}  {text}")
     print(f"{differing} of {len(paths)} files differ, {missing} on one side only")
-    return 1 if missing else 0
+    return 1 if differing or missing else 0
 
 
 def main() -> int:
