@@ -72,9 +72,16 @@ class PovmSet:
     Row i is the effect ket |y_i>, so the array is the frame's synthesis
     matrix and the outcome order is its row order. dim and n_outcomes are
     read off the shape.
+
+    homodyne is the HomodyneConfig the vectors were built from, recorded by
+    build_homodyne_povm and None for every other POVM. It is data, not an
+    option: for uniform phases j*pi/P on a window symmetric about 0 the
+    operator frame splits into P + 1 coherence-order blocks (see frames),
+    and a POVM without it is decomposed as one block.
     """
 
     vectors: np.ndarray
+    homodyne: HomodyneConfig | None = None
 
     def __post_init__(self):
         vectors = np.array(self.vectors, dtype=complex, order="C")
@@ -84,6 +91,10 @@ class PovmSet:
             raise InvalidInputError("POVM must contain at least one effect")
         if not np.all(np.isfinite(vectors)):
             raise InvalidInputError("effect vectors must be finite")
+        h = self.homodyne
+        if h is not None and len(h.phases) * h.bins != vectors.shape[0]:
+            raise InvalidInputError(f"{len(h.phases)} phases x {h.bins} bins do not describe "
+                                    f"{vectors.shape[0]} effects")
         vectors.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
 
@@ -151,7 +162,7 @@ def build_homodyne_povm(config: HomodyneConfig, dim: int) -> PovmSet:
     # conjugate of <x_theta|n> = e^{-i n theta} psi_n(x); axes (phase, bin, n)
     phase = np.exp(1j * n * theta)
     vectors = root_dx * phase * psi.T
-    return PovmSet(vectors.reshape(-1, dim))
+    return PovmSet(vectors.reshape(-1, dim), homodyne=config)
 
 
 def born_probabilities(rho: np.ndarray, povm: PovmSet) -> np.ndarray:

@@ -878,7 +878,8 @@ class TestFramesCheckCommand:
     @pytest.mark.parametrize("half_width", [5.0, 9.0])
     def test_dim_30_round_trip(self, half_width, tmp_path, capsys):
         # on these windows, forming S = T^T T squares T's condition number
-        # enough to miss the 1e-8 round-trip tolerance
+        # enough to miss the 1e-8 round-trip tolerance, and so does an
+        # operator frame split by coherence order without the bin fold
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"dim": 30,
                                     "povm": {"range": [-half_width, half_width]}}))
@@ -890,6 +891,23 @@ class TestFramesCheckCommand:
         assert report["all_pass"] is True
         deviation = {c["name"]: c["deviation"] for c in report["checks"]}
         assert deviation["linear_inversion_round_trip"] < 1e-8
+
+    @pytest.mark.parametrize("config", [
+        {"povm": {"phase_count": 1, "bins": 7}},
+        {"povm": {"phase_count": 3, "bins": 1}},
+        {"povm": {"phase_count": 3, "bins": 2}},
+        {"dim": 1},
+    ], ids=["one-phase", "one-bin", "two-bins", "dim-1"])
+    def test_edge_measurements_pass(self, config, tmp_path, capsys):
+        # one bin leaves the odd bin fold empty, so half the coherence-order
+        # blocks have no rows; dim 1 has only the diagonal block
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code, _, _ = run(["frames-check", "--config", str(conf), "--out", str(out)], capsys)
+        assert code == 0
+        report = json.loads((out / "frames_report.json").read_text())
+        assert report["all_pass"] is True and len(report["checks"]) == 5
 
     def test_failure_exits_2_and_writes_report(self, small_config, tmp_path, capsys,
                                                monkeypatch):

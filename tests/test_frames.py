@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,10 @@ from gramtomo import (EmptyMeasurementError, HomodyneConfig, InvalidInputError,
                       build_homodyne_povm, dual_frame, expected_probabilities,
                       from_coords, gram_operator, gram_spectrum, hadamard_identity_check,
                       linear_inversion, modal_weighting, operator_frame,
-                      operator_frame_apply, to_coords)
+                      operator_frame_apply, restrict_to_subspace, to_coords)
+from gramtomo.frames import _frame_blocks
+from gramtomo.povm import SUPPORT_THRESHOLD, born_probabilities
+from gramtomo.serialize import decode_povm, encode_povm
 
 
 def random_hermitian(rng, dim):
@@ -20,6 +25,32 @@ def full_rank_homodyne(dim=4):
     # dim phases resolve every coherence band |m - n| <= dim - 1
     conf = HomodyneConfig.uniform(phase_count=dim, bins=31, x_range=(-4.5, 4.5))
     return build_homodyne_povm(conf, dim)
+
+
+def uniform_povm(dim, phases, bins, half_width):
+    return build_homodyne_povm(HomodyneConfig.uniform(phases, bins, (-half_width, half_width)),
+                               dim)
+
+
+def plain_svd_frame(povm):
+    """The operator frame as one thin SVD of T built from the full outer products."""
+    Y = povm.vectors
+    T = to_coords(Y[:, :, None] * Y[:, None, :].conj())
+    U, s, Vt = np.linalg.svd(T, full_matrices=False)
+    rank = int(np.sum(s**2 > SUPPORT_THRESHOLD * s[0]**2))
+    return T, s**2, Vt.T, rank, (U[:, :rank] / s[:rank]) @ Vt[:rank]
+
+
+def round_trip(povm, frame, seed=0):
+    """Largest |linear_inversion(p) - C| for a random Hermitian C on the frame's
+    support and its exact Born values p, as frames-check measures it."""
+    rng = np.random.default_rng(seed)
+    V = frame.eigenvectors[:, : frame.rank]
+    C = from_coords(V @ (V.T @ to_coords(random_hermitian(rng, povm.dim))), povm.dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PartialInversionWarning)
+        estimate = linear_inversion(born_probabilities(C, povm), povm, frame)
+    return float(np.abs(estimate - C).max())
 
 
 class TestHermitianBasis:
@@ -190,6 +221,86 @@ class TestOperatorFrame:
             back = operator_frame_apply(pi_tilde, povm)
             y = povm.vectors[i]
             assert np.abs(back - np.outer(y, y.conj())).max() < 1e-9
+
+
+# (dim, phases, bins, half width) of uniform homodyne measurements: the
+# reference, 6 x 9 and 2 x 51 on (-2, 2), which the bins and window cap below
+# P (2d - P), and dim 30 with 12 x 101
+BLOCK_MEASUREMENTS = [(15, 6, 51, 5.0), (15, 6, 9, 5.0), (15, 2, 51, 2.0), (30, 12, 101, 8.0)]
+
+
+class TestBlockFrame:
+    """A uniform-phase homodyne POVM on a symmetric window decomposes by
+    coherence-order class; the full SVD of T is the oracle."""
+
+    @pytest.mark.parametrize("dim, phases, bins, half_width", BLOCK_MEASUREMENTS)
+    def test_spectrum_matches_full_svd(self, dim, phases, bins, half_width):
+        povm = uniform_povm(dim, phases, bins, half_width)
+        assert len(_frame_blocks(povm)) == phases + 1
+        frame = operator_frame(povm)
+        full = np.linalg.svd(frame.coefficients, compute_uv=False)**2
+        k = frame.eigenvalues.size
+        assert k <= full.size
+        assert np.abs(frame.eigenvalues - full[:k]).max() <= 1e-12 * full[0]
+        assert np.all(full[k:] <= 1e-12 * full[0])
+        assert frame.rank == int(np.sum(full > SUPPORT_THRESHOLD * full[0]))
+
+    @pytest.mark.parametrize("phases", [2, 3, 4, 6, 8, 12, 16])
+    def test_rank_is_p_times_2d_minus_p(self, phases):
+        # Leonhardt and Munroe, PRA 54, 3682 (1996): P phases determine
+        # P (2d - P) real parameters of a dim-d state, given enough bins and window
+        frame = operator_frame(uniform_povm(30, phases, 101, 8.0))
+        assert frame.rank == phases * (2 * 30 - phases)
+
+    @pytest.mark.parametrize("dim, phases, bins, half_width",
+                             [(15, 6, 51, 5.0), (4, 3, 13, 4.0), (15, 2, 50, 2.0),
+                              (7, 1, 7, 3.0), (15, 5, 21, 5.0), (15, 3, 1, 5.0),
+                              (1, 6, 51, 5.0)])
+    def test_blocks_partition_and_decouple(self, dim, phases, bins, half_width):
+        povm = uniform_povm(dim, phases, bins, half_width)
+        blocks = _frame_blocks(povm)
+        assert len(blocks) == phases + 1
+        cols = np.concatenate([c for c, _ in blocks])
+        assert np.array_equal(np.sort(cols), np.arange(dim * dim))
+        for _, W in blocks:
+            assert np.abs(W.T @ W - np.eye(W.shape[1])).max(initial=0.0) < 1e-14
+        T = operator_frame(povm).coefficients
+        scale = np.linalg.norm(T, 2)**2
+        for b, (cols_b, _) in enumerate(blocks):
+            for cols_c, _ in blocks[b + 1:]:
+                if cols_b.size and cols_c.size:
+                    assert np.abs(T[:, cols_b].T @ T[:, cols_c]).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("dim, phases, bins, half_width",
+                             [(15, 2, 51, 2.0), (30, 6, 51, 5.0)])
+    def test_ill_conditioned_round_trip(self, dim, phases, bins, half_width):
+        # one SVD of T reads 1.0e-10 and 2.7e-11 here; blocks split by column
+        # alone, or compressed by phase without the bin fold, miss 1e-9
+        povm = uniform_povm(dim, phases, bins, half_width)
+        assert round_trip(povm, operator_frame(povm)) <= 1e-9
+
+    @pytest.mark.parametrize("povm", [
+        build_homodyne_povm(HomodyneConfig(phases=(0.0, 0.4, 0.9, 1.5, 2.2, 2.8), bins=21,
+                                           x_range=(-5.0, 5.0)), 8),
+        build_homodyne_povm(HomodyneConfig.uniform(6, 21, (-5.0, 5.5)), 8),
+        PovmSet(np.eye(6, dtype=complex)),
+        decode_povm(encode_povm(uniform_povm(8, 6, 21, 5.0))),
+        restrict_to_subspace(uniform_povm(8, 6, 21, 5.0), np.eye(8, dtype=complex)[:, :6]),
+    ], ids=["explicit-phases", "asymmetric-range", "projective", "povm-file", "restricted"])
+    def test_single_block_equals_plain_svd(self, povm):
+        assert len(_frame_blocks(povm)) == 1
+        frame = operator_frame(povm)
+        T, eigenvalues, eigenvectors, rank, dual = plain_svd_frame(povm)
+        assert np.array_equal(frame.coefficients, T)
+        assert np.array_equal(frame.eigenvalues, eigenvalues)
+        assert np.array_equal(frame.eigenvectors, eigenvectors)
+        assert frame.rank == rank
+        assert np.array_equal(frame.dual_effects, dual)
+
+    def test_restricted_povm_drops_the_recorded_config(self, reference_povm):
+        assert reference_povm.homodyne is not None
+        basis = gram_spectrum(reference_povm).eigenvectors[:, :5]
+        assert restrict_to_subspace(reference_povm, basis).homodyne is None
 
 
 class TestLinearInversion:

@@ -113,6 +113,17 @@ class TestPovmSet:
         source[0, 0] = 2.0
         assert povm.vectors[0, 0] == 1.0
 
+    def test_homodyne_config_recorded_only_by_the_builder(self, reference_config,
+                                                          reference_povm):
+        assert reference_povm.homodyne is reference_config
+        assert PovmSet(reference_povm.vectors).homodyne is None
+
+    def test_rejects_homodyne_config_of_another_outcome_count(self, reference_config,
+                                                             reference_povm):
+        PovmSet(reference_povm.vectors, homodyne=reference_config)
+        with pytest.raises(InvalidInputError, match="6 phases x 51 bins"):
+            PovmSet(reference_povm.vectors[:-1], homodyne=reference_config)
+
 
 class TestGramOperator:
     def test_orthonormal_completeness(self):
