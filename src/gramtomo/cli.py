@@ -442,8 +442,7 @@ def cmd_frames_check(config: dict) -> dict:
     checks.append(("s_self_adjoint", float(abs(lhs - rhs)), 1e-10))
 
     frame = operator_frame(povm)
-    V = frame.eigenvectors[:, : frame.rank]
-    C_proj = from_coords(V @ (V.T @ to_coords(random_hermitian())), dim)
+    C_proj = from_coords(frame.project(to_coords(random_hermitian())), dim)
     p = born_probabilities(C_proj, povm)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

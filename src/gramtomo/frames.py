@@ -9,29 +9,24 @@ inversion estimate rho = sum_i p_i Pi~_i, which is Hermitian but NOT
 positivity-constrained. Operators get real coordinates in an orthonormal
 Hermitian basis (identity plus generalized Gell-Mann); with T the N x d^2
 matrix of effect coordinates, S = T^T T is never formed: its data come from
-thin SVDs of T, whose condition number S would square (6.2e4 -> 3.8e9).
+thin SVDs, whose condition number S would square (6.2e4 -> 3.8e9).
 
-A homodyne POVM with uniform phases theta_j = j pi / P on a window symmetric
-about 0 makes T block diagonal. The coordinates of rho_mn, m < n, enter
-outcome (j, x) as cos(k theta_j) and sin(k theta_j) times psi_m(x) psi_n(x),
-for the coherence order k = n - m, and k theta_j = +-c theta_j mod 2 pi with
-c = min(k mod 2P, -k mod 2P). So the columns fall into P + 1 classes
-c = 0..P (the diagonal is c = 0, and the Re and Im coordinates of a pair,
-which mix the orders +-k, share a class), and the rows of class c lie in
-W_c = (cos, sin of c theta_j) kron (bin vectors of parity (-1)^c), since
-psi_m psi_n has the parity of k = c mod 2. The phase sums make the W_c of
-one parity orthogonal and the parities are orthogonal, so S = T^T T couples
-rho_nm and rho_n'm' only when n - m = +-(n' - m') mod 2P, and each block is
-the thin SVD of the small matrix W_c^T T_c. The projection onto W_c, the
-bin fold included, is what keeps the blocks orthogonal to rounding: the
-bin centres are mirror images only to an ulp, so each column of T carries a
-rounding-level part of the wrong parity and frequency, and a split of the
-columns alone would keep it and amplify it by the square of the frame's
-condition number in the dual effects (a dim-30 round trip on (-5, 5) read
-3.5e-7 with the columns split, 4.1e-8 without the fold and 1.7e-11 with
-it, against 2.7e-11 for one SVD of T). With enough bins and window the rank
-is P (2d - P) for P <= d phases, d^2 from P = d on (Leonhardt and Munroe,
-PRA 54, 3682, 1996). Every other POVM is one block: the SVD of T itself.
+For uniform phases theta_j = j pi / P on a window symmetric about 0, T
+factorises. Let G hold the coordinates of the phase-0 effects, whose vectors
+sqrt(dx) psi(x_b) are real. Outcome (j, b) has G's diagonal coordinates,
+and for rho_mn G's Re one times cos(k theta_j) and -sin(k theta_j), k = n - m.
+With k = +-c mod 2P, c = 0..P, class c's diagonal and Re columns are
+(cos c theta) kron G_c and its Im columns -+(sin c theta) kron G_c (zero for
+c = 0 and P); G_c has the parity of c, so it lies in the span of the even or
+odd bin fold F_c. Classes are orthogonal, so each is one thin SVD of the small
+X_c = |cos c theta| F_c^T G_c (at most 26 x 77 at dim 30, 6 x 51), whose
+U and s serve both halves; neither T nor an (N, d^2) array is formed. The
+fold drops the wrong-parity rounding that bin centres, mirror images to an
+ulp, put in G_c, which the dual effects would amplify by the square of the
+condition number (a dim-30 round trip on (-5, 5) read 3.5e-7 with T's
+columns split by class and no fold, 1.7e-11 with it). The rank is
+P (2d - P) for P <= d phases, given enough bins and window (Leonhardt and
+Munroe, PRA 54, 3682, 1996). Every other POVM is one block, the SVD of T.
 """
 
 from __future__ import annotations
@@ -44,49 +39,82 @@ import numpy as np
 
 from .errors import EmptyMeasurementError, InvalidInputError
 from .povm import (SUPPORT_THRESHOLD, GramAnalysis, HomodyneConfig, PovmSet,
-                   born_probabilities, gram_matrix_operator_space, gram_matrix_state_space,
-                   weighted_effect_sum)
+                   born_probabilities, gram_matrix_state_space, weighted_effect_sum)
 
 
 class PartialInversionWarning(UserWarning):
-    """Linear inversion over a rank-deficient operator frame.
+    """Linear inversion over a rank-deficient operator frame: the result is the
+    projection onto the operator-space support, whose projector (in vectorized
+    coordinates) support_projector is formed only when read."""
 
-    The result is the projection onto the operator-space support; the
-    instance carries the support projector (in vectorized coordinates) as
-    the attribute support_projector, formed when first read, so that a caller
-    that ignores the warning never pays for the d^2 x d^2 product.
-    """
-
-    def __init__(self, message: str, support_basis: np.ndarray):
+    def __init__(self, message: str, frame: OperatorFrame):
         super().__init__(message)
-        self._support_basis = support_basis
+        self._frame = frame
 
     @cached_property
     def support_projector(self) -> np.ndarray:
-        return self._support_basis @ self._support_basis.T
+        return self._frame.project(np.eye(self._frame.povm.dim**2))
 
 
 @dataclass(eq=False)
 class OperatorFrame:
-    """Vectorized operator frame of a rank-1 POVM.
+    """Vectorized operator frame of a rank-1 POVM, held as its blocks.
 
-    coefficients T[i, a] = Tr(Pi_i B_a), so S = T^T T and T T^T = Q. The
-    columns of T split into blocks (see the module docstring), and block b
-    has the thin SVD T_b = U_b diag(s_b) V_b^T. eigenvalues holds every
-    s_b^2, descending by a stable sort on s: one per mode a block can carry,
-    sum_b min(rows_b, columns_b), which is min(N, d^2) for one block and no
-    more for many. S's remaining eigenvalues are zero in exact arithmetic.
-    eigenvectors holds the matching V columns, zero off their block, as a
-    (d^2, eigenvalues.size) array. rank counts the s^2 above
-    SUPPORT_THRESHOLD times the largest, and dual_effects =
-    U_r diag(1/s_r) V_r^T on those rank modes.
+    coefficients T[i, a] = Tr(Pi_i B_a), so S = T^T T. A block (columns, rows,
+    U, s, V^T) gives T's columns as W U diag(s) V^T, W the identity for rows
+    None or phi kron F for rows (phi, F); a column in no block has no mode.
+    eigenvalues holds each s^2, one per mode of a block, by a stable sort on s
+    (876 at dim 30, 12 x 101, where one SVD of T gives 900); rank counts those
+    above SUPPORT_THRESHOLD times the largest. coefficients, eigenvectors
+    (V, (d^2, modes)) and dual_effects (U_r diag(1/s_r) V_r^T) are formed when read.
     """
 
-    coefficients: np.ndarray
+    povm: PovmSet
+    blocks: list[tuple]
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     rank: int
-    dual_effects: np.ndarray
+
+    def _support(self):
+        # the blocks cut to their modes above the rank threshold
+        tau = SUPPORT_THRESHOLD * self.eigenvalues[0]
+        for cols, rows, U, s, Vt in self.blocks:
+            r = int(np.sum(s**2 > tau))
+            yield cols, rows, U[:, :r], s[:r], Vt[:r]
+
+    def project(self, c: np.ndarray) -> np.ndarray:
+        """Orthogonal projection of coordinates (along axis 0) onto the support."""
+        out = np.zeros(c.shape)
+        for cols, _, _, _, Vt in self._support():
+            out[cols] = Vt.T @ (Vt @ c[cols])
+        return out
+
+    def dual_sum(self, p: np.ndarray) -> np.ndarray:
+        """dual_effects^T p, with W^T p as phi^T p.reshape(phases, bins) F."""
+        out = np.zeros(self.povm.dim**2)
+        for cols, rows, U, s, Vt in self._support():
+            w = p if rows is None else rows[0] @ p.reshape(rows[0].size, -1) @ rows[1]
+            out[cols] = ((U / s) @ Vt).T @ w
+        return out
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        return _effect_coords(self.povm.vectors)
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        s = np.concatenate([block[3] for block in self.blocks])
+        modes, start = np.zeros((s.size, self.povm.dim**2)), 0
+        for cols, _, _, _, Vt in self.blocks:
+            modes[start:start + len(Vt), cols], start = Vt, start + len(Vt)
+        return modes[np.argsort(-s, kind="stable")].T
+
+    @cached_property
+    def dual_effects(self) -> np.ndarray:
+        dual = np.zeros((self.povm.n_outcomes, self.povm.dim**2))
+        for cols, rows, U, s, Vt in self._support():
+            lifted = U / s if rows is None else np.kron(rows[0][:, None], rows[1] @ (U / s))
+            dual[:, cols] = lifted @ Vt
+        return dual
 
 
 def to_coords(A: np.ndarray) -> np.ndarray:
@@ -166,82 +194,61 @@ def operator_frame_apply(A: np.ndarray, povm: PovmSet) -> np.ndarray:
     return weighted_effect_sum(born_probabilities(A, povm), povm)
 
 
-def _frame_blocks(povm: PovmSet) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """The operator frame's blocks: (column indices in to_coords order, row basis W).
+def _frame_blocks(povm: PovmSet) -> list[tuple]:
+    """The operator frame's classes: (columns in to_coords order, phase factors, fold).
 
-    A POVM recorded with uniform phases j*pi/P and a window symmetric about 0
-    gives P + 1 blocks, keyed c = min(k mod 2P, -k mod 2P) for the coherence
-    order k = n - m of each coordinate (the diagonal has c = 0). Block c's
-    rows are cos(c theta_j) R + sin(c theta_j) I with R and I of parity c mod
-    2 in x, so W = (unit cos, sin columns of c theta_j) kron (even or odd bin
-    fold). Every other POVM is one block of all dim^2 columns, with W None.
+    Uniform phases j*pi/P on a window symmetric about 0 give P + 1 classes
+    c = min(k mod 2P, -k mod 2P) (the diagonal has c = 0), with the unit
+    cos and sin of c theta_j (sin dropped for c = 0, P) and the bin fold of
+    parity c. Any other POVM is one class of all dim^2 columns, no factors.
     """
-    dim = povm.dim
-    single = [(np.arange(dim * dim), None)]
-    h = povm.homodyne
-    if h is None:
-        return single
+    dim, h = povm.dim, povm.homodyne
+    if h is None or h.x_range[0] != -h.x_range[1] or tuple(h.phases) != HomodyneConfig.uniform(
+            len(h.phases), h.bins, h.x_range).phases:
+        return [(np.arange(dim * dim), None, None)]
     P = len(h.phases)
-    uniform = HomodyneConfig.uniform(P, h.bins, h.x_range).phases
-    if tuple(h.phases) != uniform or h.x_range[0] != -h.x_range[1]:
-        return single
     m, n = np.triu_indices(dim, 1)
     k = (n - m) % (2 * P)
     classes = np.concatenate([np.zeros(dim, dtype=int), np.repeat(np.minimum(k, 2 * P - k), 2)])
     # bin b pairs with bin B-1-b; an odd bin count puts the centre bin in the even fold
-    bins, half = h.bins, h.bins // 2
-    b = np.arange(half)
-    even, odd = np.zeros((bins, bins - half)), np.zeros((bins, half))
-    even[b, b] = even[bins - 1 - b, b] = odd[b, b] = np.sqrt(0.5)
-    odd[bins - 1 - b, b] = -np.sqrt(0.5)
-    if bins % 2:
-        even[half, half] = 1.0
-    theta = np.asarray(h.phases)
-    blocks = []
+    I, J = np.eye(h.bins), np.eye(h.bins)[::-1]
+    even = (I + J)[:, : h.bins - h.bins // 2]
+    folds = (even / np.linalg.norm(even, axis=0), (I - J)[:, : h.bins // 2] / np.sqrt(2.0))
+    theta, blocks = np.asarray(h.phases), []
     for c in range(P + 1):
         # sin(c theta_j) vanishes for c = 0 and c = P
-        waves = [np.cos(c * theta)] if c % P == 0 else [np.cos(c * theta), np.sin(c * theta)]
-        phase_basis = np.stack([w / np.linalg.norm(w) for w in waves], axis=1)
-        blocks.append((np.flatnonzero(classes == c), np.kron(phase_basis, odd if c % 2 else even)))
+        waves = np.stack([np.cos(c * theta), np.sin(c * theta)], axis=1)[:, : 1 + (c % P > 0)]
+        blocks.append((np.flatnonzero(classes == c), waves / np.linalg.norm(waves, axis=0),
+                       folds[c % 2]))
     return blocks
 
 
 def operator_frame(povm: PovmSet) -> OperatorFrame:
-    """The operator frame from one thin SVD per block of T (see _frame_blocks).
-
-    A block with a row basis W takes the SVD of W^T T_b and lifts U by W; one
-    block takes the SVD of T itself. rank keeps s^2 above SUPPORT_THRESHOLD
-    times the largest over all blocks, and the modes are ordered by a stable
-    sort on s.
-    """
-    T = _effect_coords(povm.vectors)
-    parts = []
-    for cols, W in _frame_blocks(povm):
-        if W is None:
-            U, s, Vt = np.linalg.svd(T, full_matrices=False)
-        elif W.size and cols.size:
-            U, s, Vt = np.linalg.svd(W.T @ T[:, cols], full_matrices=False)
-            U = W @ U
-        else:  # a class with no coordinates, or no rows (one bin has no odd fold)
-            continue
-        parts.append((cols, U, s, Vt))
-    s = np.concatenate([part[2] for part in parts])
-    order = np.argsort(-s, kind="stable")
-    s = s[order]
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
-    tau = SUPPORT_THRESHOLD * s[0]**2
-    rank = int(np.sum(s**2 > tau))
-    modes_t = np.zeros((s.size, T.shape[1]))
-    dual = np.zeros(T.shape)
-    start = 0
-    for cols, U, sb, Vt in parts:
-        modes_t[np.ix_(position[start:start + sb.size], cols)] = Vt
-        start += sb.size
-        r = int(np.sum(sb**2 > tau))
-        dual[:, cols] = (U[:, :r] / sb[:r]) @ Vt[:r]
-    return OperatorFrame(coefficients=T, eigenvalues=s**2, eigenvectors=modes_t.T, rank=rank,
-                         dual_effects=dual)
+    """The operator frame from one thin SVD per class (see the module docstring); the
+    Im half of class c reuses the Re half's, with V^T negated where k = c mod 2P."""
+    classes = _frame_blocks(povm)
+    if classes[0][1] is None:
+        blocks = [(classes[0][0], None, *np.linalg.svd(_effect_coords(povm.vectors),
+                                                       full_matrices=False))]
+    else:
+        dim, P, blocks = povm.dim, len(povm.homodyne.phases), []
+        G = _effect_coords(povm.vectors[: povm.homodyne.bins].real)
+        m, n = np.triu_indices(dim, 1)
+        sign = np.where((n - m) % (2 * P) <= P, -1.0, 1.0)
+        for cols, waves, fold in classes:
+            im = (cols >= dim) & ((cols - dim) % 2 == 1)
+            if not (fold.shape[1] and np.any(~im)):  # no rows (one bin has no odd fold) or columns
+                continue
+            # |cos c theta|^2 is P for c = 0 and c = P, P / 2 between
+            U, s, Vt = np.linalg.svd(np.sqrt(P / waves.shape[1]) * fold.T @ G[:, cols[~im]],
+                                     full_matrices=False)
+            blocks.append((cols[~im], (waves[:, 0], fold), U, s, Vt))
+            if waves.shape[1] == 2:
+                blocks.append((cols[im], (waves[:, 1], fold), U, s,
+                               Vt * sign[(cols[im] - dim) // 2]))
+    s = -np.sort(-np.concatenate([block[3] for block in blocks]))
+    return OperatorFrame(povm=povm, blocks=blocks, eigenvalues=s**2,
+                         rank=int(np.sum(s**2 > SUPPORT_THRESHOLD * s[0]**2)))
 
 
 def linear_inversion(probabilities: np.ndarray, povm: PovmSet,
@@ -260,16 +267,15 @@ def linear_inversion(probabilities: np.ndarray, povm: PovmSet,
     if frame.rank < povm.dim**2:
         warnings.warn(PartialInversionWarning(
             f"operator frame rank {frame.rank} < {povm.dim**2}: inversion recovers "
-            "only the support component", frame.eigenvectors[:, : frame.rank]),
-            stacklevel=2)
-    return from_coords(frame.dual_effects.T @ p, povm.dim)
+            "only the support component", frame), stacklevel=2)
+    return from_coords(frame.dual_sum(p), povm.dim)
 
 
 def hadamard_identity_check(povm: PovmSet) -> float:
     """max |Q - G o G*| entrywise, comparing the two Gram-matrix routes."""
     Gm = gram_matrix_state_space(povm)
-    Q = gram_matrix_operator_space(povm)
-    return float(np.abs(Q - Gm * Gm.conj()).max())
+    # Q = |G_s|^2 as gram_matrix_operator_space forms it, from the same G_s
+    return float(np.abs(np.abs(Gm) ** 2 - Gm * Gm.conj()).max())
 
 
 def modal_weighting(rho: np.ndarray, analysis: GramAnalysis) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ from gramtomo import (EmptyMeasurementError, HomodyneConfig, InvalidInputError,
                       from_coords, gram_operator, gram_spectrum, hadamard_identity_check,
                       linear_inversion, modal_weighting, operator_frame,
                       operator_frame_apply, restrict_to_subspace, to_coords)
-from gramtomo.frames import _frame_blocks
+from gramtomo.frames import _effect_coords, _frame_blocks
 from gramtomo.povm import SUPPORT_THRESHOLD, born_probabilities
 from gramtomo.serialize import decode_povm, encode_povm
 
@@ -227,6 +227,9 @@ class TestOperatorFrame:
 # reference, 6 x 9 and 2 x 51 on (-2, 2), which the bins and window cap below
 # P (2d - P), and dim 30 with 12 x 101
 BLOCK_MEASUREMENTS = [(15, 6, 51, 5.0), (15, 6, 9, 5.0), (15, 2, 51, 2.0), (30, 12, 101, 8.0)]
+# and edge cases: even bins, P = 1, one bin, dim 1
+EDGE_MEASUREMENTS = [(15, 6, 51, 5.0), (4, 3, 13, 4.0), (15, 2, 50, 2.0), (7, 1, 7, 3.0),
+                     (15, 5, 21, 5.0), (15, 3, 1, 5.0), (1, 6, 51, 5.0)]
 
 
 class TestBlockFrame:
@@ -245,31 +248,58 @@ class TestBlockFrame:
         assert np.all(full[k:] <= 1e-12 * full[0])
         assert frame.rank == int(np.sum(full > SUPPORT_THRESHOLD * full[0]))
 
-    @pytest.mark.parametrize("phases", [2, 3, 4, 6, 8, 12, 16])
-    def test_rank_is_p_times_2d_minus_p(self, phases):
+    # the dim-30 cases keep the ids of their phase count alone
+    @pytest.mark.parametrize("dim, phases", [pytest.param(30, p, id=str(p))
+                                             for p in (2, 3, 4, 6, 8, 12, 16)]
+                             + [(50, 16), (50, 24)])
+    def test_rank_is_p_times_2d_minus_p(self, dim, phases):
         # Leonhardt and Munroe, PRA 54, 3682 (1996): P phases determine
         # P (2d - P) real parameters of a dim-d state, given enough bins and window
-        frame = operator_frame(uniform_povm(30, phases, 101, 8.0))
-        assert frame.rank == phases * (2 * 30 - phases)
+        frame = operator_frame(uniform_povm(dim, phases, 101, 8.0))
+        assert frame.rank == phases * (2 * dim - phases)
 
-    @pytest.mark.parametrize("dim, phases, bins, half_width",
-                             [(15, 6, 51, 5.0), (4, 3, 13, 4.0), (15, 2, 50, 2.0),
-                              (7, 1, 7, 3.0), (15, 5, 21, 5.0), (15, 3, 1, 5.0),
-                              (1, 6, 51, 5.0)])
+    @pytest.mark.parametrize("dim, phases, bins, half_width", EDGE_MEASUREMENTS)
     def test_blocks_partition_and_decouple(self, dim, phases, bins, half_width):
         povm = uniform_povm(dim, phases, bins, half_width)
-        blocks = _frame_blocks(povm)
-        assert len(blocks) == phases + 1
-        cols = np.concatenate([c for c, _ in blocks])
+        classes = _frame_blocks(povm)
+        assert len(classes) == phases + 1
+        cols = np.concatenate([c for c, _, _ in classes])
         assert np.array_equal(np.sort(cols), np.arange(dim * dim))
-        for _, W in blocks:
+        for _, waves, fold in classes:
+            W = np.kron(waves, fold)
             assert np.abs(W.T @ W - np.eye(W.shape[1])).max(initial=0.0) < 1e-14
-        T = operator_frame(povm).coefficients
+        T = _effect_coords(povm.vectors)
         scale = np.linalg.norm(T, 2)**2
-        for b, (cols_b, _) in enumerate(blocks):
-            for cols_c, _ in blocks[b + 1:]:
+        for b, (cols_b, _, _) in enumerate(classes):
+            for cols_c, _, _ in classes[b + 1:]:
                 if cols_b.size and cols_c.size:
                     assert np.abs(T[:, cols_b].T @ T[:, cols_c]).max() <= 1e-14 * scale
+
+    # the reference heads both lists
+    @pytest.mark.parametrize("dim, phases, bins, half_width",
+                             BLOCK_MEASUREMENTS + EDGE_MEASUREMENTS[1:])
+    def test_blockwise_apply_matches_dense_arrays(self, dim, phases, bins, half_width):
+        # linear_inversion, frames-check's support projection and the warning's
+        # projector against dual_effects and eigenvectors; the inversion's scale
+        # is the largest sum of |dual_effects| |p| (3e5 times the result on
+        # 2 x 51 over (-2, 2), where the routes differ by 2e-11)
+        povm = uniform_povm(dim, phases, bins, half_width)
+        frame = operator_frame(povm)
+        rng = np.random.default_rng(dim * phases * bins)
+        p = born_probabilities(random_hermitian(rng, dim), povm)
+        dense = from_coords(frame.dual_effects.T @ p, dim)
+        scale = (np.abs(frame.dual_effects).T @ np.abs(p)).max()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            estimate = linear_inversion(p, povm, frame)
+        assert np.abs(estimate - dense).max() <= 1e-12 * scale
+        x = to_coords(random_hermitian(rng, dim))
+        V = frame.eigenvectors[:, : frame.rank]
+        assert np.abs(frame.project(x) - V @ (V.T @ x)).max() <= 1e-12 * np.abs(x).max()
+        assert len(caught) == (frame.rank < dim * dim)
+        if caught:
+            projector = caught[0].message.support_projector
+            assert np.abs(projector - V @ V.T).max() <= 1e-12
 
     @pytest.mark.parametrize("dim, phases, bins, half_width",
                              [(15, 2, 51, 2.0), (30, 6, 51, 5.0)])

@@ -1,8 +1,8 @@
-"""Byte-identity gate: run the seven gate configs and print a sha256 per output file.
+"""Byte-identity gate: run the eight gate configs and print a sha256 per output file.
 
 `python tools/gate.py OUT [--src SRC]` runs the CLI with PYTHONPATH=SRC (default
 src/), one BLAS thread and --seed 0 into OUT/<case>/<command>/ and prints
-"<sha256>  <path>" for the 57 files. Outputs echo their directory: to compare
+"<sha256>  <path>" for the 58 files. Outputs echo their directory: to compare
 two source trees by hash, run both into the same OUT in turn and diff the
 printed lines.
 
@@ -45,6 +45,9 @@ CASES = {
     # non-uniform phases on an asymmetric range: the operator frame is one block
     "explicit-phases": ({"povm": {"phases": [0.0, 0.4, 0.9, 1.5, 2.2, 2.8], "range": [-5.0, 5.5]}},
                         ("gram-spectrum", "frames-check")),
+    # 16 + 1 coherence-order classes of a 1616 x 2500 coefficient matrix
+    "dim50": ({"dim": 50, "povm": {"phase_count": 16, "bins": 101, "range": [-8.0, 8.0]}},
+              ("frames-check",)),
 }
 
 
