@@ -276,16 +276,15 @@ def build_grid_from_config(config: dict) -> PhaseSpaceGrid:
                           x_points=gc["x_points"], p_points=gc["p_points"])
 
 
-def load_counts_file(path: str, povm: PovmSet, config: dict) -> Dataset:
-    """CSV bridge to measured data: columns phase_index,bin_index,count."""
-    if config["povm"]["kind"] != "homodyne" or config["povm"]["file"]:
+def load_counts_file(path: str, povm: PovmSet) -> Dataset:
+    """CSV bridge to measured data: phase_index,bin_index,count in povm.homodyne's layout."""
+    if povm.homodyne is None:
         raise InvalidInputError("counts files require an inline homodyne POVM config")
     stripped = (ln.strip() for ln in Path(path).read_text().splitlines())
     lines = [ln for ln in stripped if ln and not ln.startswith("#")]
     if lines and lines[0].replace(" ", "") == "phase_index,bin_index,count":
         lines = lines[1:]
-    bins = config["povm"]["bins"]
-    phases = povm.n_outcomes // bins
+    bins, phases = povm.homodyne.bins, len(povm.homodyne.phases)
     counts = np.zeros(povm.n_outcomes)
     if len(lines) != povm.n_outcomes:
         raise InvalidInputError(
@@ -345,14 +344,13 @@ def cmd_reconstruct(config: dict) -> dict:
     target = build_target_from_config(config)
     rho_true = np.outer(target, target.conj())
     if config["counts_file"]:
-        dataset = load_counts_file(config["counts_file"], povm, config)
+        dataset = load_counts_file(config["counts_file"], povm)
     else:
         dataset = generate_counts(rho_true, povm, NoiseModel(**config["noise"]))
-    basis = (None if rc["basis"] == "full"
-             else subspace_basis(rc["basis"], rc["dimension"], povm))
-    solver = SolverConfig(**config["solver"], subspace=basis)
+    subspace = (None if rc["basis"] == "full"
+                else subspace_basis(rc["basis"], rc["dimension"], povm))
     start = time.perf_counter()
-    result = maxlik_solve(dataset, povm, solver)
+    result = maxlik_solve(dataset, povm, SolverConfig(**config["solver"]), subspace)
     print(f"reconstruction wall time: {time.perf_counter() - start:.3f} s",
           file=sys.stderr)
     payload = encode_reconstruction(result)

@@ -255,15 +255,17 @@ def linear_inversion(probabilities: np.ndarray, povm: PovmSet,
                      frame: OperatorFrame | None = None) -> np.ndarray:
     """rho = sum_i p_i Pi~_i, Hermitian but deliberately not PSD-constrained.
 
-    When the operator frame is rank-deficient the result is the projection
-    of the true operator onto the support; a PartialInversionWarning
-    carrying the support projector is emitted.
+    frame must be the operator frame of povm or of a POVM of equal vectors.
+    Over a rank-deficient frame the result is the projection of the true
+    operator onto the support, with a PartialInversionWarning carrying its projector.
     """
     p = np.asarray(probabilities, dtype=float)
     if p.shape != (povm.n_outcomes,):
         raise InvalidInputError("probability vector length does not match the POVM")
     if frame is None:
         frame = operator_frame(povm)
+    elif frame.povm is not povm and not np.array_equal(frame.povm.vectors, povm.vectors):
+        raise InvalidInputError("the operator frame belongs to another POVM")
     if frame.rank < povm.dim**2:
         warnings.warn(PartialInversionWarning(
             f"operator frame rank {frame.rank} < {povm.dim**2}: inversion recovers "
@@ -272,7 +274,9 @@ def linear_inversion(probabilities: np.ndarray, povm: PovmSet,
 
 
 def hadamard_identity_check(povm: PovmSet) -> float:
-    """max |Q - G o G*| entrywise, comparing the two Gram-matrix routes."""
+    """max |Q - G o G*| entrywise, comparing the two Gram-matrix routes. Both
+    start from one state-space Gram matrix G_s, so this is the rounding of
+    |z|^2 against z conj(z): it cannot detect a wrong measurement."""
     Gm = gram_matrix_state_space(povm)
     # Q = |G_s|^2 as gram_matrix_operator_space forms it, from the same G_s
     return float(np.abs(np.abs(Gm) ** 2 - Gm * Gm.conj()).max())

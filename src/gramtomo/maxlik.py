@@ -120,11 +120,7 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration controls for maxlik_solve.
-
-    subspace, when set, is a (dim, d) matrix of orthonormal columns (e.g.
-    top-d Gram eigenvectors or the first d Fock states); the measurement is
-    projected onto it and the result embedded back into the ambient space.
+    """The solver config section: iteration controls for maxlik_solve.
 
     The run converges when the certified likelihood gap lambda_max(R') - 1
     is below the module constant TOL_GAP at an iterate where no observed
@@ -134,7 +130,6 @@ class SolverConfig:
     """
 
     max_iterations: int = 20000
-    subspace: np.ndarray | None = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -205,17 +200,24 @@ def log_likelihood(rho: np.ndarray, dataset: Dataset, povm: PovmSet) -> float:
     return float(np.sum(n[mask] * np.log(p[mask] / total)))
 
 
+def _floored(p: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """The observed outcomes' probabilities p[mask], raised to PROBABILITY_FLOOR
+    times the largest of p (never below 0), and how many were raised."""
+    lim = PROBABILITY_FLOOR * max(p.max(), 0.0)
+    pm = p[mask]
+    hits = int(np.count_nonzero(pm < lim))
+    return (np.maximum(pm, lim) if hits else pm), hits
+
+
 def r_operator(rho: np.ndarray, dataset: Dataset, povm: PovmSet) -> np.ndarray:
     """R(rho) = sum_i (f_i/p_i) |y_i><y_i| over outcomes with f_i > 0, with p_i
     no lower than PROBABILITY_FLOOR times the largest."""
     if dataset.counts.size != povm.n_outcomes:
         raise InvalidInputError("dataset length does not match POVM outcome count")
     f = dataset.frequencies
-    p = born_probabilities(rho, povm)
     mask = f > 0
-    floor = PROBABILITY_FLOOR * max(p.max(), 0.0)
     w = np.zeros_like(f)
-    w[mask] = f[mask] / np.maximum(p[mask], floor)
+    w[mask] = f[mask] / _floored(born_probabilities(rho, povm), mask)[0]
     return weighted_effect_sum(w, povm)
 
 
@@ -318,7 +320,7 @@ def _newton_direction(A: np.ndarray, f: np.ndarray, Y: np.ndarray, Yc: np.ndarra
     return (d[: r * k] + 1j * d[r * k:]).reshape(r, k), float(g @ d)
 
 
-def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
+def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int):
     """Diluted R sigma R iteration in rescaled coordinates, with a Newton
     polish of a low-rank factor of sigma after every POLISH_INTERVAL R sigma R
     steps."""
@@ -339,12 +341,8 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
 
     def floored(pvec):
         nonlocal floor_hits
-        lim = PROBABILITY_FLOOR * pvec.max()
-        pm = pvec[mask]
-        low = pm < lim
-        if low.any():
-            floor_hits += int(low.sum())
-            pm = np.maximum(pm, lim)
+        pm, hits = _floored(pvec, mask)
+        floor_hits += hits
         return pm
 
     def r_matrix(pvec):
@@ -376,8 +374,8 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
         for _ in range(NEWTON_BACKTRACKS):
             A_cand = A + t * D
             cand, p_cand = state(A_cand @ A_cand.conj().T)
-            pm = p_cand[mask]
-            if pm.min() >= PROBABILITY_FLOOR * p_cand.max():
+            pm, hits = _floored(p_cand, mask)
+            if not hits:
                 ll_cand = log_likelihood(pm)
                 if ll_cand >= ll + NEWTON_ARMIJO * t * decrement - rounding:
                     return A_cand, cand, p_cand, ll_cand, decrement / 2.0 > rounding
@@ -392,12 +390,13 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
     # top eigenvector of the last R whose spectrum was taken: while its
     # Rayleigh quotient v^H R v >= 1 + TOL_GAP, so is lambda_max(R)
     v = None
-    iterations = rsr_steps = newton_steps = 0
+    # every completed iteration is one R sigma R step or one Newton step
+    rsr_steps = newton_steps = 0
     # the factor of a polish in progress, whether that polish has risen by
     # more than rounding, and whether polishing is still on
     factor, ascended, polish = None, False, True
 
-    while iterations < config.max_iterations:
+    while rsr_steps + newton_steps < max_iterations:
         R, was_floored = r_matrix(p)
         # an R built from floored probabilities under-weights those outcomes,
         # so its gap certifies nothing
@@ -437,7 +436,6 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
                 stop = "stalled"
                 break
             rsr_steps += 1
-        iterations += 1
         sigma, p, ll = cand, p_cand, ll_cand
         trace.append(ll)
         if step is None and polish and rsr_steps % POLISH_INTERVAL == 0:
@@ -453,11 +451,12 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, config: SolverConfig):
             "outcomes are nominally impossible under the truncated model",
             RuntimeWarning, stacklevel=3)
     born = float(np.abs(p - f).max())
+    iterations = rsr_steps + newton_steps
     return sigma, np.array(trace), iterations, newton_steps, floor_hits, born, stop, gap
 
 
-def maxlik_solve(dataset: Dataset, povm: PovmSet,
-                 config: SolverConfig | None = None) -> ReconstructionResult:
+def maxlik_solve(dataset: Dataset, povm: PovmSet, config: SolverConfig | None = None,
+                 subspace: np.ndarray | None = None) -> ReconstructionResult:
     """Maximum-likelihood reconstruction from counts.
 
     Parameters
@@ -468,6 +467,9 @@ def maxlik_solve(dataset: Dataset, povm: PovmSet,
         The measurement; rescaled internally to its Gram support.
     config : SolverConfig, optional
         Iteration controls; defaults per SolverConfig.
+    subspace : ndarray, optional
+        (dim, d) orthonormal columns, such as subspace_basis gives: the solve
+        runs on the measurement projected onto them, embedded back after.
 
     Returns
     -------
@@ -484,10 +486,9 @@ def maxlik_solve(dataset: Dataset, povm: PovmSet,
             f"dataset has {dataset.counts.size} entries, POVM has {povm.n_outcomes}")
 
     solve_povm = povm
-    basis = None
-    if config.subspace is not None:
-        basis = np.asarray(config.subspace, dtype=complex)
-        solve_povm = restrict_to_subspace(povm, basis)
+    if subspace is not None:
+        subspace = np.asarray(subspace, dtype=complex)
+        solve_povm = restrict_to_subspace(povm, subspace)
 
     analysis = gram_spectrum(solve_povm)
     if analysis.rank == 0:
@@ -495,7 +496,7 @@ def maxlik_solve(dataset: Dataset, povm: PovmSet,
     f = dataset.frequencies
 
     sigma, trace, iterations, newton_steps, floor_hits, born, stop, gap = _iterate(
-        analysis.rescaled_vectors, f, config)
+        analysis.rescaled_vectors, f, config.max_iterations)
 
     # a rescaled-space state maps back as G^(-1/2) sigma G^(-1/2) on the support
     embed = analysis.support_vectors / np.sqrt(analysis.support_eigenvalues)
@@ -504,12 +505,10 @@ def maxlik_solve(dataset: Dataset, povm: PovmSet,
     # the embedded state is G^(-1/2) sigma G^(-1/2): already in the gauge
     # where the outcome probabilities sum to 1; record the residual there
     resid = extremal_residual(rho_sub, dataset, solve_povm)
-    rho_sub /= np.trace(rho_sub).real
-    if basis is not None:
-        rho = basis @ rho_sub @ basis.conj().T
+    rho = rho_sub / np.trace(rho_sub).real
+    if subspace is not None:
+        rho = subspace @ rho @ subspace.conj().T
         rho = 0.5 * (rho + rho.conj().T)
-    else:
-        rho = rho_sub
 
     return ReconstructionResult(rho=rho, log_likelihood=trace, iterations=iterations,
                                 born_residual=born, extremal_residual=resid,

@@ -9,7 +9,7 @@ parallel without reordering draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,12 +117,12 @@ def dimension_sweep(target: np.ndarray, povm: PovmSet, basis_kind: str,
                     solver_config: SolverConfig | None = None) -> SweepResult:
     """Reconstruction fidelity versus subspace dimension.
 
-    For each dimension d the reconstruction runs in the span of the top-d
-    Gram eigenvectors (basis_kind='gram') or the first d Fock states
-    ('fock'). Trials differ only in the noise stream; the same per-trial
-    dataset is reused across dimensions. Every solve is kept in results; a
-    non-converged one reads converged=False, never raised. Without
-    solver_config the solves run with SolverConfig().
+    Dimension d reconstructs on the first d of the top max(dims) Gram modes
+    (basis_kind='gram') or Fock states ('fock'), one basis for all d, so the
+    subspaces nest. Trials differ only in the noise stream; the same
+    per-trial dataset is reused across dimensions. Every solve is kept in
+    results; a non-converged one reads converged=False, never raised.
+    Without solver_config the solves run with SolverConfig().
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) == 0 or min(dims) < 1 or max(dims) > povm.dim:
@@ -131,11 +131,9 @@ def dimension_sweep(target: np.ndarray, povm: PovmSet, basis_kind: str,
         raise InvalidInputError("trials must be >= 1")
     rho_true = pure_density(target)
     datasets = [generate_counts(rho_true, povm, noise, trial=t) for t in range(trials)]
-    results = []
-    for d in dims:
-        config = replace(solver_config or SolverConfig(),
-                         subspace=subspace_basis(basis_kind, d, povm))
-        results.append(tuple(maxlik_solve(dataset, povm, config) for dataset in datasets))
+    columns = subspace_basis(basis_kind, max(dims), povm)
+    results = [tuple(maxlik_solve(dataset, povm, solver_config, columns[:, :d])
+                     for dataset in datasets) for d in dims]
     fidelities = np.array([[fidelity(target, r.rho) for r in row] for row in results])
     seeds = tuple((noise.seed, t) for t in range(trials))
     return SweepResult(basis=basis_kind, dims=dims, trials=trials, fidelities=fidelities,

@@ -391,6 +391,18 @@ class TestLinearInversion:
         with pytest.raises(InvalidInputError):
             linear_inversion(np.ones(5), reference_povm)
 
+    def test_frame_of_another_povm_rejected(self):
+        from gramtomo import coherent_state, pure_density
+        povm = uniform_povm(6, 6, 51, 5.0)
+        p = expected_probabilities(pure_density(coherent_state(0.5, 6, normalized=True)), povm)
+        # the same shape on (-4, 4) inverts without error to a state off by 0.22
+        with pytest.raises(InvalidInputError, match="another POVM"):
+            linear_inversion(p, povm, operator_frame(uniform_povm(6, 6, 51, 4.0)))
+        # a frame of equal vectors is the same frame
+        twin = operator_frame(PovmSet(povm.vectors, homodyne=povm.homodyne))
+        assert np.array_equal(linear_inversion(p, povm, twin),
+                              linear_inversion(p, povm, operator_frame(povm)))
+
 
 class TestHadamardIdentity:
     def test_random_rank_one_povms(self, make_random_povm):

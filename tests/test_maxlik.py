@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -231,6 +232,15 @@ class TestResiduals:
         assert extremal_residual(res.rho, ds, povm) < 1e-6
 
 
+class TestSolverConfig:
+    def test_holds_the_solver_section_and_hashes(self):
+        # the subspace is an argument of maxlik_solve, so no field is an array
+        assert [f.name for f in fields(SolverConfig)] == ["max_iterations"]
+        assert SolverConfig(max_iterations=50) == SolverConfig(max_iterations=50)
+        assert SolverConfig(max_iterations=50) != SolverConfig()
+        assert len({SolverConfig(), SolverConfig(), SolverConfig(max_iterations=50)}) == 2
+
+
 class TestMaxlikSolve:
     def test_commuting_case_closed_form(self):
         povm = PovmSet(np.eye(5, dtype=complex))
@@ -288,9 +298,8 @@ class TestMaxlikSolve:
         povm, psi, rho = small_problem(dim=5, phases=3, bins=11)
         ds = generate_counts(rho, povm, NoiseModel(kind="poisson", exposure=3000.0, seed=6))
         cfg_free = SolverConfig(max_iterations=400)
-        cfg_sub = SolverConfig(max_iterations=400, subspace=np.eye(5, dtype=complex))
         a = maxlik_solve(ds, povm, cfg_free)
-        b = maxlik_solve(ds, povm, cfg_sub)
+        b = maxlik_solve(ds, povm, cfg_free, np.eye(5, dtype=complex))
         assert np.abs(a.rho - b.rho).max() < 1e-10
 
     def test_subspace_embedding_shape_and_support(self, reference_povm, reference_analysis, cat_target):
@@ -298,7 +307,7 @@ class TestMaxlikSolve:
         basis = reference_analysis.eigenvectors[:, :3]
         ds = generate_counts(pure_density(cat_target), reference_povm,
                              NoiseModel(kind="poisson", exposure=100000.0, seed=0))
-        res = maxlik_solve(ds, reference_povm, SolverConfig(max_iterations=200, subspace=basis))
+        res = maxlik_solve(ds, reference_povm, SolverConfig(max_iterations=200), basis)
         assert res.rho.shape == (15, 15)
         P = basis @ basis.conj().T
         assert np.abs(P @ res.rho @ P - res.rho).max() < 1e-10
@@ -319,9 +328,9 @@ class TestMaxlikSolve:
         # an observed outcome the model calls impossible trips the floor
         povm = PovmSet(np.eye(2, dtype=complex))
         ds = Dataset(counts=np.array([5.0, 1.0]))
-        rng_free = SolverConfig(max_iterations=50, subspace=np.eye(2, dtype=complex)[:, :1])
+        rng_free = SolverConfig(max_iterations=50)
         with pytest.warns(RuntimeWarning):
-            res = maxlik_solve(ds, povm, rng_free)
+            res = maxlik_solve(ds, povm, rng_free, np.eye(2, dtype=complex)[:, :1])
         assert abs(np.trace(res.rho).real - 1.0) < 1e-10
 
     def test_backtracking_keeps_trace_monotone_with_full_dilution(self):
@@ -358,7 +367,7 @@ class TestStopReason:
         povm, psi, rho = small_problem()
         ds = generate_counts(rho, povm, NoiseModel(kind="poisson", exposure=5000.0, seed=3))
         basis = gram_spectrum(povm).eigenvectors[:, :1]
-        res = maxlik_solve(ds, povm, SolverConfig(subspace=basis))
+        res = maxlik_solve(ds, povm, SolverConfig(), basis)
         assert (res.stop_reason, res.converged, res.iterations) == ("gap", True, 0)
         assert res.log_likelihood.shape == (1,)
         assert abs(res.likelihood_gap) < TOL_GAP
@@ -379,9 +388,9 @@ class TestStopReason:
         # -1/6 at iteration 0
         povm = PovmSet(np.eye(2, dtype=complex))
         ds = Dataset(counts=np.array([5.0, 1.0]))
-        cfg = SolverConfig(max_iterations=50, subspace=np.eye(2, dtype=complex)[:, :1])
+        cfg = SolverConfig(max_iterations=50)
         with pytest.warns(RuntimeWarning):
-            res = maxlik_solve(ds, povm, cfg)
+            res = maxlik_solve(ds, povm, cfg, np.eye(2, dtype=complex)[:, :1])
         assert res.stop_reason == "cap"
         assert res.converged is False
         assert res.iterations == 50
@@ -495,8 +504,8 @@ class TestTelemetry:
         # zero count is checked through the CLI in test_stop_fields_written
         povm = PovmSet(np.eye(2, dtype=complex))
         ds = Dataset(counts=np.array([5.0, 1.0]))
-        cfg = SolverConfig(max_iterations=50, subspace=np.eye(2, dtype=complex)[:, :1])
+        cfg = SolverConfig(max_iterations=50)
         with pytest.warns(RuntimeWarning, match="probability floor") as record:
-            res = maxlik_solve(ds, povm, cfg)
+            res = maxlik_solve(ds, povm, cfg, np.eye(2, dtype=complex)[:, :1])
         assert res.floor_hits > 0
         assert f"engaged {res.floor_hits} time(s)" in str(record[0].message)

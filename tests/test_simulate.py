@@ -6,9 +6,9 @@ import pytest
 from gramtomo import (EmptyDataError, HomodyneConfig, InvalidInputError, NoiseModel,
                       ReconstructionResult, SolverConfig, SweepResult, build_homodyne_povm,
                       cat_state, dimension_sweep, expected_probabilities, fidelity,
-                      fock_state, generate_counts, pure_density, stability_study,
-                      trial_generator)
-from gramtomo import maxlik
+                      fock_state, generate_counts, maxlik_solve, pure_density,
+                      stability_study, subspace_basis, trial_generator)
+from gramtomo import maxlik, simulate
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +191,38 @@ class TestDimensionSweep:
                 assert isinstance(r, ReconstructionResult)
                 assert fidelity(psi, r.rho) == sw.fidelities[k, t]
                 assert r.converged == sw.converged[k, t]
+
+    def test_one_basis_per_sweep(self, small_problem, monkeypatch):
+        povm, psi, _ = small_problem
+        calls = []
+
+        def counted(kind, d, povm):
+            calls.append((kind, d))
+            return subspace_basis(kind, d, povm)
+
+        monkeypatch.setattr(simulate, "subspace_basis", counted)
+        dimension_sweep(psi, povm, "gram", dims=[3, 1, 2],
+                        noise=NoiseModel(kind="poisson", exposure=2e4, seed=2), trials=2,
+                        solver_config=SolverConfig(max_iterations=50))
+        assert calls == [("gram", 3)]
+
+    @pytest.mark.parametrize("basis", ["gram", "fock"])
+    def test_each_dimension_equals_a_direct_solve(self, small_problem, basis):
+        # the oracle takes a fresh subspace_basis at each d, not a prefix of one
+        povm, psi, rho = small_problem
+        noise = NoiseModel(kind="poisson", exposure=2e4, seed=2)
+        config = SolverConfig(max_iterations=300)
+        dims = [4, 1, 3]
+        sw = dimension_sweep(psi, povm, basis, dims, noise, trials=2, solver_config=config)
+        for k, d in enumerate(dims):
+            for t in range(2):
+                direct = maxlik_solve(generate_counts(rho, povm, noise, trial=t), povm,
+                                      config, subspace_basis(basis, d, povm))
+                swept = sw.results[k][t]
+                assert np.array_equal(swept.rho, direct.rho)
+                assert np.array_equal(swept.log_likelihood, direct.log_likelihood)
+                assert (swept.iterations, swept.newton_steps, swept.stop_reason) == (
+                    direct.iterations, direct.newton_steps, direct.stop_reason)
 
     def test_dims_validation(self, small_problem):
         povm, psi, _ = small_problem

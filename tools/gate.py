@@ -1,8 +1,8 @@
-"""Byte-identity gate: run the eight gate configs and print a sha256 per output file.
+"""Byte-identity gate: run the nine gate configs and print a sha256 per output file.
 
 `python tools/gate.py OUT [--src SRC]` runs the CLI with PYTHONPATH=SRC (default
 src/), one BLAS thread and --seed 0 into OUT/<case>/<command>/ and prints
-"<sha256>  <path>" for the 58 files. Outputs echo their directory: to compare
+"<sha256>  <path>" for the 61 files. Outputs echo their directory: to compare
 two source trees by hash, run both into the same OUT in turn and diff the
 printed lines.
 
@@ -39,6 +39,9 @@ CASES = {
     "reference": ({"stability": {"basis": "gram", "dimension": 3, "trials": 8},
                    "sweep": {"dims": [1, 2], "trials": 2, "bases": ["gram", "fock"]}}, ALL),
     "reference-gram5": ({"reconstruction": {"basis": "gram", "dimension": 5}}, ("reconstruct",)),
+    # dims out of order: each is a prefix of the one top-6 basis
+    "sweep-unordered": ({"sweep": {"dims": [6, 2, 4], "trials": 2, "bases": ["gram", "fock"]}},
+                        ("sweep",)),
     "reference-exact": ({"noise": {"kind": "exact", "exposure": 1.0},
                          "solver": {"max_iterations": 3000}}, ("reconstruct",)),
     "dim30": ({"dim": 30, "povm": {"range": [-6.0, 6.0]}}, ("gram-spectrum", "frames-check")),
