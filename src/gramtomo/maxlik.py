@@ -23,8 +23,13 @@ the recorded likelihood trace non-decreasing on every dataset. It moves
 each eigenvalue of sigma in proportion to its own size, so the weak
 directions of a low-rank optimum crawl.
 
-After every POLISH_INTERVAL R sigma R steps a Newton polish takes over:
-sigma ~ A A^H / ||A||^2 with A the eigenvectors of sigma above
+After every ceil(8 r^4 / N) R sigma R steps on the N x r rescaled frame,
+but at most POLISH_INTERVAL, a Newton polish takes over. An R sigma R step
+costs ~ N r^2 and a full-rank Newton eigensolve ~ (2 r^2)^3, so the steps
+between polishes cost about one Newton step. At N = 306 the interval is 1,
+3, 7, 17, 34 and 63 for r = 2...7, and the cap of 100 from r = 8 on, the
+reference full basis (r = 15) included. The polish sets
+sigma ~ A A^H / ||A||^2, with A the eigenvectors of sigma above
 FACTOR_CUTOFF times its largest eigenvalue, scaled by their square roots,
 and damped Newton steps ascend Phi(A) = sum_i f_i log p_i - log ||A||^2,
 which equals the recorded log-likelihood because the rescaled effects are
@@ -78,8 +83,10 @@ DILUTION_FLOOR = 1.0 / 64.0
 PROBABILITY_FLOOR = 1e-14
 
 # the R sigma R iteration hands over to a Newton polish of a factor of sigma
-# after every POLISH_INTERVAL of its own steps; the factor keeps the
-# eigenvalues of sigma above FACTOR_CUTOFF times the largest
+# after every _polish_interval(r, N) of its own steps, never more than
+# POLISH_INTERVAL (tuned at r = 15, where a Newton step costs about 40 R sigma
+# R steps); the factor keeps the eigenvalues of sigma above FACTOR_CUTOFF
+# times the largest
 POLISH_INTERVAL = 100
 FACTOR_CUTOFF = 1e-6
 # Newton direction: pseudo-inverse of -H over eigenvalues above this multiple
@@ -150,7 +157,11 @@ class ReconstructionResult:
     coordinates, where sum_i p_i = 1. iterations counts both kinds of
     step, newton_steps the Newton steps among them. floor_hits counts the
     times an observed outcome's probability was raised to the floor, the
-    count that the RuntimeWarning reports.
+    count that the RuntimeWarning reports. backtracks counts the refused
+    candidates of either kind: an R sigma R candidate that lowers the
+    likelihood (each halves eps, or at DILUTION_FLOOR stalls the run) and a
+    Newton candidate that fails the Armijo test or floors an outcome (each
+    halves the step). dilution is the final eps of the R sigma R step.
     """
 
     rho: np.ndarray
@@ -162,6 +173,8 @@ class ReconstructionResult:
     likelihood_gap: float | None
     newton_steps: int
     floor_hits: int
+    backtracks: int
+    dilution: float
 
     @property
     def converged(self) -> bool:
@@ -320,10 +333,24 @@ def _newton_direction(A: np.ndarray, f: np.ndarray, Y: np.ndarray, Yc: np.ndarra
     return (d[: r * k] + 1j * d[r * k:]).reshape(r, k), float(g @ d)
 
 
-def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int):
+def _polish_interval(r: int, n_outcomes: int) -> int:
+    """R sigma R steps between Newton polishes on an n_outcomes x r frame.
+
+    ceil(8 r^4 / n_outcomes) R sigma R steps (each ~ n_outcomes r^2) cost
+    about as much as one full-rank Newton eigensolve (a Hessian of size
+    2 r^2, ~ (2 r^2)^3); POLISH_INTERVAL caps it.
+    """
+    return min(POLISH_INTERVAL, -(-8 * r**4 // n_outcomes))
+
+
+def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int) -> tuple:
     """Diluted R sigma R iteration in rescaled coordinates, with a Newton
-    polish of a low-rank factor of sigma after every POLISH_INTERVAL R sigma R
-    steps."""
+    polish of a low-rank factor of sigma after every _polish_interval R sigma
+    R steps.
+
+    Returns sigma, the likelihood trace and, by name, the ReconstructionResult
+    fields other than rho, log_likelihood and extremal_residual.
+    """
     n_out, r = Yp.shape
     Ypc = Yp.conj()
     mask = f > 0
@@ -331,24 +358,29 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int):
     Ym = np.ascontiguousarray(Yp[mask])
     Ymc = np.ascontiguousarray(Ypc[mask])
     eye = np.eye(r, dtype=complex)
+    interval = _polish_interval(r, n_out)
 
     sigma = eye / r
     p = _born(Ypc, sigma, Yp)
-    floor_hits = 0
+    floor_hits = backtracks = 0
 
-    def log_likelihood(pvec):
-        return float(fm @ np.log(pvec))
+    def log_likelihood(pm):
+        return float(fm @ np.log(pm))
 
     def floored(pvec):
+        """_floored(pvec, mask), its hits counted in floor_hits."""
         nonlocal floor_hits
         pm, hits = _floored(pvec, mask)
         floor_hits += hits
-        return pm
+        return pm, hits
 
-    def r_matrix(pvec):
-        """R at pvec, and whether it was built from floored probabilities."""
-        hits = floor_hits
-        return _effect_sum(fm / floored(pvec), Ym, Ymc), floor_hits > hits
+    def r_matrix(floor):
+        """R from an iterate's floored probabilities (pm, hits), and whether
+        any was floored; the hits count again, as the floor engages for R."""
+        nonlocal floor_hits
+        pm, hits = floor
+        floor_hits += hits
+        return _effect_sum(fm / pm, Ym, Ymc), hits > 0
 
     def state(c):
         """The Hermitian part of c at unit trace, with its probabilities."""
@@ -363,9 +395,11 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int):
         return float(lam_max) * (1.0 + r * EPS) - 1.0
 
     def newton_step(A, ll):
-        """An Armijo-damped Newton step on the factor A, as (A, sigma, p, log L,
-        whether its predicted ascent is above rounding), or None where no step
-        length rises. A candidate that floors an observed outcome is refused."""
+        """An Armijo-damped Newton step on the factor A, as (A, sigma, p, its
+        floored probabilities, log L, whether its predicted ascent is above
+        rounding), or None where no step length rises. A candidate that floors
+        an observed outcome is refused."""
+        nonlocal backtracks
         D, decrement = _newton_direction(A, fm, Ym, Ymc)
         if not decrement > 0.0:
             return None
@@ -378,18 +412,22 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int):
             if not hits:
                 ll_cand = log_likelihood(pm)
                 if ll_cand >= ll + NEWTON_ARMIJO * t * decrement - rounding:
-                    return A_cand, cand, p_cand, ll_cand, decrement / 2.0 > rounding
+                    return (A_cand, cand, p_cand, (pm, 0), ll_cand,
+                            decrement / 2.0 > rounding)
+            backtracks += 1
             t /= 2.0
         return None
 
-    ll = log_likelihood(floored(p))
+    floor = floored(p)
+    ll = log_likelihood(floor[0])
     trace = [ll]
     eps = 1.0
     stop = "cap"
     gap = None
-    # top eigenvector of the last R whose spectrum was taken: while its
-    # Rayleigh quotient v^H R v >= 1 + TOL_GAP, so is lambda_max(R)
-    v = None
+    # top eigenvector (and its conjugate) of the last R whose spectrum was
+    # taken: while its Rayleigh quotient v^H R v >= 1 + TOL_GAP, so is
+    # lambda_max(R)
+    v = vc = None
     # every completed iteration is one R sigma R step or one Newton step
     rsr_steps = newton_steps = 0
     # the factor of a polish in progress, whether that polish has risen by
@@ -397,13 +435,14 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int):
     factor, ascended, polish = None, False, True
 
     while rsr_steps + newton_steps < max_iterations:
-        R, was_floored = r_matrix(p)
+        R, was_floored = r_matrix(floor)
         # an R built from floored probabilities under-weights those outcomes,
         # so its gap certifies nothing
         if not was_floored and (v is None
-                                or certified_gap((v.conj() @ R @ v).real) < TOL_GAP):
+                                or certified_gap((vc @ R @ v).real) < TOL_GAP):
             lam, vecs = np.linalg.eigh(R)
             gap, v = certified_gap(lam[-1]), vecs[:, -1]
+            vc = v.conj()
             if gap < TOL_GAP:
                 stop = "gap"
                 break
@@ -415,7 +454,7 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int):
                 # is not tried again, since it would repeat itself at the optimum
                 factor, polish = None, was_floored or ascended
             else:
-                factor, cand, p_cand, ll_cand, resolved = step
+                factor, cand, p_cand, floor_cand, ll_cand, resolved = step
                 newton_steps += 1
                 # the first step whose predicted ascent is below rounding ends
                 # the polish: quadratic convergence has reached the optimum
@@ -424,10 +463,15 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int):
                     factor, polish = None, ascended
         if step is None:
             while True:
-                R_tilde = eps * R + (1.0 - eps) * eye
+                # undiluted, R~ is R itself
+                R_tilde = R if eps == 1.0 else eps * R + (1.0 - eps) * eye
                 cand, p_cand = state(R_tilde @ sigma @ R_tilde)
-                ll_cand = log_likelihood(floored(p_cand))
-                if ll_cand >= ll - 1e-12 or eps <= DILUTION_FLOOR:
+                floor_cand = floored(p_cand)
+                ll_cand = log_likelihood(floor_cand[0])
+                if ll_cand >= ll - 1e-12:
+                    break
+                backtracks += 1
+                if eps <= DILUTION_FLOOR:
                     break
                 eps = max(eps / 2.0, DILUTION_FLOOR)
             if ll_cand < ll - 1e-12:
@@ -436,23 +480,24 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int):
                 stop = "stalled"
                 break
             rsr_steps += 1
-        sigma, p, ll = cand, p_cand, ll_cand
+        sigma, p, floor, ll = cand, p_cand, floor_cand, ll_cand
         trace.append(ll)
-        if step is None and polish and rsr_steps % POLISH_INTERVAL == 0:
+        if step is None and polish and rsr_steps % interval == 0:
             factor, ascended = _factor(sigma), False
 
     if stop != "gap":
         # certificate of the returned iterate; none where it is floored
-        R, was_floored = r_matrix(p)
+        R, was_floored = r_matrix(floor)
         gap = None if was_floored else certified_gap(np.linalg.eigvalsh(R)[-1])
     if floor_hits:
         warnings.warn(
             f"probability floor engaged {floor_hits} time(s): some observed "
             "outcomes are nominally impossible under the truncated model",
             RuntimeWarning, stacklevel=3)
-    born = float(np.abs(p - f).max())
-    iterations = rsr_steps + newton_steps
-    return sigma, np.array(trace), iterations, newton_steps, floor_hits, born, stop, gap
+    return sigma, np.array(trace), dict(
+        iterations=rsr_steps + newton_steps, newton_steps=newton_steps,
+        floor_hits=floor_hits, backtracks=backtracks, dilution=eps,
+        born_residual=float(np.abs(p - f).max()), stop_reason=stop, likelihood_gap=gap)
 
 
 def maxlik_solve(dataset: Dataset, povm: PovmSet, config: SolverConfig | None = None,
@@ -495,8 +540,7 @@ def maxlik_solve(dataset: Dataset, povm: PovmSet, config: SolverConfig | None = 
         raise EmptyMeasurementError("Gram operator has zero support")
     f = dataset.frequencies
 
-    sigma, trace, iterations, newton_steps, floor_hits, born, stop, gap = _iterate(
-        analysis.rescaled_vectors, f, config.max_iterations)
+    sigma, trace, telemetry = _iterate(analysis.rescaled_vectors, f, config.max_iterations)
 
     # a rescaled-space state maps back as G^(-1/2) sigma G^(-1/2) on the support
     embed = analysis.support_vectors / np.sqrt(analysis.support_eigenvalues)
@@ -510,8 +554,5 @@ def maxlik_solve(dataset: Dataset, povm: PovmSet, config: SolverConfig | None = 
         rho = subspace @ rho @ subspace.conj().T
         rho = 0.5 * (rho + rho.conj().T)
 
-    return ReconstructionResult(rho=rho, log_likelihood=trace, iterations=iterations,
-                                born_residual=born, extremal_residual=resid,
-                                stop_reason=stop,
-                                likelihood_gap=gap, newton_steps=newton_steps,
-                                floor_hits=floor_hits)
+    return ReconstructionResult(rho=rho, log_likelihood=trace, extremal_residual=resid,
+                                **telemetry)

@@ -67,6 +67,8 @@ def encode_reconstruction(result: ReconstructionResult) -> dict:
                            else float(result.likelihood_gap)),
         "newton_steps": result.newton_steps,
         "floor_hits": result.floor_hits,
+        "backtracks": result.backtracks,
+        "dilution": float(result.dilution),
     }
 
 

@@ -429,9 +429,10 @@ class TestReconstructCommand:
         assert len(data) == 2 + 7
 
     def test_stop_fields_written(self, small_config, tmp_path, capsys):
-        # at a 50-iteration cap, before the first Newton polish, the gap is not
-        # yet certified; with the default cap the CLI's gap rule (TOL_GAP,
-        # 1e-10) stops the run
+        # at a 50-iteration cap, before the first Newton polish (whose interval
+        # is ceil(8 r^4 / N) = 53 at r = 4, N = 39), the gap is not yet
+        # certified; with the default cap the CLI's gap rule (TOL_GAP, 1e-10)
+        # stops the run
         conf = json.loads(small_config.read_text())
         conf["solver"]["max_iterations"] = 50
         capped_path = small_config.parent / "capped.json"

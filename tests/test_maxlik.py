@@ -341,6 +341,7 @@ class TestMaxlikSolve:
         assert res.converged
         assert np.all(np.diff(res.log_likelihood) >= -1e-12)
         assert np.abs(res.rho - np.diag(ds.frequencies)).max() < 1e-10
+        assert res.dilution < 1.0 and res.backtracks > 0
 
 
 class TestStopReason:
@@ -381,6 +382,8 @@ class TestStopReason:
         assert (res.stop_reason, res.converged) == ("stalled", False)
         assert np.all(np.diff(res.log_likelihood) >= -1e-12)
         assert res.log_likelihood.size == res.iterations + 1
+        # the refused step is the one backtrack; eps stays at its floor, here 1
+        assert (res.backtracks, res.dilution) == (1, 1.0)
 
     def test_no_gap_stop_while_floor_is_active(self):
         # the setup of test_truncation_mismatch_floor_warning: R' = 5/6 because
@@ -485,6 +488,8 @@ class TestNewtonPolish:
         res = maxlik_solve(ds, reference_povm)
         assert res.stop_reason == "gap" and res.iterations <= 500
         assert worst_decrease(res.log_likelihood) <= 1e-12
+        # no R sigma R step was diluted
+        assert res.dilution == 1.0
 
     def test_no_polish_after_one_without_ascent(self, monkeypatch):
         # TOL_GAP = 0 never fires, since lambda_max(R') >= 1, so the solve runs
@@ -509,3 +514,49 @@ class TestTelemetry:
             res = maxlik_solve(ds, povm, cfg, np.eye(2, dtype=complex)[:, :1])
         assert res.floor_hits > 0
         assert f"engaged {res.floor_hits} time(s)" in str(record[0].message)
+
+
+class TestPolishSchedule:
+    def test_interval_sized_to_the_frame(self):
+        # ceil(8 r^4 / N) R sigma R steps cost about one Newton eigensolve;
+        # the reference full basis (r = 15, N = 306) keeps the cap of 100
+        assert maxlik._polish_interval(15, 306) == maxlik.POLISH_INTERVAL == 100
+        assert [maxlik._polish_interval(r, 306) for r in range(2, 9)] == [
+            1, 3, 7, 17, 34, 63, 100]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_small_gram_solves_certify_early(self, reference_povm, cat_target, d,
+                                             monkeypatch):
+        # a polish held off past the cap leaves the R sigma R iteration alone,
+        # which certifies the same optimum
+        from gramtomo import pure_density, subspace_basis
+        basis = subspace_basis("gram", d, reference_povm)
+        datasets = [generate_counts(pure_density(cat_target), reference_povm,
+                                    NoiseModel(kind="poisson", exposure=100000.0, seed=seed))
+                    for seed in range(4)]
+        polished = [maxlik_solve(ds, reference_povm, subspace=basis) for ds in datasets]
+        monkeypatch.setattr(maxlik, "_polish_interval",
+                            lambda r, n: SolverConfig().max_iterations + 1)
+        unpolished = [maxlik_solve(ds, reference_povm, subspace=basis) for ds in datasets]
+        for res, plain in zip(polished, unpolished):
+            assert res.stop_reason == plain.stop_reason == "gap"
+            assert 0 < res.newton_steps and res.iterations <= 15
+            assert plain.newton_steps == 0
+            assert abs(res.log_likelihood[-1] - plain.log_likelihood[-1]) <= 2 * TOL_GAP
+
+    @pytest.mark.parametrize("phases, bins, half_width", [(2, 51, 2.0), (6, 9, 5.0),
+                                                          (1, 51, 2.0)])
+    def test_ill_conditioned_gram_solves_certify(self, phases, bins, half_width):
+        from gramtomo import (HomodyneConfig, build_homodyne_povm, cat_state, pure_density,
+                              subspace_basis)
+        povm = build_homodyne_povm(HomodyneConfig.uniform(
+            phase_count=phases, bins=bins, x_range=(-half_width, half_width)), 15)
+        rho = pure_density(cat_state(2.0, "even", 15))
+        basis = subspace_basis("gram", 6, povm)
+        for seed in range(4):
+            for exposure in (1e3, 1e5):
+                ds = generate_counts(rho, povm, NoiseModel(kind="poisson", exposure=exposure,
+                                                           seed=seed))
+                for d in range(2, 7):
+                    res = maxlik_solve(ds, povm, subspace=basis[:, :d])
+                    assert res.stop_reason == "gap", (seed, exposure, d)
