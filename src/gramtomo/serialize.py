@@ -66,6 +66,7 @@ def encode_reconstruction(result: ReconstructionResult) -> dict:
         "likelihood_gap": (None if result.likelihood_gap is None
                            else float(result.likelihood_gap)),
         "newton_steps": result.newton_steps,
+        "newton_fallbacks": result.newton_fallbacks,
         "floor_hits": result.floor_hits,
         "backtracks": result.backtracks,
         "dilution": float(result.dilution),

@@ -4,6 +4,7 @@ import copy
 import json
 import random
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -234,6 +235,15 @@ class TestConfigValidation:
             [sys.executable, "-c", "import gramtomo.cli, sys; print(sorted(m for m in "
              "sys.modules if m.split('.')[0] in {'jsonschema', 'referencing', 'attrs', "
              "'rpds'}))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_leaves_scipy_out(self):
+        # scipy serves the tests only; importing it costs every command's start
+        proc = subprocess.run(
+            [sys.executable, "-c", "import gramtomo.cli, sys; print(sorted(m for m in "
+             "sys.modules if m.split('.')[0] == 'scipy'))"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -729,6 +739,36 @@ class TestDeterminism:
         assert run(argv, capsys)[0] == 0
         for p in out.iterdir():
             assert p.read_bytes() == snapshot[p.name]
+
+    def test_usage_error_after_a_command_exits_1(self, small_config, tmp_path, capsys):
+        # the parser is built once per process; a run through it leaves
+        # nothing behind for the next
+        assert run(["gram-spectrum", "--config", str(small_config), "--out",
+                    str(tmp_path / "first")], capsys)[0] == 0
+        out = tmp_path / "out"
+        code, _, err = run(["reconstruct", "--bogus", "--out", str(out)], capsys)
+        assert code == 1
+        assert "usage:" in err and "unrecognized arguments: --bogus" in err
+        assert not out.exists()
+
+    def test_commands_in_one_process_match_fresh_runs(self, small_config, tmp_path,
+                                                        capsys):
+        commands = [["reconstruct"], ["stability", "--trials", "3"]]
+        fresh = {}
+        for command in commands:
+            out = tmp_path / command[0]
+            proc = subprocess.run(
+                [sys.executable, "-m", "gramtomo.cli", *command,
+                 "--config", str(small_config), "--out", str(out)],
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            fresh.update({p: p.read_bytes() for p in out.iterdir()})
+            shutil.rmtree(out)
+        for command in commands:
+            assert run([*command, "--config", str(small_config), "--out",
+                        str(tmp_path / command[0])], capsys)[0] == 0
+        assert {p: p.read_bytes() for command in commands
+                for p in (tmp_path / command[0]).iterdir()} == fresh
 
     def test_env_var_sets_output_dir(self, small_config, tmp_path, capsys,
                                      monkeypatch):

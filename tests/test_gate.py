@@ -88,3 +88,18 @@ class TestCompare:
         after = self.tree(tmp_path, "after", {"reconstruction.json": document})
         assert gate.compare(before, after) == 1
         assert "0 of 2 files differ, 1 on one side only" in capsys.readouterr().out
+
+
+def test_ill_gram12_takes_a_full_space_newton_direction(gate, tmp_path, capsys):
+    # the case pins the fallback of the horizontal Newton solve at --seed 0
+    from gramtomo.cli import main
+    config, commands = gate.CASES["ill-gram12"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", str(path), "--out", str(out), "--seed", "0"]) == 0
+    capsys.readouterr()
+    result = json.loads((out / "reconstruction.json").read_text())
+    assert "reconstruct" in commands
+    assert result["stop_reason"] == "gap"
+    assert 0 < result["newton_fallbacks"] < result["newton_steps"]

@@ -503,6 +503,150 @@ class TestNewtonPolish:
         assert 0 < runs[0].newton_steps == runs[1].newton_steps
 
 
+def complete_frame(rng, n, r):
+    """n x r complex Y with Y^H Y = I: the effects conj(y_i) y_i^T sum to the
+    identity, as the solver's rescaled frame does."""
+    return np.linalg.qr(rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r)))[0]
+
+
+def as_real(A):
+    """The real parameters x = (Re A, Im A) of _phi_derivatives, row-major."""
+    return np.concatenate([A.real.ravel(), A.imag.ravel()])
+
+
+def full_space_direction(g, H):
+    """The Newton direction from the pseudo-inverse of -H over its eigenvalues
+    above NEWTON_PINV_CUTOFF times the largest."""
+    lam, U = np.linalg.eigh(-H)
+    keep = lam > maxlik.NEWTON_PINV_CUTOFF * max(lam[-1], 0.0)
+    return U[:, keep] @ ((U[:, keep].T @ g) / lam[keep])
+
+
+class TestHorizontalNewton:
+    """The Newton direction solved off the gauge directions vec(A Z), Z
+    anti-Hermitian or the identity, along which Phi does not change."""
+
+    @pytest.mark.parametrize("r, k", [(4, 1), (5, 3), (15, 6)])
+    def test_basis_is_orthonormal_complement_of_the_gauge(self, r, k):
+        rng = np.random.default_rng(r + k)
+        A = rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k))
+        B = maxlik._horizontal_basis(A)
+        assert B.shape == (2 * r * k, 2 * r * k - k * k - 1)
+        assert np.abs(B.T @ B - np.eye(B.shape[1])).max() < 1e-12
+        # random anti-Hermitian Z and the identity, drawn here, not the
+        # module's generators
+        M = rng.normal(size=(8, k, k)) + 1j * rng.normal(size=(8, k, k))
+        Zs = [*(M - M.conj().transpose(0, 2, 1)), np.eye(k)]
+        for Z in Zs:
+            v = as_real(A @ Z)
+            assert np.abs(B.T @ v).max() < 1e-12 * np.abs(v).max()
+
+    def test_reduced_derivatives_match_central_differences(self):
+        # Phi along B's columns: gr = B^T g and Hr = B^T (-H) B against
+        # central differences of Phi and of its gradient, as in
+        # TestNewtonPolish.test_derivatives_match_central_differences
+        from gramtomo.maxlik import _phi_derivatives
+        n, r, k = 40, 5, 2
+        rng = np.random.default_rng(1)
+        Y = (rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))) / np.sqrt(2 * r)
+        f = rng.random(n)
+        f /= f.sum()
+
+        def unflatten(x):
+            return (x[: r * k] + 1j * x[r * k:]).reshape(r, k)
+
+        def phi(x):
+            C = unflatten(x)
+            p = np.sum(np.abs(Y.conj() @ C) ** 2, axis=1)
+            return f @ np.log(p) - np.log(np.vdot(C, C).real)
+
+        def gradient(x):
+            return _phi_derivatives(unflatten(x), f, Y, Y.conj())[0]
+
+        A = rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k))
+        x = as_real(A)
+        g, H = _phi_derivatives(A, f, Y, Y.conj())
+        B = maxlik._horizontal_basis(A)
+        gr, Hr = B.T @ g, B.T @ -H @ B
+        steps = 1e-5 * B.T
+        gr_fd = np.array([(phi(x + e) - phi(x - e)) / 2e-5 for e in steps])
+        Hr_fd = -np.array([B.T @ (gradient(x + e) - gradient(x - e)) / 2e-5
+                           for e in steps])
+        assert np.abs(gr - gr_fd).max() < 1e-8 * np.abs(gr).max()
+        assert np.abs(Hr - Hr_fd).max() < 1e-8 * np.abs(Hr).max()
+        # g has no vertical part, and x (the 4 x x^T / N^2 term of H) is vertical
+        assert abs(np.linalg.norm(gr) - np.linalg.norm(g)) < 1e-12 * np.linalg.norm(g)
+        assert np.abs(B.T @ x).max() < 1e-12 * np.abs(x).max()
+
+    @pytest.mark.parametrize("r, k", [(5, 3), (15, 6)])
+    def test_cholesky_direction_is_the_pseudo_inverse(self, r, k):
+        # near the optimum of exact data from a rank-k state on a complete
+        # frame, -H is positive definite off the gauge
+        from gramtomo.maxlik import _newton_direction, _phi_derivatives
+        assert 2 * r * k >= maxlik.NEWTON_HORIZONTAL_SIZE
+        rng = np.random.default_rng(2)
+        Y = complete_frame(rng, 4 * r * r, r)
+        A0 = rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k))
+        f = np.sum(np.abs(Y.conj() @ A0) ** 2, axis=1)
+        f /= f.sum()
+        A = A0 + 1e-3 * (rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k)))
+        D, decrement, fallback = _newton_direction(A, f, Y, Y.conj())
+        assert not fallback
+        g, H = _phi_derivatives(A, f, Y, Y.conj())
+        B = maxlik._horizontal_basis(A)
+        lam, U = np.linalg.eigh(B.T @ -H @ B)
+        assert lam[0] > maxlik.NEWTON_PINV_CUTOFF * lam[-1]
+        d = B @ U @ ((U.T @ B.T @ g) / lam)
+        assert np.abs(as_real(D) - d).max() < 1e-10 * np.abs(d).max()
+        assert decrement == pytest.approx(g @ d, rel=1e-10)
+
+    @pytest.mark.parametrize("r, k", [(5, 3), (15, 6)])
+    def test_fallback_at_a_random_point_is_the_full_space_direction(self, r, k):
+        from gramtomo.maxlik import _newton_direction, _phi_derivatives
+        rng = np.random.default_rng(3)
+        Y = complete_frame(rng, 4 * r * r, r)
+        f = rng.random(len(Y))
+        f /= f.sum()
+        A = rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k))
+        g, H = _phi_derivatives(A, f, Y, Y.conj())
+        B = maxlik._horizontal_basis(A)
+        # far from the optimum, -H has negative curvature off the gauge
+        assert np.linalg.eigvalsh(B.T @ -H @ B)[0] < 0
+        D, decrement, fallback = _newton_direction(A, f, Y, Y.conj())
+        assert fallback
+        d = full_space_direction(g, H)
+        assert np.array_equal(as_real(D), d)
+        assert decrement == g @ d
+
+    def test_small_factor_takes_the_full_space_route(self):
+        # below NEWTON_HORIZONTAL_SIZE the eigensolve is the cheaper route,
+        # even where the Cholesky test would hold
+        from gramtomo.maxlik import _newton_direction, _phi_derivatives
+        r, k = 3, 3
+        assert 2 * r * k < maxlik.NEWTON_HORIZONTAL_SIZE
+        rng = np.random.default_rng(4)
+        Y = complete_frame(rng, 4 * r * r, r)
+        A = rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k))
+        f = np.sum(np.abs(Y.conj() @ A) ** 2, axis=1)
+        f /= f.sum()
+        A = A + 1e-3 * (rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k)))
+        g, H = _phi_derivatives(A, f, Y, Y.conj())
+        assert maxlik._horizontal_direction(A, g, H) is not None
+        D, _, fallback = _newton_direction(A, f, Y, Y.conj())
+        assert fallback
+        assert np.array_equal(as_real(D), full_space_direction(g, H))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_reference_solves_take_the_horizontal_route(self, reference_povm, cat_target,
+                                                         seed):
+        from gramtomo import pure_density
+        ds = generate_counts(pure_density(cat_target), reference_povm,
+                             NoiseModel(kind="poisson", exposure=100000.0, seed=seed))
+        res = maxlik_solve(ds, reference_povm)
+        assert res.stop_reason == "gap"
+        assert res.newton_steps > 0 and res.newton_fallbacks == 0
+
+
 class TestTelemetry:
     def test_floor_hits_counted(self):
         # the setup of test_truncation_mismatch_floor_warning; a clean solve's
