@@ -7,10 +7,9 @@ output directory and picks csv or json. A failed command writes nothing,
 except the report of a failing frames-check.
 Every command is a pure function of (config, seed) at a fixed BLAS thread
 count: reruns with identical inputs and OPENBLAS_NUM_THREADS write
-byte-identical files. A different thread count can move the last bits: 297
-of the 306 Q eigenvalues in the default config's q_spectrum.csv differ
-between 1 and 2 OpenBLAS threads, by up to 7.2e-16. Wall-clock timings go
-to stderr only, never into output files.
+byte-identical files. Another thread count can move the last bits, as in a
+one-block POVM's q_spectrum (one SVD of T; README lists the files measured).
+Wall-clock timings go to stderr only, never into output files.
 
 Config precedence: flag > config file > built-in default. The default
 output directory comes from --out, then the config, then the environment
@@ -38,12 +37,11 @@ import numpy as np
 from .errors import EmptyMeasurementError, InvalidInputError, NumericalConsistencyError
 from .fock import (PhaseSpaceGrid, cat_state, coherent_state, fidelity, fock_state,
                    kept_weight, wigner)
-from .frames import (dual_frame, from_coords, hadamard_identity_check, linear_inversion,
-                     modal_weighting, operator_frame, operator_frame_apply, to_coords)
+from .frames import (dual_frame, from_coords, linear_inversion, modal_weighting,
+                     operator_frame, operator_frame_apply, to_coords)
 from .maxlik import Dataset, SolverConfig, maxlik_solve
 from .povm import (HomodyneConfig, PovmSet, born_probabilities, build_homodyne_povm,
-                   effective_rank, gram_matrix_operator_space, gram_operator, gram_spectrum,
-                   subspace_basis)
+                   effective_rank, gram_operator, gram_spectrum, subspace_basis)
 from .serialize import Table, WignerGrid, decode_povm, encode_reconstruction, write_outputs
 from .simulate import (NoiseModel, dimension_sweep, generate_counts, stability_study,
                        trial_generator)
@@ -315,7 +313,10 @@ def cmd_gram_spectrum(config: dict) -> dict:
     analysis = gram_spectrum(povm)
     if analysis.rank == 0:
         raise EmptyMeasurementError("Gram operator has zero support")
-    q_vals = np.linalg.eigvalsh(gram_matrix_operator_space(povm))[::-1]
+    # Q = T T^T shares its nonzero spectrum with the frame operator S = T^T T,
+    # whose modes are at most as many as the outcomes
+    modes = operator_frame(povm).eigenvalues
+    q_vals = np.pad(modes, (0, povm.n_outcomes - modes.size))
     outputs = {name: Table(["index", "value"],
                            [(k + 1, float(v)) for k, v in enumerate(values)], values=True)
                for name, values in (("g_spectrum", analysis.eigenvalues),
@@ -419,15 +420,21 @@ def cmd_frames_check(config: dict) -> dict:
     povm = build_povm_from_config(config)
     dim = povm.dim
     analysis = gram_spectrum(povm)
+    # dual_frame refuses a measurement of zero support before frame_trace
+    # divides by its trace
+    duals = dual_frame(povm, analysis)
+    frame = operator_frame(povm)
     rng = trial_generator(config["noise"]["seed"], 0)
 
     def random_hermitian() -> np.ndarray:
         M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         return (M + M.conj().T) / 2.0
 
-    checks = [("hadamard_identity", hadamard_identity_check(povm), 1e-14)]
+    # Tr S from the frame's modes against sum_i Tr(Pi_i^2) = sum_i |y_i|^4,
+    # relative to the latter
+    trace = np.sum(np.sum(np.abs(povm.vectors) ** 2, axis=1) ** 2)
+    checks = [("frame_trace", float(abs(np.sum(frame.eigenvalues) - trace) / trace), 1e-12)]
 
-    duals = dual_frame(povm, analysis)
     Us = analysis.support_vectors
     projector = Us @ Us.conj().T
     reassembled = povm.vectors.T @ duals.conj()
@@ -439,7 +446,6 @@ def cmd_frames_check(config: dict) -> dict:
     rhs = np.trace(A.conj().T @ operator_frame_apply(Bop, povm))
     checks.append(("s_self_adjoint", float(abs(lhs - rhs)), 1e-10))
 
-    frame = operator_frame(povm)
     C_proj = from_coords(frame.project(to_coords(random_hermitian())), dim)
     p = born_probabilities(C_proj, povm)
     with warnings.catch_warnings():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
+import os
 import random
 import re
 import shutil
@@ -15,7 +17,7 @@ from jsonschema import Draft202012Validator
 from jsonschema.validators import extend
 
 from gramtomo import (HomodyneConfig, NoiseModel, PovmSet, build_homodyne_povm, cat_state,
-                      generate_counts, pure_density)
+                      generate_counts, operator_frame, pure_density)
 from gramtomo.cli import (CONFIG_SCHEMA, CONFIG_SCHEMA_PATH, DEFAULTS, _schema_error,
                           _strip_nones, _supported_schema, build_povm_from_config,
                           load_config, main)
@@ -399,6 +401,21 @@ class TestGramSpectrumCommand:
         assert gaps == pytest.approx([(a - b) / g_vals[0] for a, b in zip(g_vals, g_vals[1:])],
                                      rel=1e-12, abs=1e-15)
 
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        # q_spectrum comes from the small class SVDs of the operator frame, whose
+        # bits do not depend on the thread count; a dense N x N eigensolve's do
+        out = tmp_path / "out"
+        written = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "gramtomo.cli", "gram-spectrum", "--out", str(out)],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads), capture_output=True,
+                text=True)
+            assert proc.returncode == 0, proc.stderr
+            written.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert sorted(written[0]) == ["g_spectrum.csv", "q_spectrum.csv", "rank_report.json"]
+        assert written[0] == written[1]
+
     def test_projective_gram_is_identity(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"dim": 5, "povm": {"kind": "projective"}}))
@@ -419,6 +436,22 @@ class TestGramSpectrumCommand:
         assert code == 0
         assert (out / "g_spectrum.json").exists()
         assert not (out / "g_spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("config", [{}, {"dim": 30, "povm": {"range": [-6.0, 6.0]}}],
+                         ids=["reference", "dim30"])
+def test_no_command_forms_an_n_by_n_matrix(config, tmp_path, capsys, monkeypatch):
+    def refuse(povm):
+        raise AssertionError(f"formed the {povm.n_outcomes} x {povm.n_outcomes} Gram matrix")
+
+    monkeypatch.setattr("gramtomo.povm.gram_matrix_state_space", refuse)
+    monkeypatch.setattr("gramtomo.frames.gram_matrix_state_space", refuse)
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(config))
+    for command in ("gram-spectrum", "frames-check"):
+        code, _, err = run([command, "--config", str(conf), "--out", str(tmp_path / command)],
+                           capsys)
+        assert code == 0, err
 
 
 class TestReconstructCommand:
@@ -722,12 +755,20 @@ class TestPovmFile:
             return [(out / f).read_text().splitlines()[1:]
                     for f in ("g_spectrum.csv", "q_spectrum.csv")]
 
+        def values(rows):
+            return np.array([float(row.split(",")[1]) for row in rows[1:]])
+
         inline = spectra("inline", {})
         assert len(inline[0]) == 16
         for name, encoded in (("file", data), ("metadata", with_metadata)):
             povm_path = tmp_path / f"{name}.json"
             povm_path.write_text(json.dumps(encoded))
-            assert spectra(name, {"file": str(povm_path)}) == inline
+            g_rows, q_rows = spectra(name, {"file": str(povm_path)})
+            assert g_rows == inline[0]
+            # a POVM file records no homodyne layout, so its operator frame is
+            # one SVD of T where the inline POVM has one per coherence-order class
+            q_file, q_inline = values(q_rows), values(inline[1])
+            assert np.abs(q_file - q_inline).max() <= 1e-12 * q_inline[0]
 
 
 class TestDeterminism:
@@ -912,7 +953,7 @@ class TestFramesCheckCommand:
         report = json.loads((out / "frames_report.json").read_text())
         assert report["all_pass"] is True
         assert [c["name"] for c in report["checks"]] == [
-            "hadamard_identity", "dual_frame_projector", "s_self_adjoint",
+            "frame_trace", "dual_frame_projector", "s_self_adjoint",
             "linear_inversion_round_trip", "modal_weighting_congruence"]
         assert all(c["pass"] for c in report["checks"])
 
@@ -952,13 +993,18 @@ class TestFramesCheckCommand:
 
     def test_failure_exits_2_and_writes_report(self, small_config, tmp_path, capsys,
                                                monkeypatch):
-        monkeypatch.setattr("gramtomo.cli.hadamard_identity_check",
-                            lambda povm: 1.0)
+        def frame_without_last_block(povm):
+            frame = operator_frame(povm)
+            blocks = frame.blocks[:-1]
+            s = np.concatenate([block[3] for block in blocks])
+            return dataclasses.replace(frame, blocks=blocks, eigenvalues=np.sort(s**2)[::-1])
+
+        monkeypatch.setattr("gramtomo.cli.operator_frame", frame_without_last_block)
         out = tmp_path / "out"
         code, _, err = run(["frames-check", "--config", str(small_config), "--out",
                             str(out)], capsys)
         assert code == 2
-        assert "hadamard_identity" in err
+        assert "frame_trace" in err
         report = json.loads((out / "frames_report.json").read_text())
         assert report["all_pass"] is False
 

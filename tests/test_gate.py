@@ -4,6 +4,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 GATE_PATH = Path(__file__).resolve().parent.parent / "tools" / "gate.py"
@@ -103,3 +104,24 @@ def test_ill_gram12_takes_a_full_space_newton_direction(gate, tmp_path, capsys):
     assert "reconstruct" in commands
     assert result["stop_reason"] == "gap"
     assert 0 < result["newton_fallbacks"] < result["newton_steps"]
+
+
+@pytest.mark.parametrize("case", ["small", "reference", "dim30", "explicit-phases"])
+def test_q_spectrum_matches_dense_route(gate, case, tmp_path, capsys):
+    # q_spectrum holds the operator frame's modes, zero-padded to the outcome
+    # count; eigvalsh of the N x N matrix Q is the dense route to the same spectrum
+    from gramtomo import gram_matrix_operator_space, operator_frame
+    from gramtomo.cli import build_povm_from_config, load_config, main
+    config, commands = gate.CASES[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert "gram-spectrum" in commands
+    assert main(["gram-spectrum", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = (out / "q_spectrum.csv").read_text().splitlines()[2:]
+    q = np.array([float(row.split(",")[1]) for row in rows])
+    povm = build_povm_from_config(load_config(str(path)))
+    dense = np.linalg.eigvalsh(gram_matrix_operator_space(povm))[::-1]
+    assert operator_frame(povm).eigenvalues.size <= povm.n_outcomes == q.size
+    assert np.abs(q - dense).max() <= 1e-12 * dense[0]

@@ -2,7 +2,7 @@
 
 `python tools/gate.py OUT [--src SRC]` runs the CLI with PYTHONPATH=SRC (default
 src/), one BLAS thread and --seed 0 into OUT/<case>/<command>/ and prints
-"<sha256>  <path>" for the 75 files. Outputs echo their directory: to compare
+"<sha256>  <path>" for the 78 files. Outputs echo their directory: to compare
 two source trees by hash, run both into the same OUT in turn and diff the
 printed lines.
 
@@ -50,7 +50,7 @@ CASES = {
                         ("gram-spectrum", "frames-check")),
     # 16 + 1 coherence-order classes of a 1616 x 2500 coefficient matrix
     "dim50": ({"dim": 50, "povm": {"phase_count": 16, "bins": 101, "range": [-8.0, 8.0]}},
-              ("frames-check",)),
+              ("gram-spectrum", "frames-check")),
     # an ill-conditioned measurement at d = 3, where the Newton polish starts
     # early and far from the optimum
     "ill-gram3": ({"povm": {"phase_count": 2, "bins": 51, "range": [-2.0, 2.0]},
