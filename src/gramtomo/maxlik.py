@@ -25,9 +25,10 @@ directions of a low-rank optimum crawl.
 
 After every ceil(8 r^4 / N) R sigma R steps on the N x r rescaled frame,
 but at most POLISH_INTERVAL, a Newton polish takes over. An R sigma R step
-costs ~ N r^2 and a full-rank Newton eigensolve ~ (2 r^2)^3, so the steps
-between polishes cost about one Newton step. At N = 306 the interval is 1,
-3, 7, 17, 34 and 63 for r = 2...7, and the cap of 100 from r = 8 on, the
+costs ~ N r^2, and the reduced Hessian and its factorization for a
+full-rank Newton direction (a Hessian of size 2 r^2) ~ (2 r^2)^3, so the
+steps between polishes cost about one Newton step. At N = 306 the interval
+is 1, 3, 7, 17, 34 and 63 for r = 2...7, and the cap of 100 from r = 8 on, the
 reference full basis (r = 15) included. The polish sets
 sigma ~ A A^H / ||A||^2, with A the eigenvectors of sigma above
 FACTOR_CUTOFF times its largest eigenvalue, scaled by their square roots,
@@ -49,17 +50,17 @@ space, spanned by the vertical directions A Z (Z anti-Hermitian, or Z = I),
 and the gradient is orthogonal to it. The Newton direction is solved on the
 horizontal space, its orthogonal complement, as in the quotient geometry
 of low-rank PSD factorizations (Burer and Monteiro, Math. Program. 95, 329,
-2003; Journee, Bach, Absil and Sepulchre, SIAM J. Optim. 20, 2327, 2010):
-with B an orthonormal basis of it from one QR of the vertical vectors,
-d = B Hr^(-1) B^T g, Hr = B^T (-H) B. A Cholesky factorization of
-Hr - tau I, tau = NEWTON_PINV_CUTOFF times a bound on the largest
-eigenvalue of Hr, shows that every eigenvalue of Hr clears the
-pseudo-inverse cutoff, so that the pseudo-inverse is the inverse. Where it
-fails (a direction of positive curvature, or one too flat to resolve), and
-for a factor too small for the basis to pay (2 r k below
-NEWTON_HORIZONTAL_SIZE), the direction is the pseudo-inverse of -H over the
-full space, from its eigendecomposition, which drops the gauge and those
-directions.
+2003; Journee, Bach, Absil and Sepulchre, SIAM J. Optim. 20, 2327, 2010),
+at every factor size: with B an orthonormal basis of it from one QR of the
+vertical vectors and Hr = B^T (-H) B, d = B |Hr|^+ B^T g, where |Hr|^+ is
+the pseudo-inverse of the absolute value of Hr over its eigenvalues above
+NEWTON_PINV_CUTOFF times the largest in magnitude (the saddle-free Newton
+step). A direction of positive curvature, far from the optimum, is thus
+ascended along rather than dropped. A Cholesky factorization of Hr - tau I,
+tau = NEWTON_PINV_CUTOFF times a bound on the largest eigenvalue of Hr,
+shows where every eigenvalue of Hr is positive and clears the cutoff; there
+|Hr|^+ is the inverse, and a linear solve gives d. Elsewhere the direction
+takes the eigendecomposition of Hr.
 
 The recorded log-likelihood is per unit count, sum_i f_i log p_i with
 sum_k p_k = 1 enforced by the rescaling. On raw-count scale (~1e5 counts)
@@ -108,18 +109,11 @@ PROBABILITY_FLOOR = 1e-14
 # times the largest
 POLISH_INTERVAL = 100
 FACTOR_CUTOFF = 1e-6
-# Newton direction: the pseudo-inverse of -H keeps its eigenvalues above this
-# multiple of the largest; the horizontal solve is taken where a Cholesky
+# Newton direction: the pseudo-inverse of |Hr| keeps its eigenvalues above this
+# multiple of the largest; the linear solve is taken where a Cholesky
 # factorization of Hr - tau I, tau this multiple of the largest absolute row
-# sum of Hr, shows that every eigenvalue of Hr clears it
+# sum of Hr, shows that every eigenvalue of Hr is positive and clears it
 NEWTON_PINV_CUTOFF = 1e-12
-# the horizontal solve is taken from this Hessian size 2 r k on. On the Newton
-# directions of reference and ill-conditioned Gram solves, d = 2-8 (2-core
-# host, one BLAS thread, median of 80 calls each), the two routes took 85
-# against 85 us at 2 r k = 24, and 91 (horizontal) against 120 us
-# (eigendecomposition) at 30; below 24 the eigendecomposition is faster
-# (29 against 69 us at 8, 61 against 80 us at 18)
-NEWTON_HORIZONTAL_SIZE = 30
 # Armijo fraction and the most halvings of a Newton step
 NEWTON_ARMIJO = 1e-4
 NEWTON_BACKTRACKS = 30
@@ -185,15 +179,15 @@ class ReconstructionResult:
     born_residual is max_i |p_i - f_i| of the returned iterate in rescaled
     coordinates, where sum_i p_i = 1. iterations counts both kinds of
     step, newton_steps the Newton steps among them. newton_fallbacks counts
-    the Newton directions taken from the full-space eigendecomposition of the
-    Hessian: below NEWTON_HORIZONTAL_SIZE, or where the Cholesky test of the
-    horizontal solve failed. floor_hits counts the
-    times an observed outcome's probability was raised to the floor, the
-    count that the RuntimeWarning reports. backtracks counts the refused
-    candidates of either kind: an R sigma R candidate that lowers the
-    likelihood (each halves eps, or at DILUTION_FLOOR stalls the run) and a
-    Newton candidate that fails the Armijo test or floors an outcome (each
-    halves the step). dilution is the final eps of the R sigma R step.
+    the Newton directions for which the reduced Hessian Hr needed its
+    eigendecomposition, where its Cholesky test failed (see the module
+    docstring). floor_hits counts the times an observed outcome's
+    probability was raised to the floor, the count that the RuntimeWarning
+    reports. backtracks counts the refused candidates of either kind: an
+    R sigma R candidate that lowers the likelihood (each halves eps, or at
+    DILUTION_FLOOR stalls the run) and a Newton candidate that fails the
+    Armijo test or floors an outcome (each halves the step). dilution is the
+    final eps of the R sigma R step.
     """
 
     rho: np.ndarray
@@ -378,52 +372,40 @@ def _horizontal_basis(A: np.ndarray) -> np.ndarray:
     return Q[:, len(AZ):]
 
 
-def _horizontal_direction(A: np.ndarray, g: np.ndarray, H: np.ndarray):
-    """The Newton direction B Hr^(-1) B^T g on the horizontal space, with B
-    from _horizontal_basis and Hr = B^T (-H) B, or None where a Cholesky
-    factorization of Hr - tau I fails, tau = NEWTON_PINV_CUTOFF times the
-    largest absolute row sum of Hr (a bound on its largest eigenvalue): there
-    the pseudo-inverse would drop a direction, and only an eigensolve finds
-    which."""
-    B = _horizontal_basis(A)
-    Hr = B.T @ -H @ B
-    tau = NEWTON_PINV_CUTOFF * np.abs(Hr).sum(axis=1).max()
-    try:
-        np.linalg.cholesky(Hr - tau * np.eye(len(Hr)))
-    except np.linalg.LinAlgError:
-        return None
-    return B @ np.linalg.solve(Hr, B.T @ g)
-
-
 def _newton_direction(A: np.ndarray, f: np.ndarray, Y: np.ndarray, Yc: np.ndarray):
     """Newton ascent direction of Phi (see _phi_derivatives) as an r x k
     complex matrix, with the Newton decrement g^T d (twice the ascent it
-    predicts) and whether the full-space eigensolve gave it.
-
-    From 2 r k >= NEWTON_HORIZONTAL_SIZE on, the direction is solved on the
-    horizontal space (_horizontal_direction). Otherwise, or where that test
-    fails, it is the pseudo-inverse of -H over the eigenvalues above
-    NEWTON_PINV_CUTOFF times the largest, which drops the near-null gauge
-    directions and those of positive curvature.
-    """
+    predicts) and whether Hr needed its eigendecomposition: the saddle-free
+    d = B |Hr|^+ B^T g of the module docstring (Dauphin et al., NeurIPS 2014),
+    by a linear solve where a Cholesky factorization of Hr - tau I succeeds,
+    tau = NEWTON_PINV_CUTOFF times the largest absolute row sum of Hr."""
     r, k = A.shape
     g, H = _phi_derivatives(A, f, Y, Yc)
-    d = _horizontal_direction(A, g, H) if 2 * r * k >= NEWTON_HORIZONTAL_SIZE else None
-    fallback = d is None
-    if fallback:
-        lam, U = np.linalg.eigh(-H)
-        keep = lam > NEWTON_PINV_CUTOFF * max(lam[-1], 0.0)
-        coef = (U[:, keep].T @ g) / lam[keep]
-        d = U[:, keep] @ coef
-    return (d[: r * k] + 1j * d[r * k:]).reshape(r, k), float(g @ d), fallback
+    B = _horizontal_basis(A)
+    Hr = B.T @ -H @ B
+    gr = B.T @ g
+    # a 1 x 1 factor has no horizontal space: Hr is 0 x 0 and d is zero
+    tau = NEWTON_PINV_CUTOFF * np.abs(Hr).sum(axis=1).max(initial=0.0)
+    try:
+        np.linalg.cholesky(Hr - tau * np.eye(len(Hr)))
+    except np.linalg.LinAlgError:
+        lam, U = np.linalg.eigh(Hr)
+        lam = np.abs(lam)
+        keep = lam > NEWTON_PINV_CUTOFF * lam.max()
+        dr, eigensolved = U[:, keep] @ ((U[:, keep].T @ gr) / lam[keep]), True
+    else:
+        dr, eigensolved = np.linalg.solve(Hr, gr), False
+    d = B @ dr
+    return (d[: r * k] + 1j * d[r * k:]).reshape(r, k), float(g @ d), eigensolved
 
 
 def _polish_interval(r: int, n_outcomes: int) -> int:
     """R sigma R steps between Newton polishes on an n_outcomes x r frame.
 
     ceil(8 r^4 / n_outcomes) R sigma R steps (each ~ n_outcomes r^2) cost
-    about as much as one full-rank Newton eigensolve (a Hessian of size
-    2 r^2, ~ (2 r^2)^3); POLISH_INTERVAL caps it.
+    about as much as one full-rank Newton direction, whose reduced Hessian
+    B^T (-H) B and its factorization, on a Hessian of size 2 r^2, scale as
+    (2 r^2)^3; POLISH_INTERVAL caps it.
     """
     return min(POLISH_INTERVAL, -(-8 * r**4 // n_outcomes))
 
@@ -485,8 +467,8 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int) -> tuple:
         rounding), or None where no step length rises. A candidate that floors
         an observed outcome is refused."""
         nonlocal backtracks, newton_fallbacks
-        D, decrement, fallback = _newton_direction(A, fm, Ym, Ymc)
-        newton_fallbacks += fallback
+        D, decrement, eigensolved = _newton_direction(A, fm, Ym, Ymc)
+        newton_fallbacks += eigensolved
         if not decrement > 0.0:
             return None
         rounding = LIKELIHOOD_ROUNDING * max(1.0, abs(ll))

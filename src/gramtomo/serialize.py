@@ -27,9 +27,17 @@ def encode_complex_matrix(m: np.ndarray) -> list[list[list[float]]]:
     return [encode_complex_vector(row) for row in np.asarray(m, dtype=complex)]
 
 
+def _json_number(value, kind=(int, float)):
+    """value if it is a JSON number (kind=int: integer), as the config schema
+    reads them: true is no number, and 2.0 or "2" no integer."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{value!r} is not a JSON {'integer' if kind is int else 'number'}")
+    return value
+
+
 def decode_complex_vector(pairs) -> np.ndarray:
     try:
-        return np.array([complex(re, im) for re, im in pairs])
+        return np.array([complex(_json_number(re), _json_number(im)) for re, im in pairs])
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed complex vector encoding: {exc}") from exc
 
@@ -42,7 +50,7 @@ def encode_povm(povm: PovmSet) -> dict:
 def decode_povm(data: dict) -> PovmSet:
     """Inverse of encode_povm; other per-effect keys are accepted and ignored."""
     try:
-        dim = int(data["dim"])
+        dim = _json_number(data["dim"], int)
         effects = data["effects"]
         vectors = [decode_complex_vector(e["vector"]) for e in effects]
         if any(e.get("bin_width") is not None and e["bin_width"] <= 0 for e in effects):

@@ -691,19 +691,28 @@ class TestCountsFile:
 class TestPovmFile:
     def test_corrupted_povm_file_rejected(self, tmp_path, capsys):
         unit = [[1.0, 0.0], [0.0, 0.0]]
-        corrupted = [json.dumps(data) for data in (
+        corrupted = [(json.dumps(data), 2) for data in (
             {"dim": 2, "effects": [{"vector": [[1.0, 0.0], [0.0]]}]},
             {"dim": 2, "effects": [{"vector": unit + [[0.0, 0.0]]}]},
             {"dim": 2, "effects": []},
             {"dim": 2, "effects": [{"vector": unit, "bin_width": 0.0}]},
             {"dim": "two", "effects": [{"vector": unit}]},
-        )] + ['{"dim": 2, "effects": [']
-        for k, text in enumerate(corrupted):
+            # dim must be a JSON integer and each cell a JSON number, as the
+            # config schema reads them
+            {"dim": 2.7, "effects": [{"vector": unit}]},
+            {"dim": 2.0, "effects": [{"vector": unit}]},
+            {"dim": "2", "effects": [{"vector": unit}]},
+            {"dim": 2, "effects": [{"vector": [[True, 0.0], [0.0, 0.0]]}]},
+            {"dim": 2, "effects": [{"vector": [[1.0, False], [0.0, 0.0]]}]},
+            {"dim": 2, "effects": [{"vector": [["1", 0.0], [0.0, 0.0]]}]},
+        )] + [('{"dim": true, "effects": [{"vector": [[1.0, 0.0]]}]}', 1),
+              ('{"dim": 2, "effects": [', 2)]
+        for k, (text, dim) in enumerate(corrupted):
             povm_path = tmp_path / f"povm{k}.json"
             povm_path.write_text(text)
             conf = tmp_path / f"conf{k}.json"
-            conf.write_text(json.dumps({"dim": 2, "povm": {"kind": "homodyne",
-                                                           "file": str(povm_path)}}))
+            conf.write_text(json.dumps({"dim": dim, "povm": {"kind": "homodyne",
+                                                             "file": str(povm_path)}}))
             code, _, err = run(["gram-spectrum", "--config", str(conf), "--out",
                                 str(tmp_path / "out")], capsys)
             assert code == 1, text

@@ -91,19 +91,30 @@ class TestCompare:
         assert "0 of 2 files differ, 1 on one side only" in capsys.readouterr().out
 
 
-def test_ill_gram12_takes_a_full_space_newton_direction(gate, tmp_path, capsys):
-    # the case pins the fallback of the horizontal Newton solve at --seed 0
+def run_reconstruct(gate, case, tmp_path, capsys) -> dict:
+    """reconstruction.json of the gate case's reconstruct at --seed 0."""
     from gramtomo.cli import main
-    config, commands = gate.CASES["ill-gram12"]
+    config, commands = gate.CASES[case]
+    assert "reconstruct" in commands
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert main(["reconstruct", "--config", str(path), "--out", str(out), "--seed", "0"]) == 0
     capsys.readouterr()
-    result = json.loads((out / "reconstruction.json").read_text())
-    assert "reconstruct" in commands
+    return json.loads((out / "reconstruction.json").read_text())
+
+
+def test_ill_gram12_takes_an_eigensolve_newton_direction(gate, tmp_path, capsys):
+    # the case pins a failed Cholesky test of the Newton solve at --seed 0
+    result = run_reconstruct(gate, "ill-gram12", tmp_path, capsys)
     assert result["stop_reason"] == "gap"
     assert 0 < result["newton_fallbacks"] < result["newton_steps"]
+
+
+def test_one_phase_gram9_takes_most_directions_from_the_eigensolve(gate, tmp_path, capsys):
+    result = run_reconstruct(gate, "one-phase-gram9", tmp_path, capsys)
+    assert result["stop_reason"] == "gap"
+    assert 2 * result["newton_fallbacks"] > result["newton_steps"] > 0
 
 
 @pytest.mark.parametrize("case", ["small", "reference", "dim30", "explicit-phases"])

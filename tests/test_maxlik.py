@@ -514,12 +514,21 @@ def as_real(A):
     return np.concatenate([A.real.ravel(), A.imag.ravel()])
 
 
-def full_space_direction(g, H):
-    """The Newton direction from the pseudo-inverse of -H over its eigenvalues
-    above NEWTON_PINV_CUTOFF times the largest."""
-    lam, U = np.linalg.eigh(-H)
-    keep = lam > maxlik.NEWTON_PINV_CUTOFF * max(lam[-1], 0.0)
-    return U[:, keep] @ ((U[:, keep].T @ g) / lam[keep])
+def saddle_free_direction(A, g, H):
+    """B U |Lambda|^(-1) U^T B^T g, from eigh of Hr = B^T (-H) B = U Lambda U^T
+    over every eigenvalue."""
+    B = maxlik._horizontal_basis(A)
+    lam, U = np.linalg.eigh(B.T @ -H @ B)
+    return B @ U @ ((U.T @ B.T @ g) / np.abs(lam)), lam
+
+
+def random_point(r, k, seed):
+    """A random factor A with random frequencies on a complete frame."""
+    rng = np.random.default_rng(seed)
+    Y = complete_frame(rng, 4 * r * r, r)
+    f = rng.random(len(Y))
+    f /= f.sum()
+    return rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k)), f, Y, rng
 
 
 class TestHorizontalNewton:
@@ -578,63 +587,63 @@ class TestHorizontalNewton:
         assert abs(np.linalg.norm(gr) - np.linalg.norm(g)) < 1e-12 * np.linalg.norm(g)
         assert np.abs(B.T @ x).max() < 1e-12 * np.abs(x).max()
 
-    @pytest.mark.parametrize("r, k", [(5, 3), (15, 6)])
+    @pytest.mark.parametrize("r, k", [(3, 3), (5, 3), (15, 6)])
     def test_cholesky_direction_is_the_pseudo_inverse(self, r, k):
         # near the optimum of exact data from a rank-k state on a complete
-        # frame, -H is positive definite off the gauge
+        # frame, -H is positive definite off the gauge, and the linear solve
+        # is taken at every factor size
         from gramtomo.maxlik import _newton_direction, _phi_derivatives
-        assert 2 * r * k >= maxlik.NEWTON_HORIZONTAL_SIZE
         rng = np.random.default_rng(2)
         Y = complete_frame(rng, 4 * r * r, r)
         A0 = rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k))
         f = np.sum(np.abs(Y.conj() @ A0) ** 2, axis=1)
         f /= f.sum()
         A = A0 + 1e-3 * (rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k)))
-        D, decrement, fallback = _newton_direction(A, f, Y, Y.conj())
-        assert not fallback
+        D, decrement, eigensolved = _newton_direction(A, f, Y, Y.conj())
+        assert not eigensolved
         g, H = _phi_derivatives(A, f, Y, Y.conj())
-        B = maxlik._horizontal_basis(A)
-        lam, U = np.linalg.eigh(B.T @ -H @ B)
+        d, lam = saddle_free_direction(A, g, H)
         assert lam[0] > maxlik.NEWTON_PINV_CUTOFF * lam[-1]
-        d = B @ U @ ((U.T @ B.T @ g) / lam)
         assert np.abs(as_real(D) - d).max() < 1e-10 * np.abs(d).max()
         assert decrement == pytest.approx(g @ d, rel=1e-10)
 
-    @pytest.mark.parametrize("r, k", [(5, 3), (15, 6)])
-    def test_fallback_at_a_random_point_is_the_full_space_direction(self, r, k):
+    @pytest.mark.parametrize("r, k", [(2, 2), (3, 3), (5, 3), (15, 6)])
+    def test_indefinite_point_takes_the_saddle_free_direction(self, r, k):
+        # far from the optimum Hr has eigenvalues of both signs; the direction
+        # divides by their absolute values, so it still ascends
         from gramtomo.maxlik import _newton_direction, _phi_derivatives
-        rng = np.random.default_rng(3)
-        Y = complete_frame(rng, 4 * r * r, r)
-        f = rng.random(len(Y))
-        f /= f.sum()
-        A = rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k))
+        A, f, Y, _ = random_point(r, k, 5)
         g, H = _phi_derivatives(A, f, Y, Y.conj())
-        B = maxlik._horizontal_basis(A)
-        # far from the optimum, -H has negative curvature off the gauge
-        assert np.linalg.eigvalsh(B.T @ -H @ B)[0] < 0
-        D, decrement, fallback = _newton_direction(A, f, Y, Y.conj())
-        assert fallback
-        d = full_space_direction(g, H)
-        assert np.array_equal(as_real(D), d)
-        assert decrement == g @ d
+        d, lam = saddle_free_direction(A, g, H)
+        assert lam[0] < 0 < lam[-1]
+        D, decrement, eigensolved = _newton_direction(A, f, Y, Y.conj())
+        assert eigensolved
+        assert np.abs(as_real(D) - d).max() < 1e-10 * np.abs(d).max()
+        assert decrement == pytest.approx(g @ d, rel=1e-10) and decrement > 0
 
-    def test_small_factor_takes_the_full_space_route(self):
-        # below NEWTON_HORIZONTAL_SIZE the eigensolve is the cheaper route,
-        # even where the Cholesky test would hold
+    @pytest.mark.parametrize("r, k", [(2, 2), (3, 3), (5, 3), (15, 6)])
+    def test_indefinite_point_direction_is_horizontal(self, r, k):
         from gramtomo.maxlik import _newton_direction, _phi_derivatives
-        r, k = 3, 3
-        assert 2 * r * k < maxlik.NEWTON_HORIZONTAL_SIZE
-        rng = np.random.default_rng(4)
-        Y = complete_frame(rng, 4 * r * r, r)
-        A = rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k))
-        f = np.sum(np.abs(Y.conj() @ A) ** 2, axis=1)
-        f /= f.sum()
-        A = A + 1e-3 * (rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k)))
-        g, H = _phi_derivatives(A, f, Y, Y.conj())
-        assert maxlik._horizontal_direction(A, g, H) is not None
-        D, _, fallback = _newton_direction(A, f, Y, Y.conj())
-        assert fallback
-        assert np.array_equal(as_real(D), full_space_direction(g, H))
+        A, f, Y, rng = random_point(r, k, 5)
+        assert saddle_free_direction(A, *_phi_derivatives(A, f, Y, Y.conj()))[1][0] < 0
+        D = as_real(_newton_direction(A, f, Y, Y.conj())[0])
+        # random anti-Hermitian Z and the identity, drawn here, not the
+        # module's generators
+        M = rng.normal(size=(8, k, k)) + 1j * rng.normal(size=(8, k, k))
+        for Z in [*(M - M.conj().transpose(0, 2, 1)), np.eye(k)]:
+            v = as_real(A @ Z)
+            assert abs(D @ v) < 1e-12 * np.linalg.norm(D) * np.linalg.norm(v)
+
+    def test_reference_stability_solves_take_no_eigensolve(self, reference_povm,
+                                                           cat_target):
+        # the reference stability config: Gram d = 3, 8 trials
+        from gramtomo import stability_study
+        study = stability_study(cat_target, reference_povm, "gram", 3,
+                                NoiseModel(kind="poisson", exposure=100000.0, seed=0),
+                                trials=8)
+        for res in study.results[0]:
+            assert res.stop_reason == "gap"
+            assert res.newton_steps > 0 and res.newton_fallbacks == 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_reference_solves_take_the_horizontal_route(self, reference_povm, cat_target,

@@ -1,8 +1,8 @@
-"""Byte-identity gate: run the eleven gate configs and print a sha256 per output file.
+"""Byte-identity gate: run the twelve gate configs and print a sha256 per output file.
 
 `python tools/gate.py OUT [--src SRC]` runs the CLI with PYTHONPATH=SRC (default
 src/), one BLAS thread and --seed 0 into OUT/<case>/<command>/ and prints
-"<sha256>  <path>" for the 78 files. Outputs echo their directory: to compare
+"<sha256>  <path>" for the 80 files. Outputs echo their directory: to compare
 two source trees by hash, run both into the same OUT in turn and diff the
 printed lines.
 
@@ -58,13 +58,19 @@ CASES = {
                    "reconstruction": {"basis": "gram", "dimension": 3},
                    "stability": {"basis": "gram", "dimension": 3, "trials": 8}},
                   ("stability", "reconstruct")),
-    # the same measurement at d = 12, where the Cholesky test of a horizontal
-    # Newton direction fails and the full-space eigensolve gives it
+    # the same measurement at d = 12, where the Cholesky test of a Newton
+    # direction fails and the eigensolve of the reduced Hessian gives it
     # (newton_fallbacks > 0)
     "ill-gram12": ({"povm": {"phase_count": 2, "bins": 51, "range": [-2.0, 2.0]},
                     "noise": {"exposure": 100000.0},
                     "reconstruction": {"basis": "gram", "dimension": 12}},
                    ("reconstruct",)),
+    # one phase: the likelihood is flat along most directions, and almost
+    # every Newton direction takes the eigensolve of the reduced Hessian
+    "one-phase-gram9": ({"povm": {"phase_count": 1, "bins": 51, "range": [-2.0, 2.0]},
+                         "noise": {"exposure": 1000.0},
+                         "reconstruction": {"basis": "gram", "dimension": 9}},
+                        ("reconstruct",)),
 }
 
 
