@@ -181,13 +181,15 @@ class ReconstructionResult:
     step, newton_steps the Newton steps among them. newton_fallbacks counts
     the Newton directions for which the reduced Hessian Hr needed its
     eigendecomposition, where its Cholesky test failed (see the module
-    docstring). floor_hits counts the times an observed outcome's
-    probability was raised to the floor, the count that the RuntimeWarning
-    reports. backtracks counts the refused candidates of either kind: an
-    R sigma R candidate that lowers the likelihood (each halves eps, or at
-    DILUTION_FLOOR stalls the run) and a Newton candidate that fails the
-    Armijo test or floors an outcome (each halves the step). dilution is the
-    final eps of the R sigma R step.
+    docstring). floor_hits counts, for every accepted iterate (the initial
+    state included), its observed outcomes whose probability was raised to
+    the floor: one per floored outcome per iterate, the count that the
+    RuntimeWarning reports. backtracks counts the refused candidates of
+    either kind: an R sigma R candidate that lowers the likelihood (each
+    halves eps, or at DILUTION_FLOOR stalls the run) and a Newton candidate
+    that fails the Armijo test or floors an outcome (each halves the step).
+    A refused candidate counts in backtracks only, never in floor_hits.
+    dilution is the final eps of the R sigma R step.
     """
 
     rho: np.ndarray
@@ -426,34 +428,17 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int) -> tuple:
     Ymc = np.ascontiguousarray(Ypc[mask])
     eye = np.eye(r, dtype=complex)
     interval = _polish_interval(r, n_out)
-
-    sigma = eye / r
-    p = _born(Ypc, sigma, Yp)
     floor_hits = backtracks = newton_fallbacks = 0
 
-    def log_likelihood(pm):
-        return float(fm @ np.log(pm))
-
-    def floored(pvec):
-        """_floored(pvec, mask), its hits counted in floor_hits."""
-        nonlocal floor_hits
-        pm, hits = _floored(pvec, mask)
-        floor_hits += hits
-        return pm, hits
-
-    def r_matrix(floor):
-        """R from an iterate's floored probabilities (pm, hits), and whether
-        any was floored; the hits count again, as the floor engages for R."""
-        nonlocal floor_hits
-        pm, hits = floor
-        floor_hits += hits
-        return _effect_sum(fm / pm, Ym, Ymc), hits > 0
-
-    def state(c):
-        """The Hermitian part of c at unit trace, with its probabilities."""
+    def evaluate(c):
+        """(sigma, p, pm, hits, log L) of a candidate c: its Hermitian part at
+        unit trace, its probabilities, the observed ones after _floored with
+        the number raised, and its log-likelihood."""
         c = 0.5 * (c + c.conj().T)
         c /= np.trace(c).real
-        return c, _born(Ypc, c, Yp)
+        p = _born(Ypc, c, Yp)
+        pm, hits = _floored(p, mask)
+        return c, p, pm, hits, float(fm @ np.log(pm))
 
     def certified_gap(lam_max):
         # lambda_max(R') >= 1 in exact arithmetic; the allowance for the
@@ -462,10 +447,10 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int) -> tuple:
         return float(lam_max) * (1.0 + r * EPS) - 1.0
 
     def newton_step(A, ll):
-        """An Armijo-damped Newton step on the factor A, as (A, sigma, p, its
-        floored probabilities, log L, whether its predicted ascent is above
-        rounding), or None where no step length rises. A candidate that floors
-        an observed outcome is refused."""
+        """An Armijo-damped Newton step on the factor A, as (A, its evaluated
+        candidate, whether its predicted ascent is above rounding), or None
+        where no step length rises. A candidate that floors an observed
+        outcome is refused."""
         nonlocal backtracks, newton_fallbacks
         D, decrement, eigensolved = _newton_direction(A, fm, Ym, Ymc)
         newton_fallbacks += eigensolved
@@ -475,20 +460,15 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int) -> tuple:
         t = 1.0
         for _ in range(NEWTON_BACKTRACKS):
             A_cand = A + t * D
-            cand, p_cand = state(A_cand @ A_cand.conj().T)
-            pm, hits = _floored(p_cand, mask)
-            if not hits:
-                ll_cand = log_likelihood(pm)
-                if ll_cand >= ll + NEWTON_ARMIJO * t * decrement - rounding:
-                    return (A_cand, cand, p_cand, (pm, 0), ll_cand,
-                            decrement / 2.0 > rounding)
+            cand = evaluate(A_cand @ A_cand.conj().T)
+            if not cand[3] and cand[4] >= ll + NEWTON_ARMIJO * t * decrement - rounding:
+                return A_cand, cand, decrement / 2.0 > rounding
             backtracks += 1
             t /= 2.0
         return None
 
-    floor = floored(p)
-    ll = log_likelihood(floor[0])
-    trace = [ll]
+    cand = evaluate(eye)
+    trace = []
     eps = 1.0
     stop = "cap"
     gap = None
@@ -502,12 +482,17 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int) -> tuple:
     # more than rounding, and whether polishing is still on
     factor, ascended, polish = None, False, True
 
-    while rsr_steps + newton_steps < max_iterations:
-        R, was_floored = r_matrix(floor)
+    while True:
+        # the candidate is accepted: its floored outcomes count here, once
+        sigma, p, pm, hits, ll = cand
+        floor_hits += hits
+        trace.append(ll)
+        R = _effect_sum(fm / pm, Ym, Ymc)
+        if rsr_steps + newton_steps == max_iterations:
+            break
         # an R built from floored probabilities under-weights those outcomes,
         # so its gap certifies nothing
-        if not was_floored and (v is None
-                                or certified_gap((vc @ R @ v).real) < TOL_GAP):
+        if not hits and (v is None or certified_gap((vc @ R @ v).real) < TOL_GAP):
             lam, vecs = np.linalg.eigh(R)
             gap, v = certified_gap(lam[-1]), vecs[:, -1]
             vc = v.conj()
@@ -516,13 +501,13 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int) -> tuple:
                 break
         step = None
         if factor is not None:
-            step = None if was_floored else newton_step(factor, ll)
+            step = None if hits else newton_step(factor, ll)
             if step is None:
                 # a floored iterate skips this polish; one that found no ascent
                 # is not tried again, since it would repeat itself at the optimum
-                factor, polish = None, was_floored or ascended
+                factor, polish = None, hits > 0 or ascended
             else:
-                factor, cand, p_cand, floor_cand, ll_cand, resolved = step
+                factor, cand, resolved = step
                 newton_steps += 1
                 # the first step whose predicted ascent is below rounding ends
                 # the polish: quadratic convergence has reached the optimum
@@ -533,30 +518,25 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int) -> tuple:
             while True:
                 # undiluted, R~ is R itself
                 R_tilde = R if eps == 1.0 else eps * R + (1.0 - eps) * eye
-                cand, p_cand = state(R_tilde @ sigma @ R_tilde)
-                floor_cand = floored(p_cand)
-                ll_cand = log_likelihood(floor_cand[0])
-                if ll_cand >= ll - 1e-12:
+                cand = evaluate(R_tilde @ sigma @ R_tilde)
+                if cand[4] >= ll - 1e-12:
                     break
                 backtracks += 1
                 if eps <= DILUTION_FLOOR:
                     break
                 eps = max(eps / 2.0, DILUTION_FLOOR)
-            if ll_cand < ll - 1e-12:
+            if cand[4] < ll - 1e-12:
                 # even the floor dilution decreases the likelihood: keep the
                 # last good iterate rather than record a falling trace
                 stop = "stalled"
                 break
             rsr_steps += 1
-        sigma, p, floor, ll = cand, p_cand, floor_cand, ll_cand
-        trace.append(ll)
-        if step is None and polish and rsr_steps % interval == 0:
-            factor, ascended = _factor(sigma), False
+            if polish and rsr_steps % interval == 0:
+                factor, ascended = _factor(cand[0]), False
 
     if stop != "gap":
         # certificate of the returned iterate; none where it is floored
-        R, was_floored = r_matrix(floor)
-        gap = None if was_floored else certified_gap(np.linalg.eigvalsh(R)[-1])
+        gap = None if hits else certified_gap(np.linalg.eigvalsh(R)[-1])
     if floor_hits:
         warnings.warn(
             f"probability floor engaged {floor_hits} time(s): some observed "

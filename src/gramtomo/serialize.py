@@ -53,7 +53,8 @@ def decode_povm(data: dict) -> PovmSet:
         dim = _json_number(data["dim"], int)
         effects = data["effects"]
         vectors = [decode_complex_vector(e["vector"]) for e in effects]
-        if any(e.get("bin_width") is not None and e["bin_width"] <= 0 for e in effects):
+        if any(e.get("bin_width") is not None and _json_number(e["bin_width"]) <= 0
+               for e in effects):
             raise InvalidInputError("bin width must be positive")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed POVM encoding: {exc}") from exc

@@ -696,6 +696,7 @@ class TestPovmFile:
             {"dim": 2, "effects": [{"vector": unit + [[0.0, 0.0]]}]},
             {"dim": 2, "effects": []},
             {"dim": 2, "effects": [{"vector": unit, "bin_width": 0.0}]},
+            {"dim": 2, "effects": [{"vector": unit, "bin_width": True}]},
             {"dim": "two", "effects": [{"vector": unit}]},
             # dim must be a JSON integer and each cell a JSON number, as the
             # config schema reads them

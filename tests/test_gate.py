@@ -117,6 +117,15 @@ def test_one_phase_gram9_takes_most_directions_from_the_eigensolve(gate, tmp_pat
     assert 2 * result["newton_fallbacks"] > result["newton_steps"] > 0
 
 
+def test_floored_counts_each_iterate_once(gate, tmp_path, capsys):
+    # the one case whose solve engages the probability floor: one observed
+    # outcome is floored at every iterate, so no gap is certified
+    with pytest.warns(RuntimeWarning, match="probability floor"):
+        result = run_reconstruct(gate, "floored", tmp_path, capsys)
+    assert result["stop_reason"] == "cap" and result["likelihood_gap"] is None
+    assert result["floor_hits"] == result["iterations"] + 1
+
+
 @pytest.mark.parametrize("case", ["small", "reference", "dim30", "explicit-phases"])
 def test_q_spectrum_matches_dense_route(gate, case, tmp_path, capsys):
     # q_spectrum holds the operator frame's modes, zero-padded to the outcome

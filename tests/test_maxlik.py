@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -667,6 +668,48 @@ class TestTelemetry:
             res = maxlik_solve(ds, povm, cfg, np.eye(2, dtype=complex)[:, :1])
         assert res.floor_hits > 0
         assert f"engaged {res.floor_hits} time(s)" in str(record[0].message)
+
+    def test_floor_hits_count_each_accepted_iterate_once(self):
+        # the same setup: outcome 2 is floored at every iterate, and the
+        # initial state and each of the 50 accepted steps count it once;
+        # forming R and the final certificate count nothing
+        povm = PovmSet(np.eye(2, dtype=complex))
+        ds = Dataset(counts=np.array([5.0, 1.0]))
+        with pytest.warns(RuntimeWarning, match="probability floor"):
+            res = maxlik_solve(ds, povm, SolverConfig(max_iterations=50),
+                               np.eye(2, dtype=complex)[:, :1])
+        assert res.floor_hits == len(res.log_likelihood) == 51
+
+    @pytest.mark.parametrize("counts, d", [([5.0, 1.0, 1.0], 1), ([5.0, 1.0, 1.0], 2),
+                                           ([5.0, 0.0, 1.0], 1), ([5.0, 3.0, 2.0], 3)])
+    def test_floor_hits_at_most_the_observed_outcomes_per_iterate(self, counts, d):
+        povm = PovmSet(np.eye(3, dtype=complex))
+        ds = Dataset(counts=np.array(counts))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = maxlik_solve(ds, povm, SolverConfig(max_iterations=50),
+                               np.eye(3, dtype=complex)[:, :d])
+        assert res.floor_hits <= np.count_nonzero(ds.counts) * len(res.log_likelihood)
+
+    @pytest.mark.parametrize("phases, bins, half_width, exposure, basis, d", [
+        (6, 51, 5.0, 1e5, "full", None), (6, 51, 5.0, 1e5, "gram", 5),
+        (6, 51, 5.0, 1e5, "fock", 4), (2, 51, 2.0, 1e5, "gram", 12),
+        (1, 51, 2.0, 1e3, "gram", 9)])
+    def test_recorded_telemetry_matches_the_independent_routes(
+            self, phases, bins, half_width, exposure, basis, d):
+        # the last log-likelihood and born_residual are recorded in rescaled
+        # coordinates; the module functions read them off the ambient rho
+        from gramtomo import (HomodyneConfig, build_homodyne_povm, cat_state, pure_density,
+                              subspace_basis)
+        povm = build_homodyne_povm(HomodyneConfig.uniform(
+            phase_count=phases, bins=bins, x_range=(-half_width, half_width)), 15)
+        ds = generate_counts(pure_density(cat_state(2.0, "even", 15)), povm,
+                             NoiseModel(kind="poisson", exposure=exposure, seed=0))
+        subspace = None if d is None else subspace_basis(basis, d, povm)
+        res = maxlik_solve(ds, povm, subspace=subspace)
+        ll = log_likelihood(res.rho, ds, povm) / ds.counts.sum()
+        assert abs(res.log_likelihood[-1] - ll) <= 1e-14 * abs(ll)
+        assert abs(res.born_residual - born_residual(res.rho, ds, povm)) <= 1e-15
 
 
 class TestPolishSchedule:

@@ -1,8 +1,8 @@
-"""Byte-identity gate: run the twelve gate configs and print a sha256 per output file.
+"""Byte-identity gate: run the thirteen gate configs and print a sha256 per output file.
 
 `python tools/gate.py OUT [--src SRC]` runs the CLI with PYTHONPATH=SRC (default
 src/), one BLAS thread and --seed 0 into OUT/<case>/<command>/ and prints
-"<sha256>  <path>" for the 80 files. Outputs echo their directory: to compare
+"<sha256>  <path>" for the 82 files. Outputs echo their directory: to compare
 two source trees by hash, run both into the same OUT in turn and diff the
 printed lines.
 
@@ -71,6 +71,14 @@ CASES = {
                          "noise": {"exposure": 1000.0},
                          "reconstruction": {"basis": "gram", "dimension": 9}},
                         ("reconstruct",)),
+    # a Fock d = 1 truncation that calls an observed outcome impossible: the
+    # one case whose solve engages the probability floor (it stops on the cap)
+    "floored": ({"dim": 2, "target": {"kind": "coherent", "alpha": 0.5},
+                 "povm": {"kind": "projective"}, "noise": {"exposure": 1000.0},
+                 "solver": {"max_iterations": 50},
+                 "reconstruction": {"basis": "fock", "dimension": 1},
+                 "wigner_grid": {"x_points": 7, "p_points": 7}},
+                ("reconstruct",)),
 }
 
 
