@@ -332,14 +332,24 @@ def _phi_derivatives(A: np.ndarray, f: np.ndarray, Y: np.ndarray, Yc: np.ndarray
     p = np.einsum("ik,ik->i", W, W.conj()).real
     w = f / p
     G = (Yc[:, :, None] * W.conj()[:, None, :]).reshape(-1, r * k)
-    J = 2.0 * np.hstack([G.real, -G.imag])
+    J = np.empty((len(G), 2 * r * k))
+    np.multiply(G.real, 2.0, out=J[:, : r * k])
+    np.multiply(G.imag, -2.0, out=J[:, r * k:])
     x = np.concatenate([A.real.ravel(), A.imag.ravel()])
     g = J.T @ w - 2.0 * x / N
     M = _effect_sum(w, Y, Yc)
-    eye_k = np.eye(k)
-    re, im = np.kron(M.real, eye_k), np.kron(M.imag, eye_k)
-    H = 2.0 * np.block([[re, -im], [im, re]]) - (J.T * (f / p**2)) @ J
-    H -= 2.0 * np.eye(2 * r * k) / N
+    # 2 [[Re M, -Im M], [Im M, Re M]] (x) I_k, added to -J^T diag(f/p^2) J on
+    # the k diagonals of its (2, r, k, 2, r, k) view
+    twice = np.empty((2, r, 2, r))
+    twice[0, :, 0] = twice[1, :, 1] = 2.0 * M.real
+    twice[1, :, 0] = 2.0 * M.imag
+    twice[0, :, 1] = -twice[1, :, 0]
+    H = (J.T * (f / p**2)) @ J
+    np.negative(H, out=H)
+    blocks = H.reshape(2, r, k, 2, r, k)
+    for c in range(k):
+        blocks[:, :, c, :, :, c] += twice
+    H.flat[:: len(H) + 1] -= 2.0 / N
     H += 4.0 * np.outer(x, x) / N**2
     return g, H
 

@@ -3,6 +3,21 @@
 Complex numbers are encoded as [re, im] pairs; floats are written with
 repr (shortest round-trip form); JSON keys are sorted. Reruns with the
 same inputs therefore produce byte-identical files.
+
+CSV float text has one producer, float_text: orjson writes the shortest
+round-trip digits of a whole array in one call (a Ryu-style writer, the
+same digits as repr's dtoa), and three notation fixes, picked by numpy
+masks on the values, make each token repr's:
+
+- scientific tokens (0 < |v| < 1e-5 or |v| >= 1e16) get repr's signed,
+  two-digit exponent: 1e-7 -> 1e-07, 1.5e16 -> 1.5e+16;
+- tokens in 1e-5 <= |v| < 1e-4, which orjson writes in positional
+  notation and repr in scientific: 0.000012345 -> 1.2345e-05;
+- non-finite values, which orjson writes as null, are repr'd (nan, inf,
+  -inf).
+
+JSON output stays on the stdlib encoder, which calls repr's float
+formatting itself.
 """
 
 from __future__ import annotations
@@ -13,6 +28,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import orjson
 
 from .errors import InvalidInputError
 from .maxlik import ReconstructionResult
@@ -86,29 +102,61 @@ def write_json(path: Path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
+# orjson's exponent (the text after "e") -> repr's: signed, at least two digits
+_EXPONENTS = {str(e): f"e{e:+03d}" for e in range(-324, 309)}
+
+
+def float_text(values) -> list[str]:
+    """repr(float(v)) for every element of a float array, in C order (see the
+    module docstring)."""
+    a = np.ascontiguousarray(values, dtype=float).ravel()
+    if not a.size:
+        return []
+    tokens = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    mag = np.abs(a)
+    for i in np.flatnonzero((mag >= 1e-5) & (mag < 1e-4)).tolist():
+        sign, _, digits = tokens[i].partition("0.0000")
+        tokens[i] = (f"{sign}{digits[0]}.{digits[1:]}e-05" if len(digits) > 1
+                     else f"{sign}{digits}e-05")
+    for i in np.flatnonzero((mag > 0) & (mag < 1e-5) | (mag >= 1e16) & (mag < np.inf)).tolist():
+        mantissa, _, exponent = tokens[i].partition("e")
+        tokens[i] = mantissa + _EXPONENTS[exponent]
+    for i in np.flatnonzero(~np.isfinite(a)).tolist():
+        tokens[i] = repr(float(a[i]))
+    return tokens
+
+
 def fmt(value) -> str:
-    """Canonical cell format: shortest round-trip repr for floats."""
+    """Cell format of a non-float cell; float cells are written by float_text."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
     return str(value)
 
 
 def write_csv(path: Path, header: list[str], rows, config_echo: dict) -> None:
-    """CSV with a leading '# config: ...' comment line."""
+    """CSV with a leading '# config: ...' comment line; the table's float cells
+    are formatted by one float_text call."""
+    rows = [list(row) for row in rows]
+    cells = [(row, j) for row in rows for j, v in enumerate(row)
+             if isinstance(v, (float, np.floating))]
+    for (row, j), text in zip(cells, float_text([row[j] for row, j in cells])):
+        row[j] = text
     lines = [_config_line(config_echo), ",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(fmt, row)) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_wigner_csv(path: Path, xs: np.ndarray, ps: np.ndarray, W: np.ndarray,
                      config_echo: dict) -> None:
     """Dense grid format: config comment, axis header rows, then one W row per x sample."""
+    W = np.asarray(W, dtype=float)
+    tokens = float_text(np.concatenate([np.ravel(xs), np.ravel(ps), W.ravel()]))
+    start, width = len(xs) + len(ps), W.shape[1]
     lines = [_config_line(config_echo),
-             "x," + ",".join(map(repr, np.asarray(xs, dtype=float).tolist())),
-             "p," + ",".join(map(repr, np.asarray(ps, dtype=float).tolist()))]
-    lines.extend(",".join(map(repr, row)) for row in np.asarray(W, dtype=float).tolist())
+             "x," + ",".join(tokens[:len(xs)]),
+             "p," + ",".join(tokens[len(xs):start])]
+    lines.extend(",".join(tokens[start + i * width:start + (i + 1) * width])
+                 for i in range(len(W)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
