@@ -24,11 +24,9 @@ each eigenvalue of sigma in proportion to its own size, so the weak
 directions of a low-rank optimum crawl.
 
 After every ceil(8 r^4 / N) R sigma R steps on the N x r rescaled frame,
-but at most POLISH_INTERVAL, a Newton polish takes over. An R sigma R step
-costs ~ N r^2, and the reduced Hessian and its factorization for a
-full-rank Newton direction (a Hessian of size 2 r^2) ~ (2 r^2)^3, so the
-steps between polishes cost about one Newton step. At N = 306 the interval
-is 1, 3, 7, 17, 34 and 63 for r = 2...7, and the cap of 100 from r = 8 on, the
+but at most POLISH_INTERVAL, a Newton polish takes over (_polish_interval
+gives the cost model behind the interval). At N = 306 the interval is 1, 3,
+7, 17, 34 and 63 for r = 2...7, and the cap of 100 from r = 8 on, the
 reference full basis (r = 15) included. The polish sets
 sigma ~ A A^H / ||A||^2, with A the eigenvectors of sigma above
 FACTOR_CUTOFF times its largest eigenvalue, scaled by their square roots,
@@ -48,19 +46,54 @@ Phi does not change under the gauge A -> A U (U unitary) or the scale
 A -> c A, so the Hessian H of Phi has a (k^2 + 1)-dimensional near-null
 space, spanned by the vertical directions A Z (Z anti-Hermitian, or Z = I),
 and the gradient is orthogonal to it. The Newton direction is solved on the
-horizontal space, its orthogonal complement, as in the quotient geometry
-of low-rank PSD factorizations (Burer and Monteiro, Math. Program. 95, 329,
-2003; Journee, Bach, Absil and Sepulchre, SIAM J. Optim. 20, 2327, 2010),
-at every factor size: with B an orthonormal basis of it from one QR of the
-vertical vectors and Hr = B^T (-H) B, d = B |Hr|^+ B^T g, where |Hr|^+ is
-the pseudo-inverse of the absolute value of Hr over its eigenvalues above
-NEWTON_PINV_CUTOFF times the largest in magnitude (the saddle-free Newton
-step). A direction of positive curvature, far from the optimum, is thus
-ascended along rather than dropped. A Cholesky factorization of Hr - tau I,
+horizontal space, its orthogonal complement {D : A^H D Hermitian,
+tr A^H D = 0}, as in the quotient geometry of low-rank PSD factorizations
+(Burer and Monteiro, Math. Program. 95, 329, 2003; Journee, Bach, Absil and
+Sepulchre, SIAM J. Optim. 20, 2327, 2010; Absil, Mahony and Sepulchre,
+Optimization Algorithms on Matrix Manifolds, 2008), at every factor size.
+With the factor's SVD A = U diag(s) V^H (U square), that space has an
+orthonormal basis B in closed form, n_h = 2 r k - k^2 - 1 directions
+D = U K V^H:
+
+- k - 1 diagonal ones, K = diag(t) in the upper k x k block, t orthogonal
+  to s;
+- two for each pair c < e, with K non-zero only at (c, e) and (e, c), where
+  it is (s_e, s_c) / nu_ce or (i s_e, -i s_c) / nu_ce, and
+  nu_ce = sqrt(s_c^2 + s_e^2);
+- the 2 (r - k) k unit directions, real and imaginary, of the lower
+  (r - k) x k block of K.
+
+With Q = conj(Y) U, the Jacobian JB of p along them has the columns
+2 (|Q_ic|^2 s_c) t, 2 nu_ce (Re, Im) of conj(Q_ic) Q_ie and
+2 s_b (Re, Im) of conj(Q_ia) Q_ib (a >= k > b), one kernel
+(_horizontal_jacobian). The reduced gradient and negative Hessian are
+
+    gr = JB^T (f/p),
+    Hr = JB^T diag(f/p^2) JB - 2 Re tr(D_a^H Mt D_b) + (2/N) I,
+    Mt = Q^H diag(f/p) Q,
+
+three terms: the curvature of the log p_i, the second derivative of the
+p_i, which couples two directions only through a shared column of K, and
+the scale, N = ||A||^2. The 4 x x^T / N^2 term of H vanishes, since x = A
+is vertical, so neither H nor the vertical vectors are formed. The
+direction is d = B |Hr|^+ gr, where |Hr|^+ is the pseudo-inverse of the
+absolute value of Hr over its eigenvalues above NEWTON_PINV_CUTOFF times
+the largest in magnitude (the saddle-free Newton step). A direction of
+positive curvature, far from the optimum, is thus ascended along rather
+than dropped. A Cholesky factorization of Hr - tau I,
 tau = NEWTON_PINV_CUTOFF times a bound on the largest eigenvalue of Hr,
 shows where every eigenvalue of Hr is positive and clears the cutoff; there
 |Hr|^+ is the inverse, and a linear solve gives d. Elsewhere the direction
-takes the eigendecomposition of Hr.
+takes the eigendecomposition of Hr. A 1 x 1 factor has no horizontal
+space: its direction is zero and its polish ends.
+
+The direction does not depend on which orthonormal basis spans the
+horizontal space: another is B O, O orthogonal, which takes Hr to
+O^T Hr O and gr to O^T gr, keeps the eigenvalues of Hr, and gives the same
+B |Hr|^+ B^T. So the Cholesky test, the eigendecomposition and
+newton_fallbacks mean what they meant when B came from a QR of the
+vertical vectors; only tau, a bound that depends on the basis, and the
+rounding move.
 
 The recorded log-likelihood is per unit count, sum_i f_i log p_i with
 sum_k p_k = 1 enforced by the rescaling. On raw-count scale (~1e5 counts)
@@ -85,8 +118,10 @@ data, where the ML state cannot reproduce the frequencies exactly.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,7 +139,7 @@ PROBABILITY_FLOOR = 1e-14
 
 # the R sigma R iteration hands over to a Newton polish of a factor of sigma
 # after every _polish_interval(r, N) of its own steps, never more than
-# POLISH_INTERVAL (tuned at r = 15, where a Newton step costs about 40 R sigma
+# POLISH_INTERVAL (tuned at r = 15 when a Newton step cost about 40 R sigma
 # R steps); the factor keeps the eigenvalues of sigma above FACTOR_CUTOFF
 # times the largest
 POLISH_INTERVAL = 100
@@ -313,111 +348,166 @@ def _factor(sigma: np.ndarray) -> np.ndarray:
     return V[:, keep] * np.sqrt(w[keep])
 
 
-def _phi_derivatives(A: np.ndarray, f: np.ndarray, Y: np.ndarray, Yc: np.ndarray):
-    """Gradient and Hessian of Phi(A) = sum_i f_i log p_i - log ||A||^2 with
-    p_i = ||(conj(Y) A)_i||^2, in the real parameters x = (Re A, Im A) with A
-    flattened row-major.
+@functools.cache
+def _horizontal_indices(k: int) -> tuple:
+    """Index arrays of the closed-form horizontal basis at factor rank k: the
+    flat indices into _Horizontal.top of the entries that its directions set;
+    the pairs c < e of np.triu_indices(k, 1); and, for the pair entries, the
+    column and partner indices into s and the phase that give each entry as
+    phase * s[column] / hypot(s[column], s[partner])."""
+    c, e = np.triu_indices(k, 1)
+    # top[m, j, i] holds K[i, j] of direction m: the diagonal direction m sets
+    # (m, j, j), and the real (k - 1 + 2 p) and imaginary (k + 2 p) directions
+    # of pair p set (., e, c) and (., c, e)
+    re = k - 1 + 2 * np.arange(len(c))
+    diag = np.arange(k - 1)[:, None] * k * k + np.arange(k) * (k + 1)
+    idx = np.concatenate([diag.ravel(), (re * k + e) * k + c, (re * k + c) * k + e,
+                          (re * k + k + e) * k + c, (re * k + k + c) * k + e])
+    column = np.concatenate([e, c, e, c])
+    partner = np.concatenate([c, e, c, e])
+    phase = np.repeat([1.0, 1.0, 1j, -1j], len(c))
+    out = idx, c, e, column, partner, phase
+    for a in out:
+        a.flags.writeable = False
+    return out
 
-    With W = conj(Y) A, M the effect sum with weights f/p and N = ||A||^2,
-    the Jacobian of p has the rows 2 (Re G_i, -Im G_i), G_i = conj(y_i) (x)
-    conj(W_i), and
 
-        g = J^T (f/p) - 2x/N,
-        H = 2 [[Re M (x) I, -Im M (x) I], [Im M (x) I, Re M (x) I]]
-            - J^T diag(f/p^2) J - 2 I/N + 4 x x^T / N^2.
+class _Horizontal(NamedTuple):
+    """An orthonormal basis of the horizontal space at A = U[:, :k] diag(s) V^H
+    in closed form, and the Jacobian of p along it (see _horizontal_jacobian).
+
+    A direction is D = U K V^H with K an r x k matrix. Its coordinates h are,
+    in order: the k - 1 diagonal directions and the real and the imaginary
+    direction of each pair c < e, k^2 - 1 directions whose K is zero below
+    row k and whose upper k x k blocks of K, transposed, are top; then the
+    real and imaginary parts of the lower (r - k) x k block of K, column by
+    column.
+    """
+
+    jb: np.ndarray  # J B: n x n_h
+    p: np.ndarray  # p_i = ||(conj(Y) A)_i||^2
+    q: np.ndarray  # Q = conj(Y) U: n x r
+    u: np.ndarray  # r x r unitary
+    vh: np.ndarray  # V^H, k x k
+    top: np.ndarray  # (k^2 - 1, k, k)
+
+    def lift(self, h: np.ndarray) -> np.ndarray:
+        """The r x k direction D = U K V^H with horizontal coordinates h."""
+        nt, k = self.top.shape[:2]
+        kt = np.concatenate([(h[:nt] @ self.top.reshape(nt, k * k)).reshape(k, k),
+                             h[nt:].view(complex).reshape(k, len(self.u) - k)], axis=1)
+        return self.u @ kt.T @ self.vh
+
+
+def _horizontal_jacobian(A: np.ndarray, Yc: np.ndarray) -> _Horizontal:
+    """The Jacobian JB of p_i = ||(Yc A)_i||^2 along the closed-form
+    orthonormal basis B of the horizontal space at A (see the module
+    docstring), with the gauge-fixed frame that lifts its coordinates.
+
+    With A = U diag(s) V^H (U square) and Q = Yc U, the columns of JB are
+    2 (|Q_ic|^2 s_c) t for the diagonal directions, 2 nu_ce (Re, Im) of
+    conj(Q_ic) Q_ie for the pairs c < e, and 2 s_b (Re, Im) of
+    conj(Q_ia) Q_ib for the complement (a >= k > b). Each complex column
+    pair is written through a complex view of JB, with no temporary of its
+    size.
     """
     r, k = A.shape
-    N = float(np.vdot(A, A).real)
-    W = Yc @ A
-    p = np.einsum("ik,ik->i", W, W.conj()).real
-    w = f / p
-    G = (Yc[:, :, None] * W.conj()[:, None, :]).reshape(-1, r * k)
-    J = np.empty((len(G), 2 * r * k))
-    np.multiply(G.real, 2.0, out=J[:, : r * k])
-    np.multiply(G.imag, -2.0, out=J[:, r * k:])
-    x = np.concatenate([A.real.ravel(), A.imag.ravel()])
-    g = J.T @ w - 2.0 * x / N
-    M = _effect_sum(w, Y, Yc)
-    # 2 [[Re M, -Im M], [Im M, Re M]] (x) I_k, added to -J^T diag(f/p^2) J on
-    # the k diagonals of its (2, r, k, 2, r, k) view
-    twice = np.empty((2, r, 2, r))
-    twice[0, :, 0] = twice[1, :, 1] = 2.0 * M.real
-    twice[1, :, 0] = 2.0 * M.imag
-    twice[0, :, 1] = -twice[1, :, 0]
-    H = (J.T * (f / p**2)) @ J
-    np.negative(H, out=H)
-    blocks = H.reshape(2, r, k, 2, r, k)
-    for c in range(k):
-        blocks[:, :, c, :, :, c] += twice
-    H.flat[:: len(H) + 1] -= 2.0 / N
-    H += 4.0 * np.outer(x, x) / N**2
-    return g, H
+    U, s, vh = np.linalg.svd(A)
+    q = Yc @ U
+    qk = q[:, :k]
+    sq = qk.real**2 + qk.imag**2
+    p = sq @ s**2
+    idx, c, e, column, partner, phase = _horizontal_indices(k)
+    nt, n = k * k - 1, len(p)
+    jb = np.empty((n, nt + 2 * (r - k) * k))
+    # t runs over the columns 1..k-1 of the Householder reflection that takes
+    # e_0 to w = s / ||s||: an orthonormal basis of the t orthogonal to s
+    w = s / math.sqrt(s @ s)
+    v = w[1:] / (1.0 + w[0])
+    t = np.outer(w, -v)
+    t[0] -= v
+    t.flat[k - 1:: k] += 1.0
+    np.matmul(sq * (2.0 * s), t, out=jb[:, : k - 1])
+    sp = s[column]
+    nu = np.hypot(sp, s[partner])
+    z = qk[:, c]
+    np.conjugate(z, out=z)
+    z *= 2.0 * nu[: len(c)]
+    np.multiply(z, qk[:, e], out=jb[:, k - 1: nt].view(complex))
+    np.multiply((2.0 * s * qk)[:, :, None], q[:, None, k:].conj(),
+                out=jb[:, nt:].view(complex).reshape(n, k, r - k))
+    top = np.zeros((nt, k, k), dtype=complex)
+    top.flat[idx] = np.concatenate([t.T.ravel(), phase * (sp / nu)])
+    return _Horizontal(jb, p, q, U, vh, top)
 
 
-@functools.cache
-def _gauge_generators(k: int) -> np.ndarray:
-    """A basis of the k^2 anti-Hermitian k x k matrices, then the identity:
-    the Z for which A -> A exp(t Z) leaves A A^H / ||A||^2, and so Phi,
-    unchanged."""
-    Z = np.zeros((k * k + 1, k, k), dtype=complex)
-    m = 0
-    for j in range(k):
-        for l in range(j, k):
-            Z[m, j, l] = Z[m, l, j] = 1j
-            m += 1
-            if l > j:
-                Z[m, j, l], Z[m, l, j] = 1.0, -1.0
-                m += 1
-    Z[m] = np.eye(k)
-    Z.flags.writeable = False
-    return Z
-
-
-def _horizontal_basis(A: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the complement of the vertical directions
-    vec(A Z) (see _gauge_generators) in the real parameters x of
-    _phi_derivatives: 2 r k - k^2 - 1 of them, from one complete QR."""
+def _newton_direction(A: np.ndarray, f: np.ndarray, Yc: np.ndarray):
+    """Newton ascent direction of Phi on the horizontal space at A as an
+    r x k complex matrix, with the Newton decrement gr^T dr (twice the ascent
+    it predicts) and whether Hr needed its eigendecomposition: the
+    saddle-free dr = |Hr|^+ gr of the module docstring (Dauphin et al.,
+    NeurIPS 2014), by a linear solve where a Cholesky factorization of
+    Hr - tau I succeeds, tau = NEWTON_PINV_CUTOFF times the largest absolute
+    row sum of Hr."""
     r, k = A.shape
-    AZ = A @ _gauge_generators(k)
-    vertical = np.hstack([AZ.real.reshape(len(AZ), -1), AZ.imag.reshape(len(AZ), -1)])
-    Q = np.linalg.qr(vertical.T, mode="complete")[0]
-    return Q[:, len(AZ):]
-
-
-def _newton_direction(A: np.ndarray, f: np.ndarray, Y: np.ndarray, Yc: np.ndarray):
-    """Newton ascent direction of Phi (see _phi_derivatives) as an r x k
-    complex matrix, with the Newton decrement g^T d (twice the ascent it
-    predicts) and whether Hr needed its eigendecomposition: the saddle-free
-    d = B |Hr|^+ B^T g of the module docstring (Dauphin et al., NeurIPS 2014),
-    by a linear solve where a Cholesky factorization of Hr - tau I succeeds,
-    tau = NEWTON_PINV_CUTOFF times the largest absolute row sum of Hr."""
-    r, k = A.shape
-    g, H = _phi_derivatives(A, f, Y, Yc)
-    B = _horizontal_basis(A)
-    Hr = B.T @ -H @ B
-    gr = B.T @ g
+    hz = _horizontal_jacobian(A, Yc)
+    nt = k * k - 1
+    rf = np.sqrt(f)
+    # J B weighted by sqrt(f)/p, in place: Hr starts as JB^T diag(f/p^2) JB
+    jw = hz.jb
+    jw *= (rf / hz.p)[:, None]
+    gr = rf @ jw
+    Hr = jw.T @ jw
+    # - 2 Re tr(D_a^H Mt D_b), Mt = Q^H diag(f/p) Q: M2 is 2 Mt, and M2 K of
+    # the first nt directions, transposed, is kt M2^T; a real matmul of the
+    # complex float views sums Re(conj(x) y)
+    M2 = (hz.q.conj().T * (2.0 * f / hz.p)) @ hz.q
+    kt = hz.top.reshape(nt * k, k)
+    Hr[:nt, :nt] -= (hz.top.reshape(nt, k * k).view(float)
+                     @ (kt @ M2[:k, :k].T).reshape(nt, k * k).view(float).T)
+    cross = (kt @ M2[k:, :k].T).reshape(nt, (r - k) * k).view(float)
+    Hr[nt:, :nt] -= cross.T
+    Hr[:nt, nt:] -= cross
+    # the complement block: I_k (x) [[Re, -Im], [Im, Re]] of M2's lower block,
+    # with (re, im) interleaved
+    twice = np.empty((r - k, 2, r - k, 2))
+    twice[:, 0, :, 0] = twice[:, 1, :, 1] = M2[k:, k:].real
+    twice[:, 1, :, 0] = M2[k:, k:].imag
+    twice[:, 0, :, 1] = -twice[:, 1, :, 0]
+    ar = np.arange(k)
+    Hr[nt:, nt:].reshape(k, r - k, 2, k, r - k, 2)[ar, :, :, ar] -= twice
+    Hr.flat[:: len(Hr) + 1] += 2.0 / np.vdot(A, A).real
     # a 1 x 1 factor has no horizontal space: Hr is 0 x 0 and d is zero
     tau = NEWTON_PINV_CUTOFF * np.abs(Hr).sum(axis=1).max(initial=0.0)
+    # Hr - tau I in place, its diagonal restored after the test
+    diagonal = Hr.diagonal().copy()
+    Hr.flat[:: len(Hr) + 1] -= tau
     try:
-        np.linalg.cholesky(Hr - tau * np.eye(len(Hr)))
+        np.linalg.cholesky(Hr)
+        eigensolved = False
     except np.linalg.LinAlgError:
-        lam, U = np.linalg.eigh(Hr)
+        eigensolved = True
+    Hr.flat[:: len(Hr) + 1] = diagonal
+    if eigensolved:
+        lam, V = np.linalg.eigh(Hr)
         lam = np.abs(lam)
         keep = lam > NEWTON_PINV_CUTOFF * lam.max()
-        dr, eigensolved = U[:, keep] @ ((U[:, keep].T @ gr) / lam[keep]), True
+        dr = V[:, keep] @ ((V[:, keep].T @ gr) / lam[keep])
     else:
-        dr, eigensolved = np.linalg.solve(Hr, gr), False
-    d = B @ dr
-    return (d[: r * k] + 1j * d[r * k:]).reshape(r, k), float(g @ d), eigensolved
+        dr = np.linalg.solve(Hr, gr)
+    return hz.lift(dr), float(gr @ dr), eigensolved
 
 
 def _polish_interval(r: int, n_outcomes: int) -> int:
-    """R sigma R steps between Newton polishes on an n_outcomes x r frame.
+    """R sigma R steps between Newton polishes on an n_outcomes x r frame:
+    ceil(8 r^4 / n_outcomes), capped by POLISH_INTERVAL.
 
-    ceil(8 r^4 / n_outcomes) R sigma R steps (each ~ n_outcomes r^2) cost
-    about as much as one full-rank Newton direction, whose reduced Hessian
-    B^T (-H) B and its factorization, on a Hessian of size 2 r^2, scale as
-    (2 r^2)^3; POLISH_INTERVAL caps it.
+    An R sigma R step costs ~ n_outcomes r^2. The interval was sized when a
+    full-rank Newton direction factored a Hessian of size 2 r^2, ~ (2 r^2)^3.
+    A direction now solves the reduced system of size n_h = 2 r k - k^2 - 1
+    (r^2 - 1 at full rank), whose Hr costs ~ n_outcomes n_h^2 to form and
+    ~ n_h^3 to factor, so the interval prices a full-rank direction above its
+    cost. Re-deriving it from a measured Newton step is open.
     """
     return min(POLISH_INTERVAL, -(-8 * r**4 // n_outcomes))
 
@@ -462,7 +552,7 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int) -> tuple:
         where no step length rises. A candidate that floors an observed
         outcome is refused."""
         nonlocal backtracks, newton_fallbacks
-        D, decrement, eigensolved = _newton_direction(A, fm, Ym, Ymc)
+        D, decrement, eigensolved = _newton_direction(A, fm, Ymc)
         newton_fallbacks += eigensolved
         if not decrement > 0.0:
             return None

@@ -91,6 +91,44 @@ class TestCompare:
         assert "0 of 2 files differ, 1 on one side only" in capsys.readouterr().out
 
 
+class TestNotation:
+    """compare reads the text outside the config echo too: equal numbers
+    written differently are a difference."""
+
+    def tree(self, root: Path, directory: str) -> Path:
+        # written by the program's own writers: a CSV grid and a JSON document
+        # with values whose repr has a two-digit exponent
+        from gramtomo.serialize import write_json, write_wigner_csv
+        out = root / "small" / "reconstruct"
+        out.mkdir(parents=True)
+        echo = {"output": {"directory": directory}}
+        grid = np.array([[2.5e-07, 0.125], [-3e-07, 1.0]])
+        write_wigner_csv(out / "wigner.csv", np.array([-1.0, 1.0]), np.array([0.0, 2.0]),
+                         grid, echo)
+        write_json(out / "reconstruction.json", {"born_residual": 1e-07, "config": echo,
+                                                 "iterations": 7})
+        return root
+
+    def test_exponent_rewrite_exits_1(self, gate, tmp_path, capsys):
+        before = self.tree(tmp_path / "before", "a")
+        after = self.tree(tmp_path / "after", "a")
+        for path in (after / "small" / "reconstruct").iterdir():
+            text = path.read_text()
+            assert "e-07" in text
+            path.write_text(text.replace("e-07", "e-7"))
+        assert gate.compare(before, after) == 1
+        out = capsys.readouterr().out
+        assert "small/reconstruct/wigner.csv  max |dev| 0, 2 lines differ in bytes" in out
+        assert "small/reconstruct/reconstruction.json  max |dev| 0, 1 lines differ in bytes" in out
+        assert "2 of 2 files differ" in out
+
+    def test_config_echo_alone_exits_0(self, gate, tmp_path, capsys):
+        before = self.tree(tmp_path / "before", "a")
+        after = self.tree(tmp_path / "after", "a/much/longer/directory")
+        assert gate.compare(before, after) == 0
+        assert "0 of 2 files differ" in capsys.readouterr().out
+
+
 def run_reconstruct(gate, case, tmp_path, capsys) -> dict:
     """reconstruction.json of the gate case's reconstruct at --seed 0."""
     from gramtomo.cli import main

@@ -433,12 +433,82 @@ def worst_decrease(trace: np.ndarray) -> float:
     return float(np.max(trace[:-1] - trace[1:])) if trace.size > 1 else 0.0
 
 
+def phi_derivatives(A, f, Y, Yc):
+    """Gradient and Hessian of Phi(A) = sum_i f_i log p_i - log ||A||^2 with
+    p_i = ||(conj(Y) A)_i||^2, in the real parameters x = (Re A, Im A) with A
+    flattened row-major: the full-space oracle of the solver's horizontal
+    Newton direction.
+
+    With W = conj(Y) A, M the effect sum with weights f/p and N = ||A||^2,
+    the Jacobian of p has the rows 2 (Re G_i, -Im G_i), G_i = conj(y_i) (x)
+    conj(W_i), and
+
+        g = J^T (f/p) - 2x/N,
+        H = 2 [[Re M (x) I, -Im M (x) I], [Im M (x) I, Re M (x) I]]
+            - J^T diag(f/p^2) J - 2 I/N + 4 x x^T / N^2.
+    """
+    r, k = A.shape
+    N = float(np.vdot(A, A).real)
+    W = Yc @ A
+    p = np.einsum("ik,ik->i", W, W.conj()).real
+    w = f / p
+    G = (Yc[:, :, None] * W.conj()[:, None, :]).reshape(-1, r * k)
+    J = np.empty((len(G), 2 * r * k))
+    np.multiply(G.real, 2.0, out=J[:, : r * k])
+    np.multiply(G.imag, -2.0, out=J[:, r * k:])
+    x = np.concatenate([A.real.ravel(), A.imag.ravel()])
+    g = J.T @ w - 2.0 * x / N
+    M = (Y * w[:, None]).T @ Yc
+    M = 0.5 * (M + M.conj().T)
+    # 2 [[Re M, -Im M], [Im M, Re M]] (x) I_k, added to -J^T diag(f/p^2) J on
+    # the k diagonals of its (2, r, k, 2, r, k) view
+    twice = np.empty((2, r, 2, r))
+    twice[0, :, 0] = twice[1, :, 1] = 2.0 * M.real
+    twice[1, :, 0] = 2.0 * M.imag
+    twice[0, :, 1] = -twice[1, :, 0]
+    H = (J.T * (f / p**2)) @ J
+    np.negative(H, out=H)
+    blocks = H.reshape(2, r, k, 2, r, k)
+    for c in range(k):
+        blocks[:, :, c, :, :, c] += twice
+    H.flat[:: len(H) + 1] -= 2.0 / N
+    H += 4.0 * np.outer(x, x) / N**2
+    return g, H
+
+
+def gauge_generators(k):
+    """A basis of the k^2 anti-Hermitian k x k matrices, then the identity:
+    the Z for which A -> A exp(t Z) leaves A A^H / ||A||^2, and so Phi,
+    unchanged."""
+    Z = np.zeros((k * k + 1, k, k), dtype=complex)
+    m = 0
+    for j in range(k):
+        for l in range(j, k):
+            Z[m, j, l] = Z[m, l, j] = 1j
+            m += 1
+            if l > j:
+                Z[m, j, l], Z[m, l, j] = 1.0, -1.0
+                m += 1
+    Z[m] = np.eye(k)
+    return Z
+
+
+def horizontal_basis(A):
+    """Orthonormal columns spanning the complement of the vertical directions
+    vec(A Z) (see gauge_generators) in the real parameters x of
+    phi_derivatives: 2 r k - k^2 - 1 of them, from one complete QR."""
+    r, k = A.shape
+    AZ = A @ gauge_generators(k)
+    vertical = np.hstack([AZ.real.reshape(len(AZ), -1), AZ.imag.reshape(len(AZ), -1)])
+    Q = np.linalg.qr(vertical.T, mode="complete")[0]
+    return Q[:, len(AZ):]
+
+
 class TestNewtonPolish:
     def test_derivatives_match_central_differences(self):
         # Phi(A) = sum_i f_i log ||(conj(Y) A)_i||^2 - log ||A||^2 on a random
         # complex POVM; at h = 1e-5 seeds 0-4 give relative errors up to
         # 4.5e-10 (gradient) and 4.0e-10 (Hessian)
-        from gramtomo.maxlik import _phi_derivatives
         n, r, k = 40, 5, 2
         rng = np.random.default_rng(0)
         Y = (rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))) / np.sqrt(2 * r)
@@ -454,10 +524,10 @@ class TestNewtonPolish:
             return f @ np.log(p) - np.log(np.vdot(B, B).real)
 
         def gradient(x):
-            return _phi_derivatives(unflatten(x), f, Y, Y.conj())[0]
+            return phi_derivatives(unflatten(x), f, Y, Y.conj())[0]
 
         x = rng.normal(size=2 * r * k)
-        g, H = _phi_derivatives(unflatten(x), f, Y, Y.conj())
+        g, H = phi_derivatives(unflatten(x), f, Y, Y.conj())
         steps = 1e-5 * np.eye(x.size)
         g_fd = np.array([(phi(x + e) - phi(x - e)) / 2e-5 for e in steps])
         H_fd = np.array([(gradient(x + e) - gradient(x - e)) / 2e-5 for e in steps])
@@ -511,14 +581,14 @@ def complete_frame(rng, n, r):
 
 
 def as_real(A):
-    """The real parameters x = (Re A, Im A) of _phi_derivatives, row-major."""
+    """The real parameters x = (Re A, Im A) of phi_derivatives, row-major."""
     return np.concatenate([A.real.ravel(), A.imag.ravel()])
 
 
 def saddle_free_direction(A, g, H):
     """B U |Lambda|^(-1) U^T B^T g, from eigh of Hr = B^T (-H) B = U Lambda U^T
     over every eigenvalue."""
-    B = maxlik._horizontal_basis(A)
+    B = horizontal_basis(A)
     lam, U = np.linalg.eigh(B.T @ -H @ B)
     return B @ U @ ((U.T @ B.T @ g) / np.abs(lam)), lam
 
@@ -540,7 +610,7 @@ class TestHorizontalNewton:
     def test_basis_is_orthonormal_complement_of_the_gauge(self, r, k):
         rng = np.random.default_rng(r + k)
         A = rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k))
-        B = maxlik._horizontal_basis(A)
+        B = horizontal_basis(A)
         assert B.shape == (2 * r * k, 2 * r * k - k * k - 1)
         assert np.abs(B.T @ B - np.eye(B.shape[1])).max() < 1e-12
         # random anti-Hermitian Z and the identity, drawn here, not the
@@ -555,7 +625,6 @@ class TestHorizontalNewton:
         # Phi along B's columns: gr = B^T g and Hr = B^T (-H) B against
         # central differences of Phi and of its gradient, as in
         # TestNewtonPolish.test_derivatives_match_central_differences
-        from gramtomo.maxlik import _phi_derivatives
         n, r, k = 40, 5, 2
         rng = np.random.default_rng(1)
         Y = (rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))) / np.sqrt(2 * r)
@@ -571,12 +640,12 @@ class TestHorizontalNewton:
             return f @ np.log(p) - np.log(np.vdot(C, C).real)
 
         def gradient(x):
-            return _phi_derivatives(unflatten(x), f, Y, Y.conj())[0]
+            return phi_derivatives(unflatten(x), f, Y, Y.conj())[0]
 
         A = rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k))
         x = as_real(A)
-        g, H = _phi_derivatives(A, f, Y, Y.conj())
-        B = maxlik._horizontal_basis(A)
+        g, H = phi_derivatives(A, f, Y, Y.conj())
+        B = horizontal_basis(A)
         gr, Hr = B.T @ g, B.T @ -H @ B
         steps = 1e-5 * B.T
         gr_fd = np.array([(phi(x + e) - phi(x - e)) / 2e-5 for e in steps])
@@ -588,46 +657,48 @@ class TestHorizontalNewton:
         assert abs(np.linalg.norm(gr) - np.linalg.norm(g)) < 1e-12 * np.linalg.norm(g)
         assert np.abs(B.T @ x).max() < 1e-12 * np.abs(x).max()
 
-    @pytest.mark.parametrize("r, k", [(3, 3), (5, 3), (15, 6)])
+    @pytest.mark.parametrize("r, k", [(4, 1), (6, 1), (2, 2), (3, 3), (4, 4), (5, 3),
+                                      (15, 6)])
     def test_cholesky_direction_is_the_pseudo_inverse(self, r, k):
         # near the optimum of exact data from a rank-k state on a complete
         # frame, -H is positive definite off the gauge, and the linear solve
         # is taken at every factor size
-        from gramtomo.maxlik import _newton_direction, _phi_derivatives
+        from gramtomo.maxlik import _newton_direction
         rng = np.random.default_rng(2)
         Y = complete_frame(rng, 4 * r * r, r)
         A0 = rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k))
         f = np.sum(np.abs(Y.conj() @ A0) ** 2, axis=1)
         f /= f.sum()
         A = A0 + 1e-3 * (rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k)))
-        D, decrement, eigensolved = _newton_direction(A, f, Y, Y.conj())
+        D, decrement, eigensolved = _newton_direction(A, f, Y.conj())
         assert not eigensolved
-        g, H = _phi_derivatives(A, f, Y, Y.conj())
+        g, H = phi_derivatives(A, f, Y, Y.conj())
         d, lam = saddle_free_direction(A, g, H)
         assert lam[0] > maxlik.NEWTON_PINV_CUTOFF * lam[-1]
         assert np.abs(as_real(D) - d).max() < 1e-10 * np.abs(d).max()
         assert decrement == pytest.approx(g @ d, rel=1e-10)
 
-    @pytest.mark.parametrize("r, k", [(2, 2), (3, 3), (5, 3), (15, 6)])
+    @pytest.mark.parametrize("r, k", [(4, 1), (6, 1), (2, 2), (3, 3), (4, 4), (5, 3),
+                                      (15, 6)])
     def test_indefinite_point_takes_the_saddle_free_direction(self, r, k):
         # far from the optimum Hr has eigenvalues of both signs; the direction
         # divides by their absolute values, so it still ascends
-        from gramtomo.maxlik import _newton_direction, _phi_derivatives
+        from gramtomo.maxlik import _newton_direction
         A, f, Y, _ = random_point(r, k, 5)
-        g, H = _phi_derivatives(A, f, Y, Y.conj())
+        g, H = phi_derivatives(A, f, Y, Y.conj())
         d, lam = saddle_free_direction(A, g, H)
         assert lam[0] < 0 < lam[-1]
-        D, decrement, eigensolved = _newton_direction(A, f, Y, Y.conj())
+        D, decrement, eigensolved = _newton_direction(A, f, Y.conj())
         assert eigensolved
         assert np.abs(as_real(D) - d).max() < 1e-10 * np.abs(d).max()
         assert decrement == pytest.approx(g @ d, rel=1e-10) and decrement > 0
 
     @pytest.mark.parametrize("r, k", [(2, 2), (3, 3), (5, 3), (15, 6)])
     def test_indefinite_point_direction_is_horizontal(self, r, k):
-        from gramtomo.maxlik import _newton_direction, _phi_derivatives
+        from gramtomo.maxlik import _newton_direction
         A, f, Y, rng = random_point(r, k, 5)
-        assert saddle_free_direction(A, *_phi_derivatives(A, f, Y, Y.conj()))[1][0] < 0
-        D = as_real(_newton_direction(A, f, Y, Y.conj())[0])
+        assert saddle_free_direction(A, *phi_derivatives(A, f, Y, Y.conj()))[1][0] < 0
+        D = as_real(_newton_direction(A, f, Y.conj())[0])
         # random anti-Hermitian Z and the identity, drawn here, not the
         # module's generators
         M = rng.normal(size=(8, k, k)) + 1j * rng.normal(size=(8, k, k))
@@ -655,6 +726,97 @@ class TestHorizontalNewton:
         res = maxlik_solve(ds, reference_povm)
         assert res.stop_reason == "gap"
         assert res.newton_steps > 0 and res.newton_fallbacks == 0
+
+
+
+def horizontal_directions(hz):
+    """The basis directions of a horizontal Jacobian, lifted one coordinate
+    at a time, as the columns of a 2 r k x n_h real matrix."""
+    return np.array([as_real(hz.lift(e)) for e in np.eye(hz.jb.shape[1])]).T
+
+
+class TestHorizontalJacobian:
+    """The Jacobian JB of p along the closed-form horizontal basis, against
+    central differences of p and random gauge directions drawn here."""
+
+    @pytest.mark.parametrize("r, k", [(4, 1), (3, 3), (5, 3), (15, 6)])
+    def test_columns_are_central_differences_of_p(self, r, k):
+        # p is quadratic in A, so the central difference is exact to rounding
+        A, f, Y, _ = random_point(r, k, 7)
+        hz = maxlik._horizontal_jacobian(A, Y.conj())
+
+        def p(C):
+            return np.sum(np.abs(Y.conj() @ C) ** 2, axis=1)
+
+        assert np.abs(hz.p - p(A)).max() < 1e-14 * p(A).max()
+        assert hz.jb.shape == (len(Y), 2 * r * k - k * k - 1)
+        for column, e in zip(hz.jb.T, np.eye(hz.jb.shape[1])):
+            D = hz.lift(e)
+            assert D.shape == (r, k)
+            fd = (p(A + 1e-3 * D) - p(A - 1e-3 * D)) / 2e-3
+            assert np.abs(column - fd).max() < 1e-10 * np.abs(hz.jb).max()
+
+    @pytest.mark.parametrize("r, k", [(2, 1), (4, 1), (2, 2), (5, 3), (15, 6)])
+    def test_basis_is_orthonormal_and_horizontal(self, r, k):
+        rng = np.random.default_rng(10 * r + k)
+        A = rng.normal(size=(r, k)) + 1j * rng.normal(size=(r, k))
+        B = horizontal_directions(maxlik._horizontal_jacobian(A, complete_frame(rng, 2 * r, r)))
+        assert B.shape == (2 * r * k, 2 * r * k - k * k - 1)
+        assert np.abs(B.T @ B - np.eye(B.shape[1])).max() < 1e-12
+        M = rng.normal(size=(8, k, k)) + 1j * rng.normal(size=(8, k, k))
+        for Z in [*(M - M.conj().transpose(0, 2, 1)), np.eye(k)]:
+            v = as_real(A @ Z)
+            assert np.abs(B.T @ v).max() < 1e-12 * np.abs(v).max()
+
+    def test_complete_frame_fixes_every_horizontal_direction(self):
+        # dim 4, 4 phases x 51 bins on (-5, 5): the effects span the operators,
+        # so p moves along every horizontal direction and rank(JB) is
+        # 2 d k - k^2 - 1, the rank-k manifold with its scale taken out
+        from gramtomo import HomodyneConfig, build_homodyne_povm
+        povm = build_homodyne_povm(
+            HomodyneConfig.uniform(phase_count=4, bins=51, x_range=(-5.0, 5.0)), 4)
+        rng = np.random.default_rng(4)
+        ranks = []
+        for k in range(1, 5):
+            A = rng.normal(size=(4, k)) + 1j * rng.normal(size=(4, k))
+            sv = np.linalg.svd(maxlik._horizontal_jacobian(A, povm.vectors.conj()).jb,
+                               compute_uv=False)
+            ranks.append(int(np.count_nonzero(sv > 1e-9 * sv[0])))
+        assert ranks == [6, 11, 14, 15]
+
+
+class TestOneByOneFactor:
+    """A 1 x 1 factor has no horizontal space (k = 1 and k = r are parameters
+    of TestHorizontalNewton)."""
+
+    def test_direction_is_zero(self):
+        from gramtomo.maxlik import _newton_direction
+        rng = np.random.default_rng(0)
+        Y = complete_frame(rng, 6, 1)
+        f = rng.random(6)
+        D, decrement, eigensolved = _newton_direction(np.array([[0.3 + 0.4j]]), f / f.sum(),
+                                                      Y.conj())
+        assert D.shape == (1, 1) and D[0, 0] == 0.0
+        assert decrement == 0.0 and not eigensolved
+
+    def test_one_dimensional_solve_ends_its_polish_at_once(self, monkeypatch):
+        # TOL_GAP = 0 never fires, so the run reaches the cap; the first polish
+        # finds no direction and is the last
+        calls = []
+        newton_direction = maxlik._newton_direction
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return newton_direction(*args)
+
+        monkeypatch.setattr(maxlik, "TOL_GAP", 0.0)
+        monkeypatch.setattr(maxlik, "_newton_direction", counted)
+        povm, psi, rho = small_problem()
+        ds = generate_counts(rho, povm, NoiseModel(kind="poisson", exposure=5000.0, seed=5))
+        res = maxlik_solve(ds, povm, SolverConfig(max_iterations=20),
+                           np.eye(povm.dim, dtype=complex)[:, :1])
+        assert res.stop_reason == "cap" and res.iterations == 20
+        assert res.newton_steps == 0 and calls == [(1, 1)]
 
 
 class TestTelemetry:

@@ -13,12 +13,15 @@ on one side only, 0 when all agree. For reconstruction.json it also prints the
 largest deviation of the density matrix alone, since a change of iterations or
 of the length of the log_likelihood trace dominates the overall one, and the
 iterations, newton_steps and stop_reason on both sides. Non-numeric cells that
-differ are counted.
+differ are counted. Equal numbers can still be written differently (1e-07 and
+1e-7): a file whose text outside the config echo differs at zero numeric
+deviation differs too, and its differing lines are counted.
 """
 
 import argparse
 import hashlib
 import json
+import json.decoder
 import os
 import subprocess
 import sys
@@ -106,20 +109,48 @@ def _cells(text: str):
                 yield (r, c), cell
 
 
+def _without_echo(text: str) -> str:
+    """A JSON document's text with the value of its top-level "config" member
+    cut out, whatever its layout."""
+    decoder, space = json.JSONDecoder(), json.decoder.WHITESPACE
+    i = space.match(text, text.index("{") + 1).end()
+    while text[i] != "}":
+        key, i = decoder.raw_decode(text, i)
+        start = space.match(text, space.match(text, i).end() + 1).end()
+        _, i = decoder.raw_decode(text, start)
+        if key == "config":
+            return text[:start] + text[i:]
+        i = space.match(text, i).end()
+        i = space.match(text, i + (text[i] == ",")).end()
+    return text
+
+
+def _body(path: Path) -> list[str]:
+    """The lines of an output file but its config echo."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        return _without_echo(text).splitlines()
+    return [line for line in text.splitlines() if not line.startswith("# config:")]
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def describe_difference(before: Path, after: Path) -> str | None:
     """Largest numeric deviation between two versions of one output file, or
-    None when they agree apart from the config echo."""
+    None when they agree apart from the config echo, byte for byte."""
     if before.suffix == ".json":
         a, b = json.loads(before.read_text()), json.loads(after.read_text())
         items_a, items_b = dict(_leaves(a)), dict(_leaves(b))
     else:
         items_a, items_b = dict(_cells(before.read_text())), dict(_cells(after.read_text()))
     if items_a == items_b:
-        return None
+        lines_a, lines_b = _body(before), _body(after)
+        if lines_a == lines_b:
+            return None
+        changed = sum(x != y for x, y in zip(lines_a, lines_b)) + abs(len(lines_a) - len(lines_b))
+        return f"max |dev| 0, {changed} lines differ in bytes"
     dev, rho_dev, other = 0.0, 0.0, 0
     for key in items_a.keys() & items_b.keys():
         x, y = items_a[key], items_b[key]
