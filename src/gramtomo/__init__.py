@@ -14,7 +14,7 @@ from .fock import (PhaseSpaceGrid, cat_state, coherent_state, fidelity, fock_sta
 from .frames import (OperatorFrame, PartialInversionWarning, dual_frame, from_coords,
                      hadamard_identity_check, linear_inversion, modal_weighting,
                      operator_frame, operator_frame_apply, to_coords)
-from .maxlik import (TOL_GAP, Dataset, ReconstructionResult, SolverConfig,
+from .maxlik import (TOL_GAP, Dataset, ReconstructionResult,
                      born_residual, expected_probabilities, extremal_residual,
                      log_likelihood, maxlik_solve, r_operator, restrict_to_subspace)
 from .povm import (GramAnalysis, HomodyneConfig, PovmSet, build_homodyne_povm,
@@ -33,7 +33,7 @@ __all__ = [
     "OperatorFrame", "PartialInversionWarning", "dual_frame", "from_coords",
     "hadamard_identity_check", "linear_inversion", "modal_weighting",
     "operator_frame", "operator_frame_apply", "to_coords",
-    "TOL_GAP", "Dataset", "ReconstructionResult", "SolverConfig",
+    "TOL_GAP", "Dataset", "ReconstructionResult",
     "born_residual", "expected_probabilities", "extremal_residual",
     "log_likelihood", "maxlik_solve", "r_operator", "restrict_to_subspace",
     "GramAnalysis", "HomodyneConfig", "PovmSet", "build_homodyne_povm",

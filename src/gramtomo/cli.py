@@ -39,10 +39,12 @@ from .fock import (PhaseSpaceGrid, cat_state, coherent_state, fidelity, fock_sta
                    kept_weight, wigner)
 from .frames import (dual_frame, from_coords, linear_inversion, modal_weighting,
                      operator_frame, operator_frame_apply, to_coords)
-from .maxlik import Dataset, SolverConfig, maxlik_solve
-from .povm import (HomodyneConfig, PovmSet, born_probabilities, build_homodyne_povm,
-                   effective_rank, gram_operator, gram_spectrum, subspace_basis)
-from .serialize import Table, WignerGrid, decode_povm, encode_reconstruction, write_outputs
+from .maxlik import MAX_ITERATIONS, Dataset, maxlik_solve
+from .povm import (EFFECTIVE_RANK_DROP_RATIO, HomodyneConfig, PovmSet, born_probabilities,
+                   build_homodyne_povm, effective_rank, gram_operator, gram_spectrum,
+                   subspace_basis)
+from .serialize import (_JSON_TYPES, Table, WignerGrid, _is_json_type, decode_povm,
+                        encode_reconstruction, write_outputs)
 from .simulate import (NoiseModel, dimension_sweep, generate_counts, stability_study,
                        trial_generator)
 
@@ -58,22 +60,16 @@ class ConfigValidationError(InvalidInputError):
     dotted key path of the offending value."""
 
 
-# the JSON-Schema keywords and types that _schema_error implements; a schema
-# that uses any other is refused when it is loaded, so none is silently ignored
+# the JSON-Schema keywords and types (serialize._JSON_TYPES) that
+# _schema_error implements; a schema that uses any other is refused when it is
+# loaded, so none is silently ignored
 _SCHEMA_KEYWORDS = {"$schema", "type", "properties", "additionalProperties", "enum", "oneOf",
                     "items", "minItems", "maxItems", "minimum", "exclusiveMinimum"}
-# an "integer" is a JSON integer: 4.0 is not one, though JSON-Schema accepts it
-_JSON_TYPES = {"object": dict, "array": list, "string": str, "null": type(None),
-               "number": (int, float), "integer": int}
 
 
 def _type_names(schema: dict) -> list[str]:
     names = schema.get("type", [])
     return [names] if isinstance(names, str) else names
-
-
-def _is_type(value, name: str) -> bool:
-    return not isinstance(value, bool) and isinstance(value, _JSON_TYPES[name])
 
 
 def _supported_schema(schema: dict) -> dict:
@@ -93,7 +89,7 @@ def _schema_error(value, schema: dict, where: str = "") -> str | None:
     """The first way that value breaks schema, led by its dotted key path, or None."""
     at = where or "config"
     names = _type_names(schema)
-    if names and not any(_is_type(value, name) for name in names):
+    if names and not any(_is_json_type(value, name) for name in names):
         return f"{at}: {value!r} is not of type {' or '.join(names)}"
     if "enum" in schema and value not in schema["enum"]:
         return f"{at}: {value!r} is not one of {schema['enum']}"
@@ -101,7 +97,7 @@ def _schema_error(value, schema: dict, where: str = "") -> str | None:
         matches = sum(_schema_error(value, sub) is None for sub in schema["oneOf"])
         if matches != 1:
             return f"{at}: {value!r} matches {matches} of the allowed forms, not one"
-    if _is_type(value, "number"):
+    if _is_json_type(value, "number"):
         if "minimum" in schema and value < schema["minimum"]:
             return f"{at}: {value!r} is less than the minimum of {schema['minimum']}"
         if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
@@ -135,7 +131,7 @@ DEFAULTS = {
     "povm": {"kind": "homodyne", "phases": None, "phase_count": 6, "bins": 51,
              "range": [-5.0, 5.0], "file": None},
     "noise": {"kind": "poisson", "exposure": 100000.0, "seed": 0},
-    "solver": {"max_iterations": 20000},
+    "solver": {"max_iterations": MAX_ITERATIONS},
     "reconstruction": {"basis": "full", "dimension": None},
     "sweep": {"dims": list(range(1, 13)), "trials": 8, "bases": ["gram", "fock"]},
     "stability": {"basis": "gram", "dimension": 3, "trials": 4},
@@ -325,8 +321,8 @@ def cmd_gram_spectrum(config: dict) -> dict:
     outputs["rank_report"] = {
         "support_rank": analysis.rank,
         "support_threshold": float(analysis.threshold),
-        "effective_rank": effective_rank(analysis, 1e-3),
-        "effective_rank_drop_ratio": 1e-3,
+        "effective_rank": effective_rank(analysis),
+        "effective_rank_drop_ratio": EFFECTIVE_RANK_DROP_RATIO,
         "smallest_to_largest_ratio": float(lam[-1] / lam[0]),
         # (lambda_d - lambda_{d+1}) / lambda_1, d = 1..dim-1: top-d Gram-subspace
         # outputs rest on the eigensolver's choice where this gap is small
@@ -351,7 +347,7 @@ def cmd_reconstruct(config: dict) -> dict:
     subspace = (None if rc["basis"] == "full"
                 else subspace_basis(rc["basis"], rc["dimension"], povm))
     start = time.perf_counter()
-    result = maxlik_solve(dataset, povm, SolverConfig(**config["solver"]), subspace)
+    result = maxlik_solve(dataset, povm, subspace, **config["solver"])
     print(f"reconstruction wall time: {time.perf_counter() - start:.3f} s",
           file=sys.stderr)
     payload = encode_reconstruction(result)
@@ -365,11 +361,10 @@ def cmd_sweep(config: dict) -> dict:
     povm = build_povm_from_config(config)
     target = build_target_from_config(config)
     noise = NoiseModel(**config["noise"])
-    solver = SolverConfig(**config["solver"])
     outputs, summary = {}, {}
     for basis in config["sweep"]["bases"]:
         result = dimension_sweep(target, povm, basis, config["sweep"]["dims"], noise,
-                                 config["sweep"]["trials"], solver_config=solver)
+                                 config["sweep"]["trials"], **config["solver"])
         outputs[f"sweep_{basis}"] = Table(
             ["dimension", "trial", "fidelity", "converged"],
             [(d, t, float(result.fidelities[k, t]), bool(result.converged[k, t]))
@@ -391,11 +386,10 @@ def cmd_stability(config: dict) -> dict:
     povm = build_povm_from_config(config)
     target = build_target_from_config(config)
     noise = NoiseModel(**config["noise"])
-    solver = SolverConfig(**config["solver"])
     grid = build_grid_from_config(config)
     sc = config["stability"]
     result = stability_study(target, povm, sc["basis"], sc["dimension"], noise,
-                             sc["trials"], solver_config=solver)
+                             sc["trials"], **config["solver"])
     fidelities, converged = result.fidelities[0], result.converged[0]
     outputs = {
         "stability": Table(["trial", "fidelity", "converged"],

@@ -18,10 +18,11 @@ The diluted R sigma R step
 
 preserves positivity by congruence and has the extremal equation as its
 fixed point. eps = 1 is tried first and halved (persistently, down to
-DILUTION_FLOOR) whenever a step would decrease the likelihood, which keeps
-the recorded likelihood trace non-decreasing on every dataset. It moves
-each eigenvalue of sigma in proportion to its own size, so the weak
-directions of a low-rank optimum crawl.
+DILUTION_FLOOR) whenever a step would decrease the likelihood by more than
+its rounding, which keeps the recorded likelihood trace non-decreasing to
+within rounding on every dataset. It moves each eigenvalue of sigma in
+proportion to its own size, so the weak directions of a low-rank optimum
+crawl.
 
 After every ceil(8 r^4 / N) R sigma R steps on the N x r rescaled frame,
 but at most POLISH_INTERVAL, a Newton polish takes over (_polish_interval
@@ -96,8 +97,10 @@ vertical vectors; only tau, a bound that depends on the basis, and the
 rounding move.
 
 The recorded log-likelihood is per unit count, sum_i f_i log p_i with
-sum_k p_k = 1 enforced by the rescaling. On raw-count scale (~1e5 counts)
-float64 rounding alone would exceed the per-step monotonicity tolerance.
+sum_k p_k = 1 enforced by the rescaling, so its rounding does not grow with
+the exposure. Both kinds of step take one rounding rule: a candidate may
+fall below the current log L by at most LIKELIHOOD_ROUNDING times
+max(1, |log L|).
 
 Because the rescaled effects are complete on the support, concavity of the
 likelihood gives the Glancy-Knill-Girard certificate (NJP 14, 095017, 2012)
@@ -131,6 +134,8 @@ from .povm import (PovmSet, _born, _effect_sum, born_probabilities, gram_operato
 
 # the solver stops, certified, once the likelihood gap (per count) is below this
 TOL_GAP = 1e-10
+# the solver stops, uncertified, after this many iterations unless told otherwise
+MAX_ITERATIONS = 20000
 # the R sigma R step starts undiluted (eps = 1) and halves eps, no lower than
 # this, while a step would lower the likelihood
 DILUTION_FLOOR = 1.0 / 64.0
@@ -139,9 +144,12 @@ PROBABILITY_FLOOR = 1e-14
 
 # the R sigma R iteration hands over to a Newton polish of a factor of sigma
 # after every _polish_interval(r, N) of its own steps, never more than
-# POLISH_INTERVAL (tuned at r = 15 when a Newton step cost about 40 R sigma
-# R steps); the factor keeps the eigenvalues of sigma above FACTOR_CUTOFF
-# times the largest
+# POLISH_INTERVAL; the factor keeps the eigenvalues of sigma above
+# FACTOR_CUTOFF times the largest. The cap is not the fastest at r = 15 with
+# the closed-form Newton direction: reference solves (N = 306, seeds 50-57,
+# one BLAS thread on a 2-core host) took a median 26.0 ms at a cap of 100,
+# 23.1 at 70, 23.9 at 50, 24.1 at 40 and 24.0 at 30, every one certified;
+# re-deriving it from a measured Newton step is open
 POLISH_INTERVAL = 100
 FACTOR_CUTOFF = 1e-6
 # Newton direction: the pseudo-inverse of |Hr| keeps its eigenvalues above this
@@ -181,24 +189,6 @@ class Dataset:
     @property
     def frequencies(self) -> np.ndarray:
         return self.counts / self.counts.sum()
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """The solver config section: iteration controls for maxlik_solve.
-
-    The run converges when the certified likelihood gap lambda_max(R') - 1
-    is below the module constant TOL_GAP at an iterate where no observed
-    outcome is floored. max_iterations ends the run otherwise
-    (converged=False). The dilution floor and the probability floor are the
-    module constants DILUTION_FLOOR and PROBABILITY_FLOOR.
-    """
-
-    max_iterations: int = 20000
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise InvalidInputError("max iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -546,17 +536,16 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int) -> tuple:
         # where the iterate is optimal to rounding
         return float(lam_max) * (1.0 + r * EPS) - 1.0
 
-    def newton_step(A, ll):
-        """An Armijo-damped Newton step on the factor A, as (A, its evaluated
-        candidate, whether its predicted ascent is above rounding), or None
-        where no step length rises. A candidate that floors an observed
-        outcome is refused."""
+    def newton_step(A, ll, rounding):
+        """An Armijo-damped Newton step on the factor A from log-likelihood ll,
+        known to within rounding, as (A, its evaluated candidate, whether its
+        predicted ascent is above rounding), or None where no step length
+        rises. A candidate that floors an observed outcome is refused."""
         nonlocal backtracks, newton_fallbacks
         D, decrement, eigensolved = _newton_direction(A, fm, Ymc)
         newton_fallbacks += eigensolved
         if not decrement > 0.0:
             return None
-        rounding = LIKELIHOOD_ROUNDING * max(1.0, abs(ll))
         t = 1.0
         for _ in range(NEWTON_BACKTRACKS):
             A_cand = A + t * D
@@ -587,6 +576,8 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int) -> tuple:
         sigma, p, pm, hits, ll = cand
         floor_hits += hits
         trace.append(ll)
+        # a candidate of either kind may fall below ll by this much
+        rounding = LIKELIHOOD_ROUNDING * max(1.0, abs(ll))
         R = _effect_sum(fm / pm, Ym, Ymc)
         if rsr_steps + newton_steps == max_iterations:
             break
@@ -601,7 +592,7 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int) -> tuple:
                 break
         step = None
         if factor is not None:
-            step = None if hits else newton_step(factor, ll)
+            step = None if hits else newton_step(factor, ll, rounding)
             if step is None:
                 # a floored iterate skips this polish; one that found no ascent
                 # is not tried again, since it would repeat itself at the optimum
@@ -619,13 +610,13 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int) -> tuple:
                 # undiluted, R~ is R itself
                 R_tilde = R if eps == 1.0 else eps * R + (1.0 - eps) * eye
                 cand = evaluate(R_tilde @ sigma @ R_tilde)
-                if cand[4] >= ll - 1e-12:
+                if cand[4] >= ll - rounding:
                     break
                 backtracks += 1
                 if eps <= DILUTION_FLOOR:
                     break
                 eps = max(eps / 2.0, DILUTION_FLOOR)
-            if cand[4] < ll - 1e-12:
+            if cand[4] < ll - rounding:
                 # even the floor dilution decreases the likelihood: keep the
                 # last good iterate rather than record a falling trace
                 stop = "stalled"
@@ -649,9 +640,15 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int) -> tuple:
         born_residual=float(np.abs(p - f).max()), stop_reason=stop, likelihood_gap=gap)
 
 
-def maxlik_solve(dataset: Dataset, povm: PovmSet, config: SolverConfig | None = None,
-                 subspace: np.ndarray | None = None) -> ReconstructionResult:
+def maxlik_solve(dataset: Dataset, povm: PovmSet, subspace: np.ndarray | None = None, *,
+                 max_iterations: int = MAX_ITERATIONS) -> ReconstructionResult:
     """Maximum-likelihood reconstruction from counts.
+
+    The run converges when the certified likelihood gap lambda_max(R') - 1
+    is below the module constant TOL_GAP at an iterate where no observed
+    outcome is floored. max_iterations ends the run otherwise
+    (converged=False). The dilution floor and the probability floor are the
+    module constants DILUTION_FLOOR and PROBABILITY_FLOOR.
 
     Parameters
     ----------
@@ -659,11 +656,11 @@ def maxlik_solve(dataset: Dataset, povm: PovmSet, config: SolverConfig | None = 
         Counts aligned with the POVM outcome order.
     povm : PovmSet
         The measurement; rescaled internally to its Gram support.
-    config : SolverConfig, optional
-        Iteration controls; defaults per SolverConfig.
     subspace : ndarray, optional
         (dim, d) orthonormal columns, such as subspace_basis gives: the solve
         runs on the measurement projected onto them, embedded back after.
+    max_iterations : int, optional
+        The most iterations of either kind; at least 1.
 
     Returns
     -------
@@ -673,8 +670,8 @@ def maxlik_solve(dataset: Dataset, povm: PovmSet, config: SolverConfig | None = 
         runs ended by the iteration cap or a stalled step; stop_reason says
         which rule ended the run.
     """
-    if config is None:
-        config = SolverConfig()
+    if max_iterations < 1:
+        raise InvalidInputError("max iterations must be >= 1")
     if dataset.counts.size != povm.n_outcomes:
         raise InvalidInputError(
             f"dataset has {dataset.counts.size} entries, POVM has {povm.n_outcomes}")
@@ -689,7 +686,7 @@ def maxlik_solve(dataset: Dataset, povm: PovmSet, config: SolverConfig | None = 
         raise EmptyMeasurementError("Gram operator has zero support")
     f = dataset.frequencies
 
-    sigma, trace, telemetry = _iterate(analysis.rescaled_vectors, f, config.max_iterations)
+    sigma, trace, telemetry = _iterate(analysis.rescaled_vectors, f, max_iterations)
 
     # a rescaled-space state maps back as G^(-1/2) sigma G^(-1/2) on the support
     embed = analysis.support_vectors / np.sqrt(analysis.support_eigenvalues)

@@ -241,7 +241,13 @@ def gram_matrix_operator_space(povm: PovmSet) -> np.ndarray:
     return np.abs(gram_matrix_state_space(povm)) ** 2
 
 
-def effective_rank(analysis: GramAnalysis, drop_ratio: float = 1e-3) -> int:
+# effective_rank counts the eigenvalues of G at or above this multiple of the
+# largest by default, and gram-spectrum reports that count
+EFFECTIVE_RANK_DROP_RATIO = 1e-3
+
+
+def effective_rank(analysis: GramAnalysis,
+                   drop_ratio: float = EFFECTIVE_RANK_DROP_RATIO) -> int:
     """Count of eigenvalues within drop_ratio of the largest.
 
     This is the looser, statistical bandwidth (reliably resolved modes),

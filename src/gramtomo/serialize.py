@@ -43,11 +43,22 @@ def encode_complex_matrix(m: np.ndarray) -> list[list[list[float]]]:
     return [encode_complex_vector(row) for row in np.asarray(m, dtype=complex)]
 
 
-def _json_number(value, kind=(int, float)):
-    """value if it is a JSON number (kind=int: integer), as the config schema
-    reads them: true is no number, and 2.0 or "2" no integer."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise TypeError(f"{value!r} is not a JSON {'integer' if kind is int else 'number'}")
+# the JSON types as the config schema and the POVM file read them; an
+# "integer" is a JSON integer: 4.0 is not one, though JSON-Schema accepts it
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "null": type(None),
+               "number": (int, float), "integer": int}
+
+
+def _is_json_type(value, name: str) -> bool:
+    """Whether value is of the named JSON type: true is no number or integer."""
+    return not isinstance(value, bool) and isinstance(value, _JSON_TYPES[name])
+
+
+def _json_number(value, name="number"):
+    """value if it is a JSON number (name="integer": integer): true is no
+    number, and 2.0 or "2" no integer."""
+    if not _is_json_type(value, name):
+        raise TypeError(f"{value!r} is not a JSON {name}")
     return value
 
 
@@ -66,7 +77,7 @@ def encode_povm(povm: PovmSet) -> dict:
 def decode_povm(data: dict) -> PovmSet:
     """Inverse of encode_povm; other per-effect keys are accepted and ignored."""
     try:
-        dim = _json_number(data["dim"], int)
+        dim = _json_number(data["dim"], "integer")
         effects = data["effects"]
         vectors = [decode_complex_vector(e["vector"]) for e in effects]
         if any(e.get("bin_width") is not None and _json_number(e["bin_width"]) <= 0

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EmptyDataError, InvalidInputError
 from .fock import fidelity, pure_density
-from .maxlik import (Dataset, ReconstructionResult, SolverConfig, expected_probabilities,
+from .maxlik import (MAX_ITERATIONS, Dataset, ReconstructionResult, expected_probabilities,
                      maxlik_solve)
 from .povm import PovmSet, subspace_basis
 
@@ -113,8 +113,8 @@ def generate_counts(rho_true: np.ndarray, povm: PovmSet, noise: NoiseModel,
 
 
 def dimension_sweep(target: np.ndarray, povm: PovmSet, basis_kind: str,
-                    dims: list[int] | tuple[int, ...], noise: NoiseModel, trials: int,
-                    solver_config: SolverConfig | None = None) -> SweepResult:
+                    dims: list[int] | tuple[int, ...], noise: NoiseModel, trials: int, *,
+                    max_iterations: int = MAX_ITERATIONS) -> SweepResult:
     """Reconstruction fidelity versus subspace dimension.
 
     Dimension d reconstructs on the first d of the top max(dims) Gram modes
@@ -122,7 +122,7 @@ def dimension_sweep(target: np.ndarray, povm: PovmSet, basis_kind: str,
     subspaces nest. Trials differ only in the noise stream; the same
     per-trial dataset is reused across dimensions. Every solve is kept in
     results; a non-converged one reads converged=False, never raised.
-    Without solver_config the solves run with SolverConfig().
+    Every solve stops after at most max_iterations.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) == 0 or min(dims) < 1 or max(dims) > povm.dim:
@@ -132,7 +132,7 @@ def dimension_sweep(target: np.ndarray, povm: PovmSet, basis_kind: str,
     rho_true = pure_density(target)
     datasets = [generate_counts(rho_true, povm, noise, trial=t) for t in range(trials)]
     columns = subspace_basis(basis_kind, max(dims), povm)
-    results = [tuple(maxlik_solve(dataset, povm, solver_config, columns[:, :d])
+    results = [tuple(maxlik_solve(dataset, povm, columns[:, :d], max_iterations=max_iterations)
                      for dataset in datasets) for d in dims]
     fidelities = np.array([[fidelity(target, r.rho) for r in row] for row in results])
     seeds = tuple((noise.seed, t) for t in range(trials))
@@ -141,8 +141,8 @@ def dimension_sweep(target: np.ndarray, povm: PovmSet, basis_kind: str,
 
 
 def stability_study(target: np.ndarray, povm: PovmSet, basis_kind: str, d: int,
-                    noise: NoiseModel, trials: int,
-                    solver_config: SolverConfig | None = None) -> SweepResult:
+                    noise: NoiseModel, trials: int, *,
+                    max_iterations: int = MAX_ITERATIONS) -> SweepResult:
     """Repeated reconstructions at fixed dimension: the one-row sweep over [d].
 
     The instability metric is the standard deviation of fidelity across
@@ -150,4 +150,5 @@ def stability_study(target: np.ndarray, povm: PovmSet, basis_kind: str, d: int,
     """
     if trials < 2:
         raise InvalidInputError("stability study needs at least 2 trials")
-    return dimension_sweep(target, povm, basis_kind, [d], noise, trials, solver_config)
+    return dimension_sweep(target, povm, basis_kind, [d], noise, trials,
+                           max_iterations=max_iterations)

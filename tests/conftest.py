@@ -43,6 +43,14 @@ def reference_analysis(reference_povm):
 
 
 @pytest.fixture(scope="session")
+def gram_fock_povm() -> PovmSet:
+    """6 phases x 9 bins on (-5, 5) at the reference dim: a measurement whose
+    Gram eigenbasis is not the Fock basis (lambda_15 / lambda_1 = 0.273)."""
+    config = HomodyneConfig.uniform(phase_count=6, bins=9, x_range=(-5.0, 5.0))
+    return build_homodyne_povm(config, REFERENCE_DIM)
+
+
+@pytest.fixture(scope="session")
 def cat_target() -> np.ndarray:
     return cat_state(2.0, "even", REFERENCE_DIM)
 

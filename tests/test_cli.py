@@ -17,7 +17,8 @@ from jsonschema import Draft202012Validator
 from jsonschema.validators import extend
 
 from gramtomo import (HomodyneConfig, NoiseModel, PovmSet, build_homodyne_povm, cat_state,
-                      generate_counts, operator_frame, pure_density)
+                      coherent_state, fidelity, fock_state, generate_counts, operator_frame,
+                      pure_density)
 from gramtomo.cli import (CONFIG_SCHEMA, CONFIG_SCHEMA_PATH, DEFAULTS, _schema_error,
                           _strip_nones, _supported_schema, build_povm_from_config,
                           load_config, main)
@@ -524,6 +525,27 @@ class TestReconstructCommand:
                             str(tmp_path / "out")], capsys)
         assert code == 0
         assert "warning" not in err
+
+    @pytest.mark.parametrize("target, oracle", [
+        ({"kind": "fock", "n": 1}, lambda dim: fock_state(1, dim)),
+        ({"kind": "coherent", "alpha": [0.3, -0.4]},
+         lambda dim: coherent_state(complex(0.3, -0.4), dim, normalized=True))])
+    def test_target_forms_reach_the_fidelity(self, target, oracle, small_config, tmp_path,
+                                             capsys):
+        # the written fidelity is to the configured target: a Fock state, or a
+        # coherent state whose alpha is given as [re, im]
+        conf = {**json.loads(small_config.read_text()), "target": target}
+        path = small_config.parent / "target.json"
+        path.write_text(json.dumps(conf))
+        out = tmp_path / "out"
+        code, _, err = run(["reconstruct", "--config", str(path), "--out", str(out)], capsys)
+        assert code == 0 and "warning" not in err
+        payload = json.loads((out / "reconstruction.json").read_text())
+        pairs = np.array(payload["density_matrix"])
+        rho = pairs[..., 0] + 1j * pairs[..., 1]
+        expected = fidelity(oracle(SMALL["dim"]), rho)
+        assert payload["fidelity_to_target"] == pytest.approx(expected, abs=1e-12)
+        assert expected > 0.9
 
     def test_seed_flag_changes_data(self, small_config, tmp_path, capsys):
         outs = []

@@ -2,13 +2,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from gramtomo import (TOL_GAP, Dataset, EmptyDataError, EmptyMeasurementError,
-                      InvalidInputError, PovmSet, SolverConfig, born_residual,
+                      InvalidInputError, PovmSet, born_residual,
                       expected_probabilities,
                       extremal_residual, gram_operator, gram_spectrum,
                       hermite_functions, log_likelihood, maxlik_solve, r_operator,
@@ -229,17 +228,8 @@ class TestResiduals:
         # conditional-likelihood optimum
         povm, psi, rho = small_problem()
         ds = Dataset(counts=expected_probabilities(rho, povm))
-        res = maxlik_solve(ds, povm, SolverConfig(max_iterations=4000))
+        res = maxlik_solve(ds, povm, max_iterations=4000)
         assert extremal_residual(res.rho, ds, povm) < 1e-6
-
-
-class TestSolverConfig:
-    def test_holds_the_solver_section_and_hashes(self):
-        # the subspace is an argument of maxlik_solve, so no field is an array
-        assert [f.name for f in fields(SolverConfig)] == ["max_iterations"]
-        assert SolverConfig(max_iterations=50) == SolverConfig(max_iterations=50)
-        assert SolverConfig(max_iterations=50) != SolverConfig()
-        assert len({SolverConfig(), SolverConfig(), SolverConfig(max_iterations=50)}) == 2
 
 
 class TestMaxlikSolve:
@@ -256,7 +246,7 @@ class TestMaxlikSolve:
     def test_result_is_physical(self):
         povm, psi, rho = small_problem()
         ds = generate_counts(rho, povm, NoiseModel(kind="poisson", exposure=5000.0, seed=2))
-        res = maxlik_solve(ds, povm, SolverConfig(max_iterations=500))
+        res = maxlik_solve(ds, povm, max_iterations=500)
         assert abs(np.trace(res.rho).real - 1.0) < 1e-10
         assert np.abs(res.rho - res.rho.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(res.rho).min() >= -1e-10
@@ -264,7 +254,7 @@ class TestMaxlikSolve:
     def test_likelihood_trace_non_decreasing(self):
         povm, psi, rho = small_problem()
         ds = generate_counts(rho, povm, NoiseModel(kind="poisson", exposure=5000.0, seed=4))
-        res = maxlik_solve(ds, povm, SolverConfig(max_iterations=800))
+        res = maxlik_solve(ds, povm, max_iterations=800)
         assert np.all(np.diff(res.log_likelihood) >= -1e-12)
 
     def test_born_residual_trend(self):
@@ -272,35 +262,32 @@ class TestMaxlikSolve:
         ds = Dataset(counts=expected_probabilities(rho, povm))
         initial = born_residual(np.eye(povm.dim, dtype=complex) / povm.dim, ds,
                                 PovmSet(gram_spectrum(povm).rescaled_vectors))
-        res = maxlik_solve(ds, povm, SolverConfig(max_iterations=2000))
+        res = maxlik_solve(ds, povm, max_iterations=2000)
         assert res.born_residual < initial
 
     def test_gauge_invariance_in_counts(self):
         povm, psi, rho = small_problem()
         ds = generate_counts(rho, povm, NoiseModel(kind="poisson", exposure=3000.0, seed=9))
-        cfg = SolverConfig(max_iterations=600)
-        a = maxlik_solve(ds, povm, cfg)
-        b = maxlik_solve(Dataset(counts=7.0 * ds.counts), povm, cfg)
+        a = maxlik_solve(ds, povm, max_iterations=600)
+        b = maxlik_solve(Dataset(counts=7.0 * ds.counts), povm, max_iterations=600)
         assert np.abs(a.rho - b.rho).max() < 1e-10
 
     def test_permutation_invariance(self):
         povm, psi, rho = small_problem(dim=5, phases=3, bins=11)
         ds = generate_counts(rho, povm, NoiseModel(kind="poisson", exposure=3000.0, seed=1))
-        cfg = SolverConfig(max_iterations=600)
-        base = maxlik_solve(ds, povm, cfg)
+        base = maxlik_solve(ds, povm, max_iterations=600)
         rng = np.random.default_rng(0)
         perm = rng.permutation(povm.n_outcomes)
         povm_p = PovmSet(povm.vectors[perm])
         ds_p = Dataset(counts=ds.counts[perm])
-        permuted = maxlik_solve(ds_p, povm_p, cfg)
+        permuted = maxlik_solve(ds_p, povm_p, max_iterations=600)
         assert np.abs(base.rho - permuted.rho).max() < 1e-10
 
     def test_subspace_consistency_full_basis(self):
         povm, psi, rho = small_problem(dim=5, phases=3, bins=11)
         ds = generate_counts(rho, povm, NoiseModel(kind="poisson", exposure=3000.0, seed=6))
-        cfg_free = SolverConfig(max_iterations=400)
-        a = maxlik_solve(ds, povm, cfg_free)
-        b = maxlik_solve(ds, povm, cfg_free, np.eye(5, dtype=complex))
+        a = maxlik_solve(ds, povm, max_iterations=400)
+        b = maxlik_solve(ds, povm, np.eye(5, dtype=complex), max_iterations=400)
         assert np.abs(a.rho - b.rho).max() < 1e-10
 
     def test_subspace_embedding_shape_and_support(self, reference_povm, reference_analysis, cat_target):
@@ -308,7 +295,7 @@ class TestMaxlikSolve:
         basis = reference_analysis.eigenvectors[:, :3]
         ds = generate_counts(pure_density(cat_target), reference_povm,
                              NoiseModel(kind="poisson", exposure=100000.0, seed=0))
-        res = maxlik_solve(ds, reference_povm, SolverConfig(max_iterations=200), basis)
+        res = maxlik_solve(ds, reference_povm, basis, max_iterations=200)
         assert res.rho.shape == (15, 15)
         P = basis @ basis.conj().T
         assert np.abs(P @ res.rho @ P - res.rho).max() < 1e-10
@@ -316,10 +303,17 @@ class TestMaxlikSolve:
     def test_non_convergence_flagged_not_raised(self):
         povm, psi, rho = small_problem()
         ds = generate_counts(rho, povm, NoiseModel(kind="poisson", exposure=5000.0, seed=3))
-        res = maxlik_solve(ds, povm, SolverConfig(max_iterations=3))
+        res = maxlik_solve(ds, povm, max_iterations=3)
         assert res.converged is False
         assert res.iterations == 3
         assert abs(np.trace(res.rho).real - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("max_iterations", [0, -3])
+    def test_iteration_cap_below_one_refused(self, max_iterations):
+        povm, psi, rho = small_problem()
+        ds = Dataset(counts=expected_probabilities(rho, povm))
+        with pytest.raises(InvalidInputError, match="max iterations must be >= 1"):
+            maxlik_solve(ds, povm, max_iterations=max_iterations)
 
     def test_dataset_povm_mismatch(self, reference_povm):
         with pytest.raises(InvalidInputError):
@@ -329,16 +323,15 @@ class TestMaxlikSolve:
         # an observed outcome the model calls impossible trips the floor
         povm = PovmSet(np.eye(2, dtype=complex))
         ds = Dataset(counts=np.array([5.0, 1.0]))
-        rng_free = SolverConfig(max_iterations=50)
         with pytest.warns(RuntimeWarning):
-            res = maxlik_solve(ds, povm, rng_free, np.eye(2, dtype=complex)[:, :1])
+            res = maxlik_solve(ds, povm, np.eye(2, dtype=complex)[:, :1], max_iterations=50)
         assert abs(np.trace(res.rho).real - 1.0) < 1e-10
 
     def test_backtracking_keeps_trace_monotone_with_full_dilution(self):
         # commuting case converges after backtracking halves the step
         povm = PovmSet(np.eye(3, dtype=complex))
         ds = Dataset(counts=np.array([5.0, 3.0, 2.0]))
-        res = maxlik_solve(ds, povm, SolverConfig())
+        res = maxlik_solve(ds, povm)
         assert res.converged
         assert np.all(np.diff(res.log_likelihood) >= -1e-12)
         assert np.abs(res.rho - np.diag(ds.frequencies)).max() < 1e-10
@@ -350,7 +343,7 @@ class TestStopReason:
         # the returned iterate carries its certificate, uncertified at the cap
         povm, psi, rho = small_problem()
         ds = generate_counts(rho, povm, NoiseModel(kind="poisson", exposure=5000.0, seed=3))
-        res = maxlik_solve(ds, povm, SolverConfig(max_iterations=3))
+        res = maxlik_solve(ds, povm, max_iterations=3)
         assert (res.stop_reason, res.converged) == ("cap", False)
         assert res.likelihood_gap >= TOL_GAP
 
@@ -369,7 +362,7 @@ class TestStopReason:
         povm, psi, rho = small_problem()
         ds = generate_counts(rho, povm, NoiseModel(kind="poisson", exposure=5000.0, seed=3))
         basis = gram_spectrum(povm).eigenvectors[:, :1]
-        res = maxlik_solve(ds, povm, SolverConfig(), basis)
+        res = maxlik_solve(ds, povm, basis)
         assert (res.stop_reason, res.converged, res.iterations) == ("gap", True, 0)
         assert res.log_likelihood.shape == (1,)
         assert abs(res.likelihood_gap) < TOL_GAP
@@ -379,7 +372,7 @@ class TestStopReason:
         monkeypatch.setattr(maxlik, "DILUTION_FLOOR", 1.0)
         povm = PovmSet(np.eye(3, dtype=complex))
         ds = Dataset(counts=np.array([5.0, 3.0, 2.0]))
-        res = maxlik_solve(ds, povm, SolverConfig())
+        res = maxlik_solve(ds, povm)
         assert (res.stop_reason, res.converged) == ("stalled", False)
         assert np.all(np.diff(res.log_likelihood) >= -1e-12)
         assert res.log_likelihood.size == res.iterations + 1
@@ -392,9 +385,8 @@ class TestStopReason:
         # -1/6 at iteration 0
         povm = PovmSet(np.eye(2, dtype=complex))
         ds = Dataset(counts=np.array([5.0, 1.0]))
-        cfg = SolverConfig(max_iterations=50)
         with pytest.warns(RuntimeWarning):
-            res = maxlik_solve(ds, povm, cfg, np.eye(2, dtype=complex)[:, :1])
+            res = maxlik_solve(ds, povm, np.eye(2, dtype=complex)[:, :1], max_iterations=50)
         assert res.stop_reason == "cap"
         assert res.converged is False
         assert res.iterations == 50
@@ -424,7 +416,7 @@ class TestLikelihoodGapCertificate:
         monkeypatch.setattr(maxlik, "TOL_GAP", tol)
         stop = maxlik_solve(ds, povm).iterations
         assert stop > 1
-        gaps = [maxlik_solve(ds, povm, SolverConfig(max_iterations=k)).likelihood_gap
+        gaps = [maxlik_solve(ds, povm, max_iterations=k).likelihood_gap
                 for k in range(1, stop)]
         assert min(gaps) >= tol
 
@@ -569,7 +561,7 @@ class TestNewtonPolish:
         povm, psi, rho = small_problem()
         ds = generate_counts(rho, povm, NoiseModel(kind="poisson", exposure=5000.0, seed=5))
         monkeypatch.setattr(maxlik, "TOL_GAP", 0.0)
-        runs = [maxlik_solve(ds, povm, SolverConfig(max_iterations=k)) for k in (400, 1200)]
+        runs = [maxlik_solve(ds, povm, max_iterations=k) for k in (400, 1200)]
         assert [res.stop_reason for res in runs] == ["cap", "cap"]
         assert 0 < runs[0].newton_steps == runs[1].newton_steps
 
@@ -813,8 +805,8 @@ class TestOneByOneFactor:
         monkeypatch.setattr(maxlik, "_newton_direction", counted)
         povm, psi, rho = small_problem()
         ds = generate_counts(rho, povm, NoiseModel(kind="poisson", exposure=5000.0, seed=5))
-        res = maxlik_solve(ds, povm, SolverConfig(max_iterations=20),
-                           np.eye(povm.dim, dtype=complex)[:, :1])
+        res = maxlik_solve(ds, povm, np.eye(povm.dim, dtype=complex)[:, :1],
+                           max_iterations=20)
         assert res.stop_reason == "cap" and res.iterations == 20
         assert res.newton_steps == 0 and calls == [(1, 1)]
 
@@ -825,9 +817,8 @@ class TestTelemetry:
         # zero count is checked through the CLI in test_stop_fields_written
         povm = PovmSet(np.eye(2, dtype=complex))
         ds = Dataset(counts=np.array([5.0, 1.0]))
-        cfg = SolverConfig(max_iterations=50)
         with pytest.warns(RuntimeWarning, match="probability floor") as record:
-            res = maxlik_solve(ds, povm, cfg, np.eye(2, dtype=complex)[:, :1])
+            res = maxlik_solve(ds, povm, np.eye(2, dtype=complex)[:, :1], max_iterations=50)
         assert res.floor_hits > 0
         assert f"engaged {res.floor_hits} time(s)" in str(record[0].message)
 
@@ -838,8 +829,7 @@ class TestTelemetry:
         povm = PovmSet(np.eye(2, dtype=complex))
         ds = Dataset(counts=np.array([5.0, 1.0]))
         with pytest.warns(RuntimeWarning, match="probability floor"):
-            res = maxlik_solve(ds, povm, SolverConfig(max_iterations=50),
-                               np.eye(2, dtype=complex)[:, :1])
+            res = maxlik_solve(ds, povm, np.eye(2, dtype=complex)[:, :1], max_iterations=50)
         assert res.floor_hits == len(res.log_likelihood) == 51
 
     @pytest.mark.parametrize("counts, d", [([5.0, 1.0, 1.0], 1), ([5.0, 1.0, 1.0], 2),
@@ -849,8 +839,7 @@ class TestTelemetry:
         ds = Dataset(counts=np.array(counts))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            res = maxlik_solve(ds, povm, SolverConfig(max_iterations=50),
-                               np.eye(3, dtype=complex)[:, :d])
+            res = maxlik_solve(ds, povm, np.eye(3, dtype=complex)[:, :d], max_iterations=50)
         assert res.floor_hits <= np.count_nonzero(ds.counts) * len(res.log_likelihood)
 
     @pytest.mark.parametrize("phases, bins, half_width, exposure, basis, d", [
@@ -894,7 +883,7 @@ class TestPolishSchedule:
                     for seed in range(4)]
         polished = [maxlik_solve(ds, reference_povm, subspace=basis) for ds in datasets]
         monkeypatch.setattr(maxlik, "_polish_interval",
-                            lambda r, n: SolverConfig().max_iterations + 1)
+                            lambda r, n: maxlik.MAX_ITERATIONS + 1)
         unpolished = [maxlik_solve(ds, reference_povm, subspace=basis) for ds in datasets]
         for res, plain in zip(polished, unpolished):
             assert res.stop_reason == plain.stop_reason == "gap"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gramtomo import (Dataset, HomodyneConfig, InvalidInputError, PovmSet, SolverConfig,
+from gramtomo import (Dataset, HomodyneConfig, InvalidInputError, PovmSet,
                       build_homodyne_povm, cat_state, effective_rank, expected_probabilities,
                       fidelity, gram_matrix_operator_space, gram_matrix_state_space,
                       gram_operator, gram_spectrum, hermite_functions, maxlik_solve,
@@ -250,7 +250,7 @@ class TestGramSpectrum:
         # same decomposition: exact data of a complex state is recovered
         psi = cat_state(1.0 + 0.6j, "odd", 8)
         ds = Dataset(counts=expected_probabilities(pure_density(psi), povm))
-        result = maxlik_solve(ds, povm, SolverConfig(max_iterations=3000))
+        result = maxlik_solve(ds, povm, max_iterations=3000)
         assert fidelity(psi, result.rho) >= 0.9999
 
 

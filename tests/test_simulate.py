@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gramtomo import (EmptyDataError, HomodyneConfig, InvalidInputError, NoiseModel,
-                      ReconstructionResult, SolverConfig, SweepResult, build_homodyne_povm,
+                      ReconstructionResult, SweepResult, build_homodyne_povm,
                       cat_state, dimension_sweep, expected_probabilities, fidelity,
                       fock_state, generate_counts, maxlik_solve, pure_density,
                       stability_study, subspace_basis, trial_generator)
@@ -126,7 +126,7 @@ class TestDimensionSweep:
         result = dimension_sweep(psi, povm, "fock", dims=[1],
                                  noise=NoiseModel(kind="exact", exposure=1e5),
                                  trials=1,
-                                 solver_config=SolverConfig(max_iterations=2000))
+                                 max_iterations=2000)
         # a 1-dim Fock subspace pins rho = |0><0|, so fidelity is |c_0|^2
         assert result.fidelities[0, 0] == pytest.approx(abs(psi[0]) ** 2, abs=1e-6)
 
@@ -135,7 +135,7 @@ class TestDimensionSweep:
         result = dimension_sweep(psi, povm, "gram", dims=[2, 4, 6],
                                  noise=NoiseModel(kind="exact", exposure=1e5),
                                  trials=1,
-                                 solver_config=SolverConfig(max_iterations=4000))
+                                 max_iterations=4000)
         fids = result.fidelities[:, 0]
         assert fids[1] >= fids[0] - 1e-8
         assert fids[2] >= fids[1] - 1e-8
@@ -144,7 +144,7 @@ class TestDimensionSweep:
         povm, psi, _ = small_problem
         kwargs = dict(dims=[2, 3], trials=2,
                       noise=NoiseModel(kind="poisson", exposure=2e4, seed=4),
-                      solver_config=SolverConfig(max_iterations=500))
+                      max_iterations=500)
         for basis in ("gram", "fock"):
             a = dimension_sweep(psi, povm, basis, **kwargs)
             b = dimension_sweep(psi, povm, basis, **kwargs)
@@ -156,7 +156,7 @@ class TestDimensionSweep:
         sw = dimension_sweep(psi, povm, "gram", dims=[3],
                              noise=NoiseModel(kind="poisson", exposure=2e4, seed=1),
                              trials=3,
-                             solver_config=SolverConfig(max_iterations=500))
+                             max_iterations=500)
         assert sw.fidelities.shape == (1, 3)
         assert sw.mean.shape == (1,)
         assert sw.minimum[0] <= sw.mean[0] <= sw.maximum[0]
@@ -172,7 +172,7 @@ class TestDimensionSweep:
         # run on to the cap and end where the certified ones stopped
         monkeypatch.setattr(maxlik, "TOL_GAP", 0.0)
         capped = dimension_sweep(psi, povm, "gram", dims=[1, 3], noise=noise, trials=2,
-                                 solver_config=SolverConfig(max_iterations=20000))
+                                 max_iterations=20000)
         assert not capped.converged.any()
         assert np.abs(certified.fidelities - capped.fidelities).max() < 1e-6
 
@@ -180,7 +180,7 @@ class TestDimensionSweep:
         povm, psi, _ = small_problem
         sw = dimension_sweep(psi, povm, "gram", dims=[2, 4],
                              noise=NoiseModel(kind="poisson", exposure=2e4, seed=3),
-                             trials=2, solver_config=SolverConfig(max_iterations=16))
+                             trials=2, max_iterations=16)
         assert sw.converged.shape == sw.fidelities.shape == (2, 2)
         # d = 2 certifies in 4 iterations and d = 4 in 28 or 29, so a
         # 16-iteration cap leaves both flags in the table
@@ -203,7 +203,7 @@ class TestDimensionSweep:
         monkeypatch.setattr(simulate, "subspace_basis", counted)
         dimension_sweep(psi, povm, "gram", dims=[3, 1, 2],
                         noise=NoiseModel(kind="poisson", exposure=2e4, seed=2), trials=2,
-                        solver_config=SolverConfig(max_iterations=50))
+                        max_iterations=50)
         assert calls == [("gram", 3)]
 
     @pytest.mark.parametrize("basis", ["gram", "fock"])
@@ -211,13 +211,12 @@ class TestDimensionSweep:
         # the oracle takes a fresh subspace_basis at each d, not a prefix of one
         povm, psi, rho = small_problem
         noise = NoiseModel(kind="poisson", exposure=2e4, seed=2)
-        config = SolverConfig(max_iterations=300)
         dims = [4, 1, 3]
-        sw = dimension_sweep(psi, povm, basis, dims, noise, trials=2, solver_config=config)
+        sw = dimension_sweep(psi, povm, basis, dims, noise, trials=2, max_iterations=300)
         for k, d in enumerate(dims):
             for t in range(2):
                 direct = maxlik_solve(generate_counts(rho, povm, noise, trial=t), povm,
-                                      config, subspace_basis(basis, d, povm))
+                                      subspace_basis(basis, d, povm), max_iterations=300)
                 swept = sw.results[k][t]
                 assert np.array_equal(swept.rho, direct.rho)
                 assert np.array_equal(swept.log_likelihood, direct.log_likelihood)
@@ -241,7 +240,7 @@ class TestStabilityStudy:
         result = stability_study(psi, povm, "gram", d=6,
                                  noise=NoiseModel(kind="exact", exposure=1e5),
                                  trials=3,
-                                 solver_config=SolverConfig(max_iterations=2000))
+                                 max_iterations=2000)
         assert isinstance(result, SweepResult)
         assert result.dims == (6,)
         assert result.std[0] < 1e-12
@@ -251,7 +250,7 @@ class TestStabilityStudy:
         result = stability_study(psi, povm, "fock", d=4,
                                  noise=NoiseModel(kind="poisson", exposure=2e4, seed=2),
                                  trials=3,
-                                 solver_config=SolverConfig(max_iterations=500))
+                                 max_iterations=500)
         assert result.std[0] > 0
         assert result.std[0] == pytest.approx(result.fidelities[0].std(), abs=0)
         assert result.fidelities.shape == (1, 3)
@@ -280,5 +279,5 @@ class TestFockStateSmoke:
         result = dimension_sweep(psi, povm, "fock", dims=[1],
                                  noise=NoiseModel(kind="exact", exposure=1e4),
                                  trials=1,
-                                 solver_config=SolverConfig(max_iterations=200))
+                                 max_iterations=200)
         assert result.fidelities[0, 0] >= 1 - 1e-6

@@ -1,8 +1,8 @@
-"""Byte-identity gate: run the thirteen gate configs and print a sha256 per output file.
+"""Byte-identity gate: run the fifteen gate configs and print a sha256 per output file.
 
 `python tools/gate.py OUT [--src SRC]` runs the CLI with PYTHONPATH=SRC (default
 src/), one BLAS thread and --seed 0 into OUT/<case>/<command>/ and prints
-"<sha256>  <path>" for the 82 files. Outputs echo their directory: to compare
+"<sha256>  <path>" for the 86 files. Outputs echo their directory: to compare
 two source trees by hash, run both into the same OUT in turn and diff the
 printed lines.
 
@@ -82,6 +82,11 @@ CASES = {
                  "reconstruction": {"basis": "fock", "dimension": 1},
                  "wigner_grid": {"x_points": 7, "p_points": 7}},
                 ("reconstruct",)),
+    # the target forms besides a real cat alpha: a Fock state, and an odd cat
+    # whose alpha is given as [re, im]
+    "fock-target": ({"target": {"kind": "fock", "n": 3}}, ("reconstruct",)),
+    "complex-alpha": ({"target": {"kind": "cat", "parity": "odd", "alpha": [1.0, 1.5]}},
+                      ("reconstruct",)),
 }
 
 
