@@ -405,8 +405,9 @@ def cmd_stability(config: dict) -> dict:
             "trial_seeds": [list(s) for s in result.trial_seeds],
         },
     }
-    for t, trial in enumerate(result.results[0]):
-        outputs[f"wigner_trial_{t}"] = WignerGrid(grid.xs, grid.ps, wigner(trial.rho, grid))
+    grids = wigner(np.array([trial.rho for trial in result.results[0]]), grid)
+    for t, w in enumerate(grids):
+        outputs[f"wigner_trial_{t}"] = WignerGrid(grid.xs, grid.ps, w)
     return outputs
 
 

@@ -231,18 +231,19 @@ def _coefficient_tables(dim: int) -> tuple[np.ndarray, ...]:
 
 
 def _wigner_coefficients(rho: np.ndarray) -> np.ndarray:
-    """The (2d-1) x (2d-1) matrix C of the module docstring for a d x d rho."""
+    """The (2d-1) x (2d-1) matrix C of the module docstring for a d x d rho,
+    or the stack (..., 2d-1, 2d-1) of a stack (..., d, d) of them."""
     rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0]
-    if rho.shape != (d, d):
+    d = rho.shape[-1]
+    if rho.ndim < 2 or rho.shape[-2] != d:
         raise InvalidInputError("density operator must be square")
-    if np.abs(rho - rho.conj().T).max() > 1e-10:
+    if np.any(np.abs(rho - rho.conj().swapaxes(-1, -2)) > 1e-10):
         raise InvalidInputError("density operator must be Hermitian")
     rows, cols, blocks, a, b, scale = _coefficient_tables(d)
-    # anti[N, a] = sum_m U^N[a, m] rho[m, N-m]
-    anti = (blocks @ rho[rows, cols][:, :, None])[:, :, 0]
-    C = np.zeros((2 * d - 1, 2 * d - 1), dtype=complex)
-    C[a, b] = anti[a + b, a] * scale
+    # anti[..., N, a] = sum_m U^N[a, m] rho[..., m, N-m]
+    anti = (blocks @ rho[..., rows, cols, None])[..., 0]
+    C = np.zeros(rho.shape[:-2] + (2 * d - 1, 2 * d - 1), dtype=complex)
+    C[..., a, b] = anti[..., a + b, a] * scale
     return C
 
 
@@ -277,11 +278,21 @@ def wigner(rho: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     W = Hx^T C Hp, with the Hermite-function tables Hx[a, i] = psi_a(sqrt(2) xs[i])
     and Hp[b, j] = psi_b(sqrt(2) ps[j]). Normalization: the grid integral of W
     approaches 1 for a unit-trace rho once the grid covers the state's support.
+
+    rho may be one d x d state or a stack (..., d, d) of them; a stack gives
+    the grids (..., x_points, p_points), each bit for bit the grid of its
+    state alone. The two Hermite tables are built once per call, and the
+    product Hx^T C Hp is taken one state at a time, which keeps the
+    temporaries at one grid's size. Every state must pass the unit-trace and
+    Hermitian checks.
     """
     rho = np.asarray(rho, dtype=complex)
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
+    if np.any(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0) > 1e-8):
         raise InvalidInputError("density operator must have unit trace")
     C = _wigner_coefficients(rho)
-    Hx = hermite_functions(np.sqrt(2.0) * grid.xs, C.shape[0] - 1)
-    Hp = hermite_functions(np.sqrt(2.0) * grid.ps, C.shape[0] - 1)
-    return _real_part(Hx.T @ C @ Hp)
+    Hx = hermite_functions(np.sqrt(2.0) * grid.xs, C.shape[-1] - 1)
+    Hp = hermite_functions(np.sqrt(2.0) * grid.ps, C.shape[-1] - 1)
+    W = np.empty(C.shape[:-2] + (grid.x_points, grid.p_points))
+    for index in np.ndindex(C.shape[:-2]):
+        W[index] = _real_part(Hx.T @ C[index] @ Hp)
+    return W

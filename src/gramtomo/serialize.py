@@ -6,15 +6,20 @@ same inputs therefore produce byte-identical files.
 
 CSV float text has one producer, float_text: orjson writes the shortest
 round-trip digits of a whole array in one call (a Ryu-style writer, the
-same digits as repr's dtoa), and three notation fixes, picked by numpy
-masks on the values, make each token repr's:
+same digits as repr's dtoa), and only the tokens whose orjson text differs
+from repr's are rewritten, each picked by a numpy mask on the values:
 
-- scientific tokens (0 < |v| < 1e-5 or |v| >= 1e16) get repr's signed,
-  two-digit exponent: 1e-7 -> 1e-07, 1.5e16 -> 1.5e+16;
-- tokens in 1e-5 <= |v| < 1e-4, which orjson writes in positional
-  notation and repr in scientific: 0.000012345 -> 1.2345e-05;
+- 1e-9 <= |v| < 1e-5: orjson writes a one-digit exponent and repr two, so
+  a "0" goes in before the last character: 1.5e-7 -> 1.5e-07;
+- 1e-5 <= |v| < 1e-4, which orjson writes in positional notation and repr
+  in scientific: 0.000012345 -> 1.2345e-05;
+- |v| >= 1e16: repr signs the exponent: 1.5e16 -> 1.5e+16;
 - non-finite values, which orjson writes as null, are repr'd (nan, inf,
   -inf).
+
+Tokens below 1e-9 (subnormals included) already have a two- or three-digit
+exponent, and orjson writes them exactly as repr does, so they are left
+alone; so are zeros and 1e-4 <= |v| < 1e16, which both write positionally.
 
 JSON output stays on the stdlib encoder, which calls repr's float
 formatting itself.
@@ -113,10 +118,6 @@ def write_json(path: Path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-# orjson's exponent (the text after "e") -> repr's: signed, at least two digits
-_EXPONENTS = {str(e): f"e{e:+03d}" for e in range(-324, 309)}
-
-
 def float_text(values) -> list[str]:
     """repr(float(v)) for every element of a float array, in C order (see the
     module docstring)."""
@@ -125,13 +126,15 @@ def float_text(values) -> list[str]:
         return []
     tokens = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
     mag = np.abs(a)
+    for i in np.flatnonzero((mag >= 1e-9) & (mag < 1e-5)).tolist():
+        token = tokens[i]
+        tokens[i] = f"{token[:-1]}0{token[-1]}"
     for i in np.flatnonzero((mag >= 1e-5) & (mag < 1e-4)).tolist():
         sign, _, digits = tokens[i].partition("0.0000")
         tokens[i] = (f"{sign}{digits[0]}.{digits[1:]}e-05" if len(digits) > 1
                      else f"{sign}{digits}e-05")
-    for i in np.flatnonzero((mag > 0) & (mag < 1e-5) | (mag >= 1e16) & (mag < np.inf)).tolist():
-        mantissa, _, exponent = tokens[i].partition("e")
-        tokens[i] = mantissa + _EXPONENTS[exponent]
+    for i in np.flatnonzero((mag >= 1e16) & (mag < np.inf)).tolist():
+        tokens[i] = tokens[i].replace("e", "e+")
     for i in np.flatnonzero(~np.isfinite(a)).tolist():
         tokens[i] = repr(float(a[i]))
     return tokens

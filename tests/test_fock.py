@@ -401,6 +401,33 @@ class TestSeparableWigner:
         assert wigner_points(rho, np.array([]), np.array([])).shape == (0,)
         assert wigner_points(rho, np.zeros((0, 3)), 0.5).shape == (0, 3)
 
+    @pytest.mark.parametrize("dim", [4, 15])
+    def test_stack_gives_each_state_grid_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        a = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
+        rank_two = a @ a.conj().T
+        states = [pure_density(psi / np.linalg.norm(psi)), random_density(rng, dim),
+                  rank_two / np.trace(rank_two).real, pure_density(fock_state(dim - 1, dim)),
+                  random_density(rng, dim), np.eye(dim) / dim]
+        stack = np.reshape(states, (2, 3, dim, dim))
+        grid = PhaseSpaceGrid(x_range=(-4, 5), p_range=(-3, 2), x_points=19, p_points=23)
+        W = wigner(stack, grid)
+        assert W.shape == (2, 3, 19, 23)
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(W[index], wigner(stack[index], grid))
+
+    @pytest.mark.parametrize("bad", [np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex),
+                                     np.array([[2.0, 0.0], [0.0, 0.0]], dtype=complex)])
+    def test_stack_refuses_a_bad_member_as_alone(self, bad):
+        grid = PhaseSpaceGrid(x_range=(-2, 2), p_range=(-2, 2), x_points=5, p_points=5)
+        with pytest.raises(InvalidInputError) as alone:
+            wigner(bad, grid)
+        good = pure_density(fock_state(1, 2))
+        with pytest.raises(InvalidInputError) as stacked:
+            wigner(np.array([good, bad, good]), grid)
+        assert str(stacked.value) == str(alone.value)
+
     def test_grid_bytes_independent_of_blas_threads(self):
         script = ("import hashlib, numpy as np\n"
                   "from gramtomo import PhaseSpaceGrid, wigner\n"

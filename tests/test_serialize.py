@@ -13,12 +13,15 @@ def repr_text(values) -> list[str]:
     return [repr(float(v)) for v in np.ravel(values)]
 
 
-# every notation class: plain, [1e-5, 1e-4), scientific on both sides,
-# subnormals, signed zeros and the non-finite values
+# every notation class: plain, [1e-5, 1e-4), scientific on both sides (with
+# one- and two-digit exponents below 1), subnormals, signed zeros and the
+# non-finite values
 FLOATS = st.one_of(
     st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True),
     st.floats(min_value=1e-5, max_value=1e-4),
     st.floats(min_value=0.0, max_value=1e-5),
+    st.floats(min_value=1e-10, max_value=1e-8),
+    st.floats(min_value=1e-6, max_value=1e-5),
     st.floats(min_value=1e15, max_value=1e17),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, float("nan"), float("inf"), float("-inf")]),
 )
@@ -32,9 +35,10 @@ def test_float_text_is_repr(a):
 
 
 def test_float_text_edges():
-    edges = [np.nextafter(edge, toward) for edge in (1e-5, 1e-4, 1e16)
+    edges = [np.nextafter(edge, toward) for edge in (1e-5, 1e-4, 1e16, 1e-9, 1e22)
              for toward in (0.0, np.inf)]
-    edges += [1e-5, 1e-4, 1e16, 5e-324, 1.7976931348623157e308, 9.999999999999999e15, -0.0]
+    edges += [1e-5, 1e-4, 1e16, 1e-9, 1e22, 5e-324, 1.7976931348623157e308,
+              np.nextafter(1.7976931348623157e308, 0.0), 9.999999999999999e15, -0.0]
     a = np.array(edges + [-v for v in edges])
     assert float_text(a) == repr_text(a)
     assert float_text(a[:6]) == ["9.999999999999999e-06", "1.0000000000000003e-05",
