@@ -80,7 +80,19 @@ class TestCompare:
         after = self.tree(tmp_path, "after",
                           {"reconstruction.json": reconstruction(0.25, 110, [-1.5], "b")})
         assert gate.compare(before, after) == 0
-        assert "0 of 1 files differ, 0 on one side only" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "small/reconstruct/reconstruction.json  config echo only" in out
+        assert "0 of 1 files differ, 0 on one side only, 1 in the config echo alone" in out
+
+    def test_echo_of_own_tree_is_not_listed(self, gate, tmp_path, capsys):
+        # each tree's files name their own output directory, as gate runs do
+        trees = [self.tree(tmp_path, side, {"reconstruction.json": reconstruction(
+                     0.25, 110, [-1.5], str(tmp_path / side / "small" / "reconstruct"))})
+                 for side in ("before", "after")]
+        assert gate.compare(*trees) == 0
+        out = capsys.readouterr().out
+        assert "config echo only" not in out
+        assert "0 of 1 files differ, 0 on one side only, 0 in the config echo alone" in out
 
     def test_missing_file_exits_1(self, gate, tmp_path, capsys):
         document = reconstruction(0.25, 110, [-1.5], "a")
@@ -126,7 +138,10 @@ class TestNotation:
         before = self.tree(tmp_path / "before", "a")
         after = self.tree(tmp_path / "after", "a/much/longer/directory")
         assert gate.compare(before, after) == 0
-        assert "0 of 2 files differ" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        for name in ("wigner.csv", "reconstruction.json"):
+            assert f"small/reconstruct/{name}  config echo only" in out
+        assert "0 of 2 files differ, 0 on one side only, 2 in the config echo alone" in out
 
 
 def run_reconstruct(gate, case, tmp_path, capsys) -> dict:

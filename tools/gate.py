@@ -9,7 +9,9 @@ printed lines.
 `python tools/gate.py --compare BEFORE AFTER` reads two such output trees and
 prints, for each file that differs, the largest absolute deviation over its
 numbers, ignoring the config echo; it exits 1 when any file differs or exists
-on one side only, 0 when all agree. For reconstruction.json it also prints the
+on one side only, 0 when all agree. A file that differs in its config echo
+alone, once each tree's root path is cut from its text, is listed as "config
+echo only" and does not change the exit status. For reconstruction.json it also prints the
 largest deviation of the density matrix alone, since a change of iterations or
 of the length of the log_likelihood trace dominates the overall one, and the
 iterations, newton_steps and stop_reason on both sides. Non-numeric cells that
@@ -179,12 +181,19 @@ def describe_difference(before: Path, after: Path) -> str | None:
     return text
 
 
+def _unrooted(path: Path, root: Path) -> str:
+    """A file's text with its tree's root path cut out, so that the output
+    directory a config echo names reads the same in both trees."""
+    return path.read_text().replace(str(root.resolve()), "")
+
+
 def compare(before: Path, after: Path) -> int:
-    """Print each differing output file with its largest deviation; 1 if any
+    """Print each differing output file with its largest deviation, and each
+    file whose config echo alone differs (its tree's root aside); 1 if any
     file differs apart from its config echo or exists on one side only."""
     paths = sorted({p.relative_to(root) for root in (before, after)
                     for p in root.glob("*/*/*") if p.is_file()})
-    differing = missing = 0
+    differing = missing = echoes = 0
     for rel in paths:
         a, b = before / rel, after / rel
         if not (a.is_file() and b.is_file()):
@@ -193,7 +202,11 @@ def compare(before: Path, after: Path) -> int:
         elif (text := describe_difference(a, b)) is not None:
             differing += 1
             print(f"{rel}  {text}")
-    print(f"{differing} of {len(paths)} files differ, {missing} on one side only")
+        elif _unrooted(a, before) != _unrooted(b, after):
+            echoes += 1
+            print(f"{rel}  config echo only")
+    print(f"{differing} of {len(paths)} files differ, {missing} on one side only, "
+          f"{echoes} in the config echo alone")
     return 1 if differing or missing else 0
 
 
