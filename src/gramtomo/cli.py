@@ -125,9 +125,14 @@ def _schema_error(value, schema: dict, where: str = "") -> str | None:
 CONFIG_SCHEMA_PATH = Path(__file__).with_name("config-schema.json")
 CONFIG_SCHEMA = _supported_schema(json.loads(CONFIG_SCHEMA_PATH.read_text()))
 
+# the fields each target kind reads, with their defaults; a config is given
+# only those of its kind, so the echo names no field the target ignores
+TARGET_DEFAULTS = {"cat": {"alpha": 2.0, "parity": "even"}, "coherent": {"alpha": 2.0},
+                   "fock": {"n": 0}}
+
 DEFAULTS = {
     "dim": 15,
-    "target": {"kind": "cat", "alpha": 2.0, "parity": "even", "n": 0},
+    "target": {"kind": "cat", **TARGET_DEFAULTS["cat"]},
     "povm": {"kind": "homodyne", "phases": None, "phase_count": 6, "bins": 51,
              "range": [-5.0, 5.0], "file": None},
     "noise": {"kind": "poisson", "exposure": 100000.0, "seed": 0},
@@ -181,7 +186,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     error = _schema_error(raw, CONFIG_SCHEMA)
     if error is not None:
         raise ConfigValidationError(error)
-    return _merge(DEFAULTS, raw)
+    kind = raw.get("target", {}).get("kind", DEFAULTS["target"]["kind"])
+    return _merge({**DEFAULTS, "target": {"kind": kind, **TARGET_DEFAULTS[kind]}}, raw)
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict:
@@ -248,11 +254,11 @@ def build_target_from_config(config: dict) -> np.ndarray:
     drops more than TRUNCATION_LEAK_WARNING of the state's weight."""
     tc = config["target"]
     dim = config["dim"]
+    if tc["kind"] == "fock":
+        return fock_state(tc["n"], dim)
     alpha = tc["alpha"]
     if isinstance(alpha, (list, tuple)):
         alpha = complex(alpha[0], alpha[1])
-    if tc["kind"] == "fock":
-        return fock_state(tc["n"], dim)
     parity = tc["parity"] if tc["kind"] == "cat" else None
     target = (coherent_state(alpha, dim, normalized=True) if parity is None
               else cat_state(alpha, parity, dim))

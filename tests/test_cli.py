@@ -216,6 +216,19 @@ class TestConfigValidation:
         assert "usage:" in err and f"unrecognized arguments: {flags[0]}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("target, echo", [
+        (None, {"kind": "cat", "alpha": 2.0, "parity": "even"}),
+        ({"parity": "odd"}, {"kind": "cat", "alpha": 2.0, "parity": "odd"}),
+        ({"kind": "coherent"}, {"kind": "coherent", "alpha": 2.0}),
+        ({"kind": "coherent", "alpha": [1.0, 0.5]}, {"kind": "coherent", "alpha": [1.0, 0.5]}),
+        ({"kind": "fock"}, {"kind": "fock", "n": 0}),
+        ({"kind": "fock", "n": 3}, {"kind": "fock", "n": 3}),
+    ], ids=["default", "cat", "coherent", "coherent-complex", "fock", "fock-n"])
+    def test_target_echo_names_the_fields_its_kind_reads(self, target, echo, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({} if target is None else {"target": target}))
+        assert _strip_nones(load_config(str(conf)))["target"] == echo
+
     def test_defaults_pass_schema(self):
         assert _schema_error(_strip_nones(DEFAULTS), CONFIG_SCHEMA) is None
 
@@ -541,6 +554,8 @@ class TestReconstructCommand:
         code, _, err = run(["reconstruct", "--config", str(path), "--out", str(out)], capsys)
         assert code == 0 and "warning" not in err
         payload = json.loads((out / "reconstruction.json").read_text())
+        # the echo names the target's own fields and no default of another kind
+        assert payload["config"]["target"] == target
         pairs = np.array(payload["density_matrix"])
         rho = pairs[..., 0] + 1j * pairs[..., 1]
         expected = fidelity(oracle(SMALL["dim"]), rho)
