@@ -145,11 +145,13 @@ PROBABILITY_FLOOR = 1e-14
 # the R sigma R iteration hands over to a Newton polish of a factor of sigma
 # after every _polish_interval(r, N) of its own steps, never more than
 # POLISH_INTERVAL; the factor keeps the eigenvalues of sigma above
-# FACTOR_CUTOFF times the largest. The cap is not the fastest at r = 15 with
-# the closed-form Newton direction: reference solves (N = 306, seeds 50-57,
-# one BLAS thread on a 2-core host) took a median 26.0 ms at a cap of 100,
-# 23.1 at 70, 23.9 at 50, 24.1 at 40 and 24.0 at 30, every one certified;
-# re-deriving it from a measured Newton step is open
+# FACTOR_CUTOFF times the largest. No cap between 50 and 100 is measurably
+# faster at r = 15 with the closed-form Newton direction: eight reference
+# solves (N = 306, seeds 200-207, best of 5, one BLAS thread on a 2-core
+# host) took a median 198 ms at a cap of 100, 187 at 70 and 200 at 50 over
+# 10 alternating runs, with interquartile ranges of about 35 ms, and 70
+# and 50 were faster than 100 in only 5 and 6 of the 10; every solve
+# certified. Re-deriving the cap from a measured Newton step is open
 POLISH_INTERVAL = 100
 FACTOR_CUTOFF = 1e-6
 # Newton direction: the pseudo-inverse of |Hr| keeps its eigenvalues above this
@@ -497,7 +499,9 @@ def _polish_interval(r: int, n_outcomes: int) -> int:
     A direction now solves the reduced system of size n_h = 2 r k - k^2 - 1
     (r^2 - 1 at full rank), whose Hr costs ~ n_outcomes n_h^2 to form and
     ~ n_h^3 to factor, so the interval prices a full-rank direction above its
-    cost. Re-deriving it from a measured Newton step is open.
+    cost. At r = 15 the cap decides the interval, and no cap between 50 and
+    100 is measurably faster there (see POLISH_INTERVAL). Re-deriving the
+    interval from a measured Newton step is open.
     """
     return min(POLISH_INTERVAL, -(-8 * r**4 // n_outcomes))
 

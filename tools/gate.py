@@ -11,13 +11,14 @@ prints, for each file that differs, the largest absolute deviation over its
 numbers, ignoring the config echo; it exits 1 when any file differs or exists
 on one side only, 0 when all agree. A file that differs in its config echo
 alone, once each tree's root path is cut from its text, is listed as "config
-echo only" and does not change the exit status. For reconstruction.json it also prints the
-largest deviation of the density matrix alone, since a change of iterations or
-of the length of the log_likelihood trace dominates the overall one, and the
-iterations, newton_steps and stop_reason on both sides. Non-numeric cells that
-differ are counted. Equal numbers can still be written differently (1e-07 and
-1e-7): a file whose text outside the config echo differs at zero numeric
-deviation differs too, and its differing lines are counted.
+echo only" and does not change the exit status. For reconstruction.json it
+also prints the largest deviation of the density matrix alone, since a change
+of iterations or of the length of the log_likelihood trace dominates the
+overall one, and the iterations, newton_steps and stop_reason on both sides.
+Non-numeric cells that differ are counted. Equal numbers can still be written
+differently (1e-07 and 1e-7): a file whose text outside the config echo
+differs at zero numeric deviation differs too, and its differing lines are
+counted.
 """
 
 import argparse
