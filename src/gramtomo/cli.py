@@ -8,7 +8,8 @@ except the report of a failing frames-check.
 Every command is a pure function of (config, seed) at a fixed BLAS thread
 count: reruns with identical inputs and OPENBLAS_NUM_THREADS write
 byte-identical files. Another thread count can move the last bits, as in a
-one-block POVM's q_spectrum (one SVD of T; README lists the files measured).
+one-block POVM's q_spectrum (the singular values of T; README lists the files
+measured).
 Wall-clock timings go to stderr only, never into output files.
 
 Config precedence: flag > config file > built-in default. The default
@@ -37,12 +38,12 @@ import numpy as np
 from .errors import EmptyMeasurementError, InvalidInputError, NumericalConsistencyError
 from .fock import (PhaseSpaceGrid, cat_state, coherent_state, fidelity, fock_state,
                    kept_weight, wigner)
-from .frames import (dual_frame, from_coords, linear_inversion, modal_weighting,
-                     operator_frame, operator_frame_apply, to_coords)
+from .frames import (dual_frame, frame_eigenvalues, from_coords, linear_inversion,
+                     modal_weighting, operator_frame, operator_frame_apply, to_coords)
 from .maxlik import MAX_ITERATIONS, Dataset, maxlik_solve
 from .povm import (EFFECTIVE_RANK_DROP_RATIO, HomodyneConfig, PovmSet, born_probabilities,
                    build_homodyne_povm, effective_rank, gram_operator, gram_spectrum,
-                   subspace_basis)
+                   gram_values, subspace_basis)
 from .serialize import (_JSON_TYPES, Table, WignerGrid, _is_json_type, decode_povm,
                         encode_reconstruction, write_outputs)
 from .simulate import (NoiseModel, dimension_sweep, generate_counts, stability_study,
@@ -311,13 +312,14 @@ def load_counts_file(path: str, povm: PovmSet) -> Dataset:
 
 
 def cmd_gram_spectrum(config: dict) -> dict:
+    # both spectra from singular values alone: no singular vectors are computed
     povm = build_povm_from_config(config)
-    analysis = gram_spectrum(povm)
+    analysis = gram_values(povm)
     if analysis.rank == 0:
         raise EmptyMeasurementError("Gram operator has zero support")
     # Q = T T^T shares its nonzero spectrum with the frame operator S = T^T T,
     # whose modes are at most as many as the outcomes
-    modes = operator_frame(povm).eigenvalues
+    modes = frame_eigenvalues(povm)
     q_vals = np.pad(modes, (0, povm.n_outcomes - modes.size))
     outputs = {name: Table(["index", "value"],
                            [(k + 1, float(v)) for k, v in enumerate(values)], values=True)

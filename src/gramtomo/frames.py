@@ -32,8 +32,9 @@ Munroe, PRA 54, 3682, 1996). Every other POVM is one block, the SVD of T.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -127,8 +128,17 @@ def to_coords(A: np.ndarray) -> np.ndarray:
     diagonal from partial diagonal sums, then sqrt(2) (Re A_mn, Im A_mn).
     """
     A = np.asarray(A, dtype=complex)
-    m, n = np.triu_indices(A.shape[-1], 1)
+    m, n = _pairs(A.shape[-1])
     return _coords(np.diagonal(A, axis1=-2, axis2=-1).real, A[..., m, n])
+
+
+@cache
+def _pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only pairs m < n of np.triu_indices(dim, 1), in row-major order."""
+    out = np.triu_indices(dim, 1)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _coords(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -166,7 +176,7 @@ def from_coords(c: np.ndarray, dim: int) -> np.ndarray:
     diag = np.repeat(c[..., :1] / np.sqrt(dim), dim, axis=-1)
     diag[..., :-1] += np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
     diag[..., 1:] -= k * w
-    m, n = np.triu_indices(dim, 1)
+    m, n = _pairs(dim)
     upper = (c[..., dim::2] + 1j * c[..., dim + 1::2]) / np.sqrt(2.0)
     out = diag[..., None] * np.eye(dim, dtype=complex)
     out[..., m, n] = upper
@@ -207,7 +217,7 @@ def _frame_blocks(povm: PovmSet) -> list[tuple]:
             len(h.phases), h.bins, h.x_range).phases:
         return [(np.arange(dim * dim), None, None)]
     P = len(h.phases)
-    m, n = np.triu_indices(dim, 1)
+    m, n = _pairs(dim)
     k = (n - m) % (2 * P)
     classes = np.concatenate([np.zeros(dim, dtype=int), np.repeat(np.minimum(k, 2 * P - k), 2)])
     # bin b pairs with bin B-1-b; an odd bin count puts the centre bin in the even fold
@@ -223,32 +233,57 @@ def _frame_blocks(povm: PovmSet) -> list[tuple]:
     return blocks
 
 
-def operator_frame(povm: PovmSet) -> OperatorFrame:
-    """The operator frame from one thin SVD per class (see the module docstring); the
-    Im half of class c reuses the Re half's, with V^T negated where k = c mod 2P."""
+def _class_matrices(povm: PovmSet) -> Iterator[tuple]:
+    """(X, halves) for each class that has rows and columns, one class at a time so
+    that each X is freed after its SVD. X is the matrix whose thin SVD gives the
+    class; each half is (columns, rows, sign), sign the factor of its V^T or None.
+    The Im half of class c shares the Re half's U and s, with V^T negated where
+    k = c mod 2P. A one-block POVM is T, with one half of all columns, no rows
+    and no sign."""
     classes = _frame_blocks(povm)
     if classes[0][1] is None:
-        blocks = [(classes[0][0], None, *np.linalg.svd(_effect_coords(povm.vectors),
-                                                       full_matrices=False))]
-    else:
-        dim, P, blocks = povm.dim, len(povm.homodyne.phases), []
-        G = _effect_coords(povm.vectors[: povm.homodyne.bins].real)
-        m, n = np.triu_indices(dim, 1)
-        sign = np.where((n - m) % (2 * P) <= P, -1.0, 1.0)
-        for cols, waves, fold in classes:
-            im = (cols >= dim) & ((cols - dim) % 2 == 1)
-            if not (fold.shape[1] and np.any(~im)):  # no rows (one bin has no odd fold) or columns
-                continue
-            # |cos c theta|^2 is P for c = 0 and c = P, P / 2 between
-            U, s, Vt = np.linalg.svd(np.sqrt(P / waves.shape[1]) * fold.T @ G[:, cols[~im]],
-                                     full_matrices=False)
-            blocks.append((cols[~im], (waves[:, 0], fold), U, s, Vt))
-            if waves.shape[1] == 2:
-                blocks.append((cols[im], (waves[:, 1], fold), U, s,
-                               Vt * sign[(cols[im] - dim) // 2]))
-    s = -np.sort(-np.concatenate([block[3] for block in blocks]))
-    return OperatorFrame(povm=povm, blocks=blocks, eigenvalues=s**2,
-                         rank=int(np.sum(s**2 > SUPPORT_THRESHOLD * s[0]**2)))
+        yield _effect_coords(povm.vectors), [(classes[0][0], None, None)]
+        return
+    dim, P = povm.dim, len(povm.homodyne.phases)
+    G = _effect_coords(povm.vectors[: povm.homodyne.bins].real)
+    m, n = _pairs(dim)
+    sign = np.where((n - m) % (2 * P) <= P, -1.0, 1.0)
+    for cols, waves, fold in classes:
+        im = (cols >= dim) & ((cols - dim) % 2 == 1)
+        if not (fold.shape[1] and np.any(~im)):  # no rows (one bin has no odd fold) or columns
+            continue
+        # |cos c theta|^2 is P for c = 0 and c = P, P / 2 between
+        X = np.sqrt(P / waves.shape[1]) * fold.T @ G[:, cols[~im]]
+        halves = [(cols[~im], (waves[:, 0], fold), None)]
+        if waves.shape[1] == 2:
+            halves.append((cols[im], (waves[:, 1], fold), sign[(cols[im] - dim) // 2]))
+        yield X, halves
+
+
+def _descending_squares(s: list[np.ndarray]) -> np.ndarray:
+    """The squares of the blocks' singular values s, descending."""
+    s = -np.sort(-np.concatenate(s))
+    return s**2
+
+
+def operator_frame(povm: PovmSet) -> OperatorFrame:
+    """The operator frame from one thin SVD per class (see the module docstring)."""
+    blocks = []
+    for X, halves in _class_matrices(povm):
+        U, s, Vt = np.linalg.svd(X, full_matrices=False)
+        blocks += [(cols, rows, U, s, Vt if sign is None else Vt * sign)
+                   for cols, rows, sign in halves]
+    eigenvalues = _descending_squares([block[3] for block in blocks])
+    return OperatorFrame(povm=povm, blocks=blocks, eigenvalues=eigenvalues,
+                         rank=int(np.sum(eigenvalues > SUPPORT_THRESHOLD * eigenvalues[0])))
+
+
+def frame_eigenvalues(povm: PovmSet) -> np.ndarray:
+    """operator_frame(povm).eigenvalues from the classes' singular values alone,
+    which round differently from the SVDs that also return vectors."""
+    # each half of a class lists the class's values, as each of its blocks does
+    return _descending_squares([s for X, halves in _class_matrices(povm)
+                                for s in [np.linalg.svd(X, compute_uv=False)] * len(halves)])
 
 
 def linear_inversion(probabilities: np.ndarray, povm: PovmSet,

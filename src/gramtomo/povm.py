@@ -113,26 +113,35 @@ SUPPORT_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True)
-class GramAnalysis:
-    """Descending eigendecomposition of the Gram operator of a measurement.
+class GramValues:
+    """Descending eigenvalues of the Gram operator of a measurement, with its support.
 
-    eigenvalues are descending and non-negative; eigenvectors are the
-    matching orthonormal columns with the phase convention that each
-    column's first significant component is real-positive, so repeated runs
-    produce identical bases. rank counts the eigenvalues above threshold =
-    SUPPORT_THRESHOLD * lambda_1. rescaled_vectors (N, rank) holds the rows
-    G^(-1/2)|y_i> in the support basis: their effects sum to the identity.
+    eigenvalues are descending and non-negative; rank counts those above
+    threshold = SUPPORT_THRESHOLD * lambda_1.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     rank: int
     threshold: float
-    rescaled_vectors: np.ndarray
 
     @property
     def support_eigenvalues(self) -> np.ndarray:
         return self.eigenvalues[: self.rank]
+
+
+@dataclass(frozen=True)
+class GramAnalysis(GramValues):
+    """Descending eigendecomposition of the Gram operator of a measurement.
+
+    eigenvectors are the orthonormal columns matching the eigenvalues, with
+    the phase convention that each column's first significant component is
+    real-positive, so repeated runs produce identical bases.
+    rescaled_vectors (N, rank) holds the rows G^(-1/2)|y_i> in the support
+    basis: their effects sum to the identity.
+    """
+
+    eigenvectors: np.ndarray
+    rescaled_vectors: np.ndarray
 
     @property
     def support_vectors(self) -> np.ndarray:
@@ -193,6 +202,21 @@ def gram_operator(povm: PovmSet) -> np.ndarray:
     return weighted_effect_sum(np.ones(povm.n_outcomes), povm)
 
 
+def _support(s: np.ndarray, dim: int) -> dict:
+    """The Gram eigenvalues s^2 of the singular values s of Y, zero-padded to
+    dim, and the support rule's rank and threshold."""
+    vals = np.zeros(dim)
+    vals[: s.size] = s**2
+    tau = SUPPORT_THRESHOLD * vals[0]
+    return {"eigenvalues": vals, "rank": int(np.sum(vals > tau)), "threshold": tau}
+
+
+def gram_values(povm: PovmSet) -> GramValues:
+    """The Gram operator's spectrum and support from the singular values of Y
+    alone; gram_spectrum's SVD, which also returns vectors, rounds differently."""
+    return GramValues(**_support(np.linalg.svd(povm.vectors, compute_uv=False), povm.dim))
+
+
 def gram_spectrum(povm: PovmSet) -> GramAnalysis:
     """The Gram operator's spectrum, eigenbasis and rescaled frame from one SVD.
 
@@ -206,16 +230,14 @@ def gram_spectrum(povm: PovmSet) -> GramAnalysis:
     Y = povm.vectors
     n_outcomes, dim = Y.shape
     U, s, Vh = np.linalg.svd(Y, full_matrices=n_outcomes < dim)
-    vals = np.zeros(dim)
-    vals[: s.size] = s**2
     vecs = Vh.T
     # deterministic eigenvector phases: first significant component real-positive
     lead = vecs[np.argmax(np.abs(vecs) > 1e-8, axis=0), np.arange(dim)]
     phase = lead.conj() / np.abs(lead)
-    tau = SUPPORT_THRESHOLD * vals[0]
-    rank = int(np.sum(vals > tau))
-    return GramAnalysis(eigenvalues=vals, eigenvectors=vecs * phase, rank=rank,
-                        threshold=tau, rescaled_vectors=U[:, :rank] * phase[:rank].conj())
+    support = _support(s, dim)
+    rank = support["rank"]
+    return GramAnalysis(**support, eigenvectors=vecs * phase,
+                        rescaled_vectors=U[:, :rank] * phase[:rank].conj())
 
 
 def subspace_basis(kind: str, d: int, povm: PovmSet) -> np.ndarray:
@@ -246,7 +268,7 @@ def gram_matrix_operator_space(povm: PovmSet) -> np.ndarray:
 EFFECTIVE_RANK_DROP_RATIO = 1e-3
 
 
-def effective_rank(analysis: GramAnalysis,
+def effective_rank(analysis: GramValues,
                    drop_ratio: float = EFFECTIVE_RANK_DROP_RATIO) -> int:
     """Count of eigenvalues within drop_ratio of the largest.
 

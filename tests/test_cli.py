@@ -17,8 +17,8 @@ from jsonschema import Draft202012Validator
 from jsonschema.validators import extend
 
 from gramtomo import (HomodyneConfig, NoiseModel, PovmSet, build_homodyne_povm, cat_state,
-                      coherent_state, fidelity, fock_state, generate_counts, operator_frame,
-                      pure_density)
+                      coherent_state, effective_rank, fidelity, fock_state, generate_counts,
+                      gram_spectrum, operator_frame, pure_density)
 from gramtomo.cli import (CONFIG_SCHEMA, CONFIG_SCHEMA_PATH, DEFAULTS, _schema_error,
                           _strip_nones, _supported_schema, build_povm_from_config,
                           load_config, main)
@@ -452,6 +452,79 @@ class TestGramSpectrumCommand:
         assert not (out / "g_spectrum.csv").exists()
 
 
+def table_values(path: Path) -> np.ndarray:
+    """The value column of a CSV table written by the CLI."""
+    rows = [ln for ln in path.read_text().splitlines() if ln and not ln.startswith("#")]
+    return np.array([float(row.split(",")[1]) for row in rows[1:]])
+
+
+class TestValuesOnlySpectra:
+    """gram-spectrum reads G and S off singular values alone; the full
+    decompositions that frames-check and the solver use give the same spectra
+    to rounding."""
+
+    CONFIGS = {
+        "reference": {},
+        "dim30": {"dim": 30, "povm": {"range": [-6.0, 6.0]}},
+        "dim50": {"dim": 50, "povm": {"phase_count": 16, "bins": 101, "range": [-8.0, 8.0]}},
+        # non-uniform phases on an asymmetric window: the operator frame is one block
+        "explicit-phases": {"povm": {"phases": [0.0, 0.4, 0.9, 1.5, 2.2, 2.8],
+                                     "range": [-5.0, 5.5]}},
+        "file-fewer-outcomes-than-dim": None,
+    }
+
+    def config_path(self, case: str, tmp_path: Path) -> Path:
+        config = self.CONFIGS[case]
+        if config is None:
+            # four outcomes at dim 6: G has two zero eigenvalues and S four modes
+            rng = np.random.default_rng(5)
+            vectors = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+            povm_path = tmp_path / "povm.json"
+            povm_path.write_text(json.dumps(encode_povm(PovmSet(vectors))))
+            config = {"dim": 6, "povm": {"file": str(povm_path)}}
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    @pytest.mark.parametrize("case", list(CONFIGS))
+    def test_spectra_match_full_decompositions(self, case, tmp_path, capsys):
+        conf = self.config_path(case, tmp_path)
+        out = tmp_path / "out"
+        code, _, err = run(["gram-spectrum", "--config", str(conf), "--out", str(out)], capsys)
+        assert code == 0, err
+        povm = build_povm_from_config(load_config(str(conf)))
+        analysis = gram_spectrum(povm)
+        modes = operator_frame(povm).eigenvalues
+        for name, full in (("g_spectrum", analysis.eigenvalues),
+                           ("q_spectrum", np.pad(modes, (0, povm.n_outcomes - modes.size)))):
+            written = table_values(out / f"{name}.csv")
+            assert written.shape == full.shape, name
+            assert np.abs(written - full).max() <= 1e-13 * full[0], name
+        report = json.loads((out / "rank_report.json").read_text())
+        assert report["support_rank"] == analysis.rank
+        assert report["effective_rank"] == effective_rank(analysis)
+
+    @pytest.mark.parametrize("case", ["reference", "explicit-phases"])
+    def test_takes_no_singular_vectors(self, case, tmp_path, capsys, monkeypatch):
+        def refuse(povm):
+            raise AssertionError("gram-spectrum took a full decomposition")
+
+        for name in ("gramtomo.cli.gram_spectrum", "gramtomo.povm.gram_spectrum",
+                     "gramtomo.cli.operator_frame", "gramtomo.frames.operator_frame"):
+            monkeypatch.setattr(name, refuse)
+        svd = np.linalg.svd
+
+        def values_only(a, **kwargs):
+            assert kwargs.get("compute_uv") is False, "gram-spectrum took singular vectors"
+            return svd(a, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", values_only)
+        conf = self.config_path(case, tmp_path)
+        code, _, err = run(["gram-spectrum", "--config", str(conf), "--out",
+                            str(tmp_path / "out")], capsys)
+        assert code == 0, err
+
+
 @pytest.mark.parametrize("config", [{}, {"dim": 30, "povm": {"range": [-6.0, 6.0]}}],
                          ids=["reference", "dim30"])
 def test_no_command_forms_an_n_by_n_matrix(config, tmp_path, capsys, monkeypatch):
@@ -782,6 +855,7 @@ class TestPovmFile:
             assert proc.returncode == 1, command
             assert "invalid input" in proc.stderr
             assert "Traceback" not in proc.stderr
+            assert not (tmp_path / command).exists(), command
 
     def test_round_trip_matches_inline(self, tmp_path, capsys):
         # the reference POVM written by encode_povm, and the same file with the

@@ -54,6 +54,19 @@ class TestDescribeDifference:
         after = self.write(tmp_path, "after", reconstruction(0.25, 110, [-1.5], "b"))
         assert gate.describe_difference(before, after) is None
 
+    def test_relative_deviation_scaled_by_the_columns_that_differ(self, gate, tmp_path):
+        # a dim-50 g_spectrum whose lambda_1 = 16 moves by 3.9e-14: the index
+        # column, which runs to 50 and agrees, does not set the scale
+        values = 16.0 * 0.9 ** np.arange(50)
+        paths = []
+        for side, lead in (("before", 16.0), ("after", 16.0 + 3.9e-14)):
+            path = tmp_path / side / "g_spectrum.csv"
+            path.parent.mkdir()
+            rows = [f"{k + 1},{v!r}" for k, v in enumerate([lead, *values[1:]])]
+            path.write_text("\n".join([f"# config: {side}", "index,value", *rows]) + "\n")
+            paths.append(path)
+        assert gate.describe_difference(*paths) == "max |dev| 3.9e-14, 2.4e-15 relative"
+
 
 class TestCompare:
     """compare's exit status: 1 when any file differs or is missing, else 0."""

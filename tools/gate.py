@@ -8,8 +8,11 @@ printed lines.
 
 `python tools/gate.py --compare BEFORE AFTER` reads two such output trees and
 prints, for each file that differs, the largest absolute deviation over its
-numbers, ignoring the config echo; it exits 1 when any file differs or exists
-on one side only, 0 when all agree. A file that differs in its config echo
+numbers, ignoring the config echo, and that deviation relative to the largest
+|value| of the CSV columns or top-level JSON members in which numbers differ
+(an index column that agrees does not set the scale), so that rounding reads
+as about 1e-16 whatever the file's scale; it exits 1 when any file differs or
+exists on one side only, 0 when all agree. A file that differs in its config echo
 alone, once each tree's root path is cut from its text, is listed as "config
 echo only" and does not change the exit status. For reconstruction.json it
 also prints the largest deviation of the density matrix alone, since a change
@@ -107,14 +110,15 @@ def _leaves(obj, path=()):
 
 
 def _cells(text: str):
-    """((row, column), value) for every CSV cell but the config comment line."""
+    """((column, row), value) for every CSV cell but the config comment line:
+    key[0] names a cell's column as _leaves's names a value's top-level member."""
     rows = [line for line in text.splitlines() if not line.startswith("# config:")]
     for r, line in enumerate(rows):
         for c, cell in enumerate(line.split(",")):
             try:
-                yield (r, c), float(cell)
+                yield (c, r), float(cell)
             except ValueError:
-                yield (r, c), cell
+                yield (c, r), cell
 
 
 def _without_echo(text: str) -> str:
@@ -159,16 +163,25 @@ def describe_difference(before: Path, after: Path) -> str | None:
             return None
         changed = sum(x != y for x, y in zip(lines_a, lines_b)) + abs(len(lines_a) - len(lines_b))
         return f"max |dev| 0, {changed} lines differ in bytes"
-    dev, rho_dev, other = 0.0, 0.0, 0
+    # the largest |value| of each column or top-level member, over both sides
+    scale = {}
+    for key, value in [*items_a.items(), *items_b.items()]:
+        if _is_number(value):
+            scale[key[0]] = max(scale.get(key[0], 0.0), abs(value))
+    dev, rho_dev, other, moved = 0.0, 0.0, 0, set()
     for key in items_a.keys() & items_b.keys():
         x, y = items_a[key], items_b[key]
         if _is_number(x) and _is_number(y):
             dev = max(dev, abs(x - y))
+            if x != y:
+                moved.add(key[0])
             if key[0] == "density_matrix":
                 rho_dev = max(rho_dev, abs(x - y))
         elif x != y:
             other += 1
     text = f"max |dev| {dev:.2g}"
+    if moved:
+        text += f", {dev / max(scale[group] for group in moved):.2g} relative"
     if other:
         text += f", {other} non-numeric differ"
     for side, extra in (("before", items_a.keys() - items_b.keys()),
