@@ -35,10 +35,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyMeasurementError, InvalidInputError, NumericalConsistencyError
+from .errors import InvalidInputError, NumericalConsistencyError
 from .fock import (PhaseSpaceGrid, cat_state, coherent_state, fidelity, fock_state,
-                   kept_weight, wigner)
-from .frames import (dual_frame, frame_eigenvalues, from_coords, linear_inversion,
+                   kept_weight, pure_density, wigner)
+from .frames import (dual_frame, frame_values, from_coords, linear_inversion,
                      modal_weighting, operator_frame, operator_frame_apply, to_coords)
 from .maxlik import MAX_ITERATIONS, Dataset, maxlik_solve
 from .povm import (EFFECTIVE_RANK_DROP_RATIO, HomodyneConfig, PovmSet, born_probabilities,
@@ -315,16 +315,10 @@ def cmd_gram_spectrum(config: dict) -> dict:
     # both spectra from singular values alone: no singular vectors are computed
     povm = build_povm_from_config(config)
     analysis = gram_values(povm)
-    if analysis.rank == 0:
-        raise EmptyMeasurementError("Gram operator has zero support")
-    # Q = T T^T shares its nonzero spectrum with the frame operator S = T^T T,
-    # whose modes are at most as many as the outcomes
-    modes = frame_eigenvalues(povm)
-    q_vals = np.pad(modes, (0, povm.n_outcomes - modes.size))
     outputs = {name: Table(["index", "value"],
                            [(k + 1, float(v)) for k, v in enumerate(values)], values=True)
                for name, values in (("g_spectrum", analysis.eigenvalues),
-                                    ("q_spectrum", q_vals))}
+                                    ("q_spectrum", frame_values(povm).eigenvalues))}
     lam = analysis.eigenvalues
     outputs["rank_report"] = {
         "support_rank": analysis.rank,
@@ -347,7 +341,7 @@ def cmd_reconstruct(config: dict) -> dict:
             "'full' takes a null dimension, 'gram' and 'fock' a subspace dimension")
     povm = build_povm_from_config(config)
     target = build_target_from_config(config)
-    rho_true = np.outer(target, target.conj())
+    rho_true = pure_density(target)
     if config["counts_file"]:
         dataset = load_counts_file(config["counts_file"], povm)
     else:
@@ -423,8 +417,6 @@ def cmd_frames_check(config: dict) -> dict:
     povm = build_povm_from_config(config)
     dim = povm.dim
     analysis = gram_spectrum(povm)
-    # dual_frame refuses a measurement of zero support before frame_trace
-    # divides by its trace
     duals = dual_frame(povm, analysis)
     frame = operator_frame(povm)
     rng = trial_generator(config["noise"]["seed"], 0)

@@ -38,61 +38,49 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import EmptyMeasurementError, InvalidInputError
-from .povm import (SUPPORT_THRESHOLD, GramAnalysis, HomodyneConfig, PovmSet,
+from .errors import InvalidInputError
+from .povm import (GramAnalysis, GramValues, HomodyneConfig, PovmSet, _support,
                    born_probabilities, gram_matrix_state_space, weighted_effect_sum)
 
 
 class PartialInversionWarning(UserWarning):
     """Linear inversion over a rank-deficient operator frame: the result is the
-    projection onto the operator-space support, whose projector (in vectorized
-    coordinates) support_projector is formed only when read."""
-
-    def __init__(self, message: str, frame: OperatorFrame):
-        super().__init__(message)
-        self._frame = frame
-
-    @cached_property
-    def support_projector(self) -> np.ndarray:
-        return self._frame.project(np.eye(self._frame.povm.dim**2))
+    projection onto the operator-space support (OperatorFrame.project)."""
 
 
-@dataclass(eq=False)
-class OperatorFrame:
-    """Vectorized operator frame of a rank-1 POVM, held as its blocks.
+@dataclass(frozen=True, eq=False)
+class OperatorFrame(GramValues):
+    """Vectorized operator frame of a rank-1 POVM, held as its blocks, with the
+    spectrum and support of S as GramValues.
 
     coefficients T[i, a] = Tr(Pi_i B_a), so S = T^T T. A block (columns, rows,
     U, s, V^T) gives T's columns as W U diag(s) V^T, W the identity for rows
     None or phi kron F for rows (phi, F); a column in no block has no mode.
-    eigenvalues holds each s^2, one per mode of a block, by a stable sort on s
-    (876 at dim 30, 12 x 101, where one SVD of T gives 900); rank counts those
-    above SUPPORT_THRESHOLD times the largest. coefficients, eigenvectors
+    eigenvalues holds each s^2, one per mode of a block, descending (876 at
+    dim 30, 12 x 101, where one SVD of T gives 900). coefficients, eigenvectors
     (V, (d^2, modes)) and dual_effects (U_r diag(1/s_r) V_r^T) are formed when read.
     """
 
     povm: PovmSet
     blocks: list[tuple]
-    eigenvalues: np.ndarray
-    rank: int
 
-    def _support(self):
-        # the blocks cut to their modes above the rank threshold
-        tau = SUPPORT_THRESHOLD * self.eigenvalues[0]
+    def _support_blocks(self):
+        # the blocks cut to their modes above the support threshold
         for cols, rows, U, s, Vt in self.blocks:
-            r = int(np.sum(s**2 > tau))
+            r = int(np.sum(s**2 > self.threshold))
             yield cols, rows, U[:, :r], s[:r], Vt[:r]
 
     def project(self, c: np.ndarray) -> np.ndarray:
         """Orthogonal projection of coordinates (along axis 0) onto the support."""
         out = np.zeros(c.shape)
-        for cols, _, _, _, Vt in self._support():
+        for cols, _, _, _, Vt in self._support_blocks():
             out[cols] = Vt.T @ (Vt @ c[cols])
         return out
 
     def dual_sum(self, p: np.ndarray) -> np.ndarray:
         """dual_effects^T p, with W^T p as phi^T p.reshape(phases, bins) F."""
         out = np.zeros(self.povm.dim**2)
-        for cols, rows, U, s, Vt in self._support():
+        for cols, rows, U, s, Vt in self._support_blocks():
             w = p if rows is None else rows[0] @ p.reshape(rows[0].size, -1) @ rows[1]
             out[cols] = ((U / s) @ Vt).T @ w
         return out
@@ -112,7 +100,7 @@ class OperatorFrame:
     @cached_property
     def dual_effects(self) -> np.ndarray:
         dual = np.zeros((self.povm.n_outcomes, self.povm.dim**2))
-        for cols, rows, U, s, Vt in self._support():
+        for cols, rows, U, s, Vt in self._support_blocks():
             lifted = U / s if rows is None else np.kron(rows[0][:, None], rows[1] @ (U / s))
             dual[:, cols] = lifted @ Vt
         return dual
@@ -187,8 +175,6 @@ def from_coords(c: np.ndarray, dim: int) -> np.ndarray:
 def dual_frame(povm: PovmSet, analysis: GramAnalysis) -> np.ndarray:
     """The canonical dual vectors |y~_i> = G^+ |y_i> on the Gram support, as the
     rows of an (N, dim) array."""
-    if analysis.rank == 0:
-        raise EmptyMeasurementError("Gram operator has zero support")
     Us = analysis.support_vectors
     ws = analysis.support_eigenvalues
     return (povm.vectors @ Us.conj() / ws) @ Us.T
@@ -260,12 +246,6 @@ def _class_matrices(povm: PovmSet) -> Iterator[tuple]:
         yield X, halves
 
 
-def _descending_squares(s: list[np.ndarray]) -> np.ndarray:
-    """The squares of the blocks' singular values s, descending."""
-    s = -np.sort(-np.concatenate(s))
-    return s**2
-
-
 def operator_frame(povm: PovmSet) -> OperatorFrame:
     """The operator frame from one thin SVD per class (see the module docstring)."""
     blocks = []
@@ -273,17 +253,19 @@ def operator_frame(povm: PovmSet) -> OperatorFrame:
         U, s, Vt = np.linalg.svd(X, full_matrices=False)
         blocks += [(cols, rows, U, s, Vt if sign is None else Vt * sign)
                    for cols, rows, sign in halves]
-    eigenvalues = _descending_squares([block[3] for block in blocks])
-    return OperatorFrame(povm=povm, blocks=blocks, eigenvalues=eigenvalues,
-                         rank=int(np.sum(eigenvalues > SUPPORT_THRESHOLD * eigenvalues[0])))
+    s = np.concatenate([block[3] for block in blocks])
+    return OperatorFrame(povm=povm, blocks=blocks, **_support(s, s.size))
 
 
-def frame_eigenvalues(povm: PovmSet) -> np.ndarray:
-    """operator_frame(povm).eigenvalues from the classes' singular values alone,
-    which round differently from the SVDs that also return vectors."""
+def frame_values(povm: PovmSet) -> GramValues:
+    """The spectrum and support of operator_frame(povm) from the classes' singular
+    values alone, zero-padded to the outcome count: Q = T T^T shares the
+    nonzero spectrum of S = T^T T, whose modes are at most N. A values-only
+    SVD rounds differently from one that also returns vectors."""
     # each half of a class lists the class's values, as each of its blocks does
-    return _descending_squares([s for X, halves in _class_matrices(povm)
-                                for s in [np.linalg.svd(X, compute_uv=False)] * len(halves)])
+    s = [s for X, halves in _class_matrices(povm)
+         for s in [np.linalg.svd(X, compute_uv=False)] * len(halves)]
+    return GramValues(**_support(np.concatenate(s), povm.n_outcomes))
 
 
 def linear_inversion(probabilities: np.ndarray, povm: PovmSet,
@@ -292,7 +274,7 @@ def linear_inversion(probabilities: np.ndarray, povm: PovmSet,
 
     frame must be the operator frame of povm or of a POVM of equal vectors.
     Over a rank-deficient frame the result is the projection of the true
-    operator onto the support, with a PartialInversionWarning carrying its projector.
+    operator onto the support (frame.project), with a PartialInversionWarning.
     """
     p = np.asarray(probabilities, dtype=float)
     if p.shape != (povm.n_outcomes,):
@@ -304,7 +286,7 @@ def linear_inversion(probabilities: np.ndarray, povm: PovmSet,
     if frame.rank < povm.dim**2:
         warnings.warn(PartialInversionWarning(
             f"operator frame rank {frame.rank} < {povm.dim**2}: inversion recovers "
-            "only the support component", frame), stacklevel=2)
+            "only the support component"), stacklevel=2)
     return from_coords(frame.dual_sum(p), povm.dim)
 
 

@@ -128,7 +128,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyDataError, EmptyMeasurementError, InvalidInputError
+from .errors import EmptyDataError, InvalidInputError
 from .povm import (PovmSet, _born, _effect_sum, born_probabilities, gram_operator,
                    gram_spectrum, weighted_effect_sum)
 
@@ -538,7 +538,7 @@ def _iterate(Yp: np.ndarray, f: np.ndarray, max_iterations: int) -> tuple:
         # lambda_max(R') >= 1 in exact arithmetic; the allowance for the
         # rounding of R' and of its eigensolve keeps the bound an upper bound
         # where the iterate is optimal to rounding
-        return float(lam_max) * (1.0 + r * EPS) - 1.0
+        return float(lam_max * (1.0 + r * EPS) - 1.0)
 
     def newton_step(A, ll, rounding):
         """An Armijo-damped Newton step on the factor A from log-likelihood ll,
@@ -686,8 +686,6 @@ def maxlik_solve(dataset: Dataset, povm: PovmSet, subspace: np.ndarray | None = 
         solve_povm = restrict_to_subspace(povm, subspace)
 
     analysis = gram_spectrum(solve_povm)
-    if analysis.rank == 0:
-        raise EmptyMeasurementError("Gram operator has zero support")
     f = dataset.frequencies
 
     sigma, trace, telemetry = _iterate(analysis.rescaled_vectors, f, max_iterations)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import EmptyMeasurementError, InvalidInputError
 from .fock import hermite_functions
 
 
@@ -107,17 +107,18 @@ class PovmSet:
         return self.vectors.shape[0]
 
 
-# an eigenvalue of G is in the support when it exceeds this multiple of the
-# largest one; the operator frame uses the same rule for S
+# an eigenvalue of G, or of the operator frame's S, is in the support when it
+# exceeds this multiple of the largest one (_support)
 SUPPORT_THRESHOLD = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramValues:
-    """Descending eigenvalues of the Gram operator of a measurement, with its support.
+    """Descending eigenvalues of a frame operator, with its support: the Gram
+    operator G of a measurement, or its operator frame's S (frames).
 
     eigenvalues are descending and non-negative; rank counts those above
-    threshold = SUPPORT_THRESHOLD * lambda_1.
+    threshold, SUPPORT_THRESHOLD times lambda_1.
     """
 
     eigenvalues: np.ndarray
@@ -129,7 +130,7 @@ class GramValues:
         return self.eigenvalues[: self.rank]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramAnalysis(GramValues):
     """Descending eigendecomposition of the Gram operator of a measurement.
 
@@ -202,11 +203,15 @@ def gram_operator(povm: PovmSet) -> np.ndarray:
     return weighted_effect_sum(np.ones(povm.n_outcomes), povm)
 
 
-def _support(s: np.ndarray, dim: int) -> dict:
-    """The Gram eigenvalues s^2 of the singular values s of Y, zero-padded to
-    dim, and the support rule's rank and threshold."""
-    vals = np.zeros(dim)
-    vals[: s.size] = s**2
+def _support(s: np.ndarray, size: int) -> dict:
+    """The GramValues fields of the frame operator whose synthesis matrix has the
+    singular values s: the eigenvalues s^2, descending and zero-padded to size,
+    and the support rule's rank and threshold. The one place that rule is
+    applied, for G and for S; a frame operator of zero support is refused."""
+    vals = np.zeros(size)
+    vals[: s.size] = np.sort(s**2)[::-1]
+    if vals[0] == 0.0:
+        raise EmptyMeasurementError("Gram operator has zero support")
     tau = SUPPORT_THRESHOLD * vals[0]
     return {"eigenvalues": vals, "rank": int(np.sum(vals > tau)), "threshold": tau}
 

@@ -27,6 +27,7 @@ formatting itself.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections.abc import Mapping
 from pathlib import Path
@@ -96,22 +97,13 @@ def decode_povm(data: dict) -> PovmSet:
 
 
 def encode_reconstruction(result: ReconstructionResult) -> dict:
-    return {
-        "density_matrix": encode_complex_matrix(result.rho),
-        "log_likelihood": [float(v) for v in result.log_likelihood],
-        "iterations": result.iterations,
-        "born_residual": float(result.born_residual),
-        "extremal_residual": float(result.extremal_residual),
-        "converged": bool(result.converged),
-        "stop_reason": result.stop_reason,
-        "likelihood_gap": (None if result.likelihood_gap is None
-                           else float(result.likelihood_gap)),
-        "newton_steps": result.newton_steps,
-        "newton_fallbacks": result.newton_fallbacks,
-        "floor_hits": result.floor_hits,
-        "backtracks": result.backtracks,
-        "dilution": float(result.dilution),
-    }
+    """Every field of the result by name, rho as density_matrix, and converged;
+    the fields but rho and log_likelihood hold plain Python values."""
+    payload = {field.name: getattr(result, field.name) for field in dataclasses.fields(result)}
+    payload["density_matrix"] = encode_complex_matrix(payload.pop("rho"))
+    payload["log_likelihood"] = result.log_likelihood.tolist()
+    payload["converged"] = result.converged
+    return payload
 
 
 def write_json(path: Path, obj) -> None:

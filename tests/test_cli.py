@@ -22,6 +22,7 @@ from gramtomo import (HomodyneConfig, NoiseModel, PovmSet, build_homodyne_povm, 
 from gramtomo.cli import (CONFIG_SCHEMA, CONFIG_SCHEMA_PATH, DEFAULTS, _schema_error,
                           _strip_nones, _supported_schema, build_povm_from_config,
                           load_config, main)
+from gramtomo.frames import frame_values
 from gramtomo.serialize import encode_povm
 
 ROOT = Path(__file__).parent.parent
@@ -503,6 +504,18 @@ class TestValuesOnlySpectra:
         report = json.loads((out / "rank_report.json").read_text())
         assert report["support_rank"] == analysis.rank
         assert report["effective_rank"] == effective_rank(analysis)
+
+    @pytest.mark.parametrize("case", list(CONFIGS))
+    def test_frame_values_match_operator_frame(self, case, tmp_path):
+        povm = build_povm_from_config(load_config(str(self.config_path(case, tmp_path))))
+        frame, values = operator_frame(povm), frame_values(povm)
+        assert values.eigenvalues.shape == (povm.n_outcomes,)
+        assert values.rank == frame.rank
+        assert values.threshold == pytest.approx(frame.threshold, rel=1e-13)
+        modes = frame.eigenvalues.size
+        assert np.abs(values.eigenvalues[:modes] - frame.eigenvalues).max() <= (
+            1e-13 * frame.eigenvalues[0])
+        assert not values.eigenvalues[modes:].any()
 
     @pytest.mark.parametrize("case", ["reference", "explicit-phases"])
     def test_takes_no_singular_vectors(self, case, tmp_path, capsys, monkeypatch):

@@ -11,8 +11,8 @@ from gramtomo import (EmptyMeasurementError, HomodyneConfig, InvalidInputError,
                       from_coords, gram_operator, gram_spectrum, hadamard_identity_check,
                       linear_inversion, modal_weighting, operator_frame,
                       operator_frame_apply, restrict_to_subspace, to_coords)
-from gramtomo.frames import _effect_coords, _frame_blocks
-from gramtomo.povm import SUPPORT_THRESHOLD, born_probabilities
+from gramtomo.frames import _effect_coords, _frame_blocks, frame_values
+from gramtomo.povm import SUPPORT_THRESHOLD, GramValues, born_probabilities, gram_values
 from gramtomo.serialize import decode_povm, encode_povm
 
 
@@ -112,9 +112,8 @@ class TestDualFrame:
 
     def test_zero_support(self):
         povm = PovmSet(np.zeros((2, 3), dtype=complex))
-        analysis = gram_spectrum(povm)
         with pytest.raises(EmptyMeasurementError):
-            dual_frame(povm, analysis)
+            dual_frame(povm, gram_spectrum(povm))
 
 
 class TestFrameReconstruct:
@@ -279,8 +278,8 @@ class TestBlockFrame:
     @pytest.mark.parametrize("dim, phases, bins, half_width",
                              BLOCK_MEASUREMENTS + EDGE_MEASUREMENTS[1:])
     def test_blockwise_apply_matches_dense_arrays(self, dim, phases, bins, half_width):
-        # linear_inversion, frames-check's support projection and the warning's
-        # projector against dual_effects and eigenvectors; the inversion's scale
+        # linear_inversion and frames-check's support projection, in coordinates
+        # and as a projector, against dual_effects and eigenvectors; the inversion's scale
         # is the largest sum of |dual_effects| |p| (3e5 times the result on
         # 2 x 51 over (-2, 2), where the routes differ by 2e-11)
         povm = uniform_povm(dim, phases, bins, half_width)
@@ -297,9 +296,8 @@ class TestBlockFrame:
         V = frame.eigenvectors[:, : frame.rank]
         assert np.abs(frame.project(x) - V @ (V.T @ x)).max() <= 1e-12 * np.abs(x).max()
         assert len(caught) == (frame.rank < dim * dim)
-        if caught:
-            projector = caught[0].message.support_projector
-            assert np.abs(projector - V @ V.T).max() <= 1e-12
+        projector = frame.project(np.eye(dim**2))
+        assert np.abs(projector - V @ V.T).max() <= 1e-12
 
     @pytest.mark.parametrize("dim, phases, bins, half_width",
                              [(15, 2, 51, 2.0), (30, 6, 51, 5.0)])
@@ -333,6 +331,45 @@ class TestBlockFrame:
         assert restrict_to_subspace(reference_povm, basis).homodyne is None
 
 
+# the four producers of a frame operator's spectrum and support: G from the
+# singular values alone and with vectors, S with its blocks and from values alone
+PRODUCERS = [gram_values, gram_spectrum, operator_frame, frame_values]
+
+
+class TestSupportRule:
+    """povm._support decides the support of G and of S for every producer."""
+
+    @pytest.mark.parametrize("produce", PRODUCERS, ids=lambda f: f.__name__)
+    def test_threshold_read_at_call_time(self, produce, reference_povm, monkeypatch):
+        default = produce(reference_povm)
+        monkeypatch.setattr("gramtomo.povm.SUPPORT_THRESHOLD", 0.5)
+        values = produce(reference_povm)
+        assert isinstance(values, GramValues)
+        lam = values.eigenvalues
+        assert values.threshold == 0.5 * lam[0]
+        assert values.rank == int(np.sum(lam > 0.5 * lam[0]))
+        # G is flat on the reference (lambda_15 / lambda_1 = 0.80); S is not
+        assert (values.rank < default.rank) == (produce in (operator_frame, frame_values))
+
+    def test_frame_support_blocks_follow_the_rule(self, reference_povm, monkeypatch):
+        monkeypatch.setattr("gramtomo.povm.SUPPORT_THRESHOLD", 0.5)
+        frame = operator_frame(reference_povm)
+        projector = frame.project(np.eye(225))
+        assert np.trace(projector) == pytest.approx(frame.rank, abs=1e-9)
+
+    @pytest.mark.parametrize("produce", PRODUCERS, ids=lambda f: f.__name__)
+    def test_records_compare_by_identity(self, produce, reference_povm):
+        # records of arrays: equal only to themselves, and hashable
+        values = produce(reference_povm)
+        assert values == values and values != produce(reference_povm)
+        assert len({values, values}) == 1
+
+    @pytest.mark.parametrize("produce", PRODUCERS, ids=lambda f: f.__name__)
+    def test_zero_support_refused(self, produce):
+        with pytest.raises(EmptyMeasurementError, match="^Gram operator has zero support$"):
+            produce(PovmSet(np.zeros((4, 3), dtype=complex)))
+
+
 class TestLinearInversion:
     def test_complete_projective_recovers_diagonal(self):
         povm = PovmSet(np.eye(4, dtype=complex))
@@ -360,7 +397,9 @@ class TestLinearInversion:
         p = np.ones(reference_povm.n_outcomes) / reference_povm.n_outcomes
         with pytest.warns(PartialInversionWarning) as rec:
             linear_inversion(p, reference_povm, frame)
-        proj = rec[0].message.support_projector
+        assert rec[0].message.args == (
+            "operator frame rank 144 < 225: inversion recovers only the support component",)
+        proj = frame.project(np.eye(225))
         assert proj.shape == (225, 225)
         assert np.abs(proj @ proj - proj).max() < 1e-9
 

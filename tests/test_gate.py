@@ -97,15 +97,20 @@ class TestCompare:
         assert "small/reconstruct/reconstruction.json  config echo only" in out
         assert "0 of 1 files differ, 0 on one side only, 1 in the config echo alone" in out
 
-    def test_echo_of_own_tree_is_not_listed(self, gate, tmp_path, capsys):
-        # each tree's files name their own output directory, as gate runs do
-        trees = [self.tree(tmp_path, side, {"reconstruction.json": reconstruction(
-                     0.25, 110, [-1.5], str(tmp_path / side / "small" / "reconstruct"))})
-                 for side in ("before", "after")]
+    def test_listing_does_not_depend_on_out(self, gate, tmp_path, capsys, monkeypatch):
+        # the outputs echo their directory relative to OUT, so two runs into
+        # two directories list the same hashes and compare with no echo listed
+        monkeypatch.setattr(gate, "CASES", {"small": (gate.SMALL, ("gram-spectrum",))})
+        trees, listings = [tmp_path / "one", tmp_path / "two" / "deeper"], []
+        for tree in trees:
+            monkeypatch.setattr("sys.argv", ["gate.py", str(tree)])
+            assert gate.main() == 0
+            listings.append(capsys.readouterr().out)
+        assert listings[0] == listings[1]
+        assert len(listings[0].splitlines()) == 3
         assert gate.compare(*trees) == 0
-        out = capsys.readouterr().out
-        assert "config echo only" not in out
-        assert "0 of 1 files differ, 0 on one side only, 0 in the config echo alone" in out
+        assert "0 of 3 files differ, 0 on one side only, 0 in the config echo alone" in (
+            capsys.readouterr().out)
 
     def test_missing_file_exits_1(self, gate, tmp_path, capsys):
         document = reconstruction(0.25, 110, [-1.5], "a")

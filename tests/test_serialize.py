@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gramtomo.cli import cmd_reconstruct, load_config
-from gramtomo.serialize import float_text, write_csv, write_wigner_csv
+from gramtomo import Dataset, PovmSet, maxlik_solve
+from gramtomo.serialize import encode_reconstruction, float_text, write_csv, write_wigner_csv
 
 
 def repr_text(values) -> list[str]:
@@ -83,3 +86,18 @@ def test_csv_table_mixing_cell_types(tmp_path):
         "1,true,gram,0.1,2.5e-05\n"
         "2,false,fock,-1e+16,-0.0\n"
         "3,false,full,1e-07,nan\n")
+
+
+def test_reconstruction_payload_names_every_field():
+    # the payload is built from the result's fields: a new field is written
+    # without an edit, and each value is already a plain JSON value
+    povm = PovmSet(np.eye(3, dtype=complex))
+    result = maxlik_solve(Dataset(counts=np.array([5.0, 3.0, 2.0])), povm)
+    payload = encode_reconstruction(result)
+    names = {field.name for field in dataclasses.fields(result)} - {"rho"}
+    assert set(payload) == names | {"density_matrix", "converged"}
+    assert payload["converged"] is result.converged
+    assert payload["density_matrix"][1][1] == [result.rho[1, 1].real, result.rho[1, 1].imag]
+    for name in names - {"log_likelihood"}:
+        assert type(payload[name]) in (int, float, str, type(None)), name
+    assert all(type(v) is float for v in payload["log_likelihood"])

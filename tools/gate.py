@@ -1,10 +1,10 @@
 """Byte-identity gate: run the fifteen gate configs and print a sha256 per output file.
 
 `python tools/gate.py OUT [--src SRC]` runs the CLI with PYTHONPATH=SRC (default
-src/), one BLAS thread and --seed 0 into OUT/<case>/<command>/ and prints
-"<sha256>  <path>" for the 86 files. Outputs echo their directory: to compare
-two source trees by hash, run both into the same OUT in turn and diff the
-printed lines.
+src/), one BLAS thread and --seed 0 from OUT, with --out <case>/<command>, and
+prints "<sha256>  <path>" for the 86 files. Each output echoes that relative
+directory, so the listing does not depend on OUT: to compare two source trees
+by hash, run them into two directories and diff the printed lines.
 
 `python tools/gate.py --compare BEFORE AFTER` reads two such output trees and
 prints, for each file that differs, the largest absolute deviation over its
@@ -12,10 +12,10 @@ numbers, ignoring the config echo, and that deviation relative to the largest
 |value| of the CSV columns or top-level JSON members in which numbers differ
 (an index column that agrees does not set the scale), so that rounding reads
 as about 1e-16 whatever the file's scale; it exits 1 when any file differs or
-exists on one side only, 0 when all agree. A file that differs in its config echo
-alone, once each tree's root path is cut from its text, is listed as "config
-echo only" and does not change the exit status. For reconstruction.json it
-also prints the largest deviation of the density matrix alone, since a change
+exists on one side only, 0 when all agree. A file that differs in its config
+echo alone is listed as "config echo only" and does not change the exit status:
+since the echo names no tree, that is a change of config. For reconstruction.json
+it also prints the largest deviation of the density matrix alone, since a change
 of iterations or of the length of the log_likelihood trace dominates the
 overall one, and the iterations, newton_steps and stop_reason on both sides.
 Non-numeric cells that differ are counted. Equal numbers can still be written
@@ -195,16 +195,10 @@ def describe_difference(before: Path, after: Path) -> str | None:
     return text
 
 
-def _unrooted(path: Path, root: Path) -> str:
-    """A file's text with its tree's root path cut out, so that the output
-    directory a config echo names reads the same in both trees."""
-    return path.read_text().replace(str(root.resolve()), "")
-
-
 def compare(before: Path, after: Path) -> int:
     """Print each differing output file with its largest deviation, and each
-    file whose config echo alone differs (its tree's root aside); 1 if any
-    file differs apart from its config echo or exists on one side only."""
+    file whose config echo alone differs; 1 if any file differs apart from its
+    config echo or exists on one side only."""
     paths = sorted({p.relative_to(root) for root in (before, after)
                     for p in root.glob("*/*/*") if p.is_file()})
     differing = missing = echoes = 0
@@ -216,7 +210,7 @@ def compare(before: Path, after: Path) -> int:
         elif (text := describe_difference(a, b)) is not None:
             differing += 1
             print(f"{rel}  {text}")
-        elif _unrooted(a, before) != _unrooted(b, after):
+        elif a.read_bytes() != b.read_bytes():
             echoes += 1
             print(f"{rel}  config echo only")
     print(f"{differing} of {len(paths)} files differ, {missing} on one side only, "
@@ -237,14 +231,13 @@ def main() -> int:
     out, failed = args.out.resolve(), 0
     env = dict(os.environ, PYTHONPATH=str(args.src.resolve()), OPENBLAS_NUM_THREADS="1")
     for case, (config, commands) in CASES.items():
-        config_path = out / case / "config.json"
-        config_path.parent.mkdir(parents=True, exist_ok=True)
-        config_path.write_text(json.dumps(config))
+        (out / case).mkdir(parents=True, exist_ok=True)
+        (out / case / "config.json").write_text(json.dumps(config))
         for command in commands:
             proc = subprocess.run(
-                [sys.executable, "-m", "gramtomo.cli", command, "--config", str(config_path),
-                 "--out", str(out / case / command), "--seed", "0"],
-                env=env, capture_output=True, text=True)
+                [sys.executable, "-m", "gramtomo.cli", command, "--config",
+                 f"{case}/config.json", "--out", f"{case}/{command}", "--seed", "0"],
+                cwd=out, env=env, capture_output=True, text=True)
             if proc.returncode != 0:
                 failed += 1
                 print(f"exit {proc.returncode}  {case}/{command}")
