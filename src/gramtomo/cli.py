@@ -57,8 +57,9 @@ TRUNCATION_LEAK_WARNING = 1e-3
 
 
 class ConfigValidationError(InvalidInputError):
-    """A config that breaks the config schema; the message starts with the
-    dotted key path of the offending value."""
+    """A config that breaks the config schema or sets a target field that its
+    kind does not read; the message starts with the dotted key path of the
+    offending value."""
 
 
 # the JSON-Schema keywords and types (serialize._JSON_TYPES) that
@@ -126,8 +127,9 @@ def _schema_error(value, schema: dict, where: str = "") -> str | None:
 CONFIG_SCHEMA_PATH = Path(__file__).with_name("config-schema.json")
 CONFIG_SCHEMA = _supported_schema(json.loads(CONFIG_SCHEMA_PATH.read_text()))
 
-# the fields each target kind reads, with their defaults; a config is given
-# only those of its kind, so the echo names no field the target ignores
+# the fields each target kind reads, with their defaults; a config may set
+# only those of its kind and is given only their defaults, so the echo names
+# no field the target ignores
 TARGET_DEFAULTS = {"cat": {"alpha": 2.0, "parity": "even"}, "coherent": {"alpha": 2.0},
                    "fock": {"n": 0}}
 
@@ -177,7 +179,8 @@ def _read_json(path: str, what: str):
 
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
     """Read the config file, apply the overrides, validate once and merge over
-    the defaults (precedence: override > file > default)."""
+    the defaults (precedence: override > file > default). A target field that
+    its kind does not read (TARGET_DEFAULTS) is refused."""
     raw = _read_json(path, "config file") if path is not None else {}
     if isinstance(raw, dict):
         # a section the file sets to a non-object keeps its value, so that
@@ -187,7 +190,11 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     error = _schema_error(raw, CONFIG_SCHEMA)
     if error is not None:
         raise ConfigValidationError(error)
-    kind = raw.get("target", {}).get("kind", DEFAULTS["target"]["kind"])
+    target = raw.get("target", {})
+    kind = target.get("kind", DEFAULTS["target"]["kind"])
+    unread = [key for key in target if key != "kind" and key not in TARGET_DEFAULTS[kind]]
+    if unread:
+        raise ConfigValidationError(f"target.{unread[0]}: not read by a {kind} target")
     return _merge({**DEFAULTS, "target": {"kind": kind, **TARGET_DEFAULTS[kind]}}, raw)
 
 

@@ -7,9 +7,11 @@ operator S(A) = sum_i Tr(Pi_i A) Pi_i plays the same role: its
 pseudo-inverse yields dual effects Pi~_i = S^(-1)(Pi_i) and the linear
 inversion estimate rho = sum_i p_i Pi~_i, which is Hermitian but NOT
 positivity-constrained. Operators get real coordinates in an orthonormal
-Hermitian basis (identity plus generalized Gell-Mann); with T the N x d^2
-matrix of effect coordinates, S = T^T T is never formed: its data come from
-thin SVDs, whose condition number S would square (6.2e4 -> 3.8e9).
+Hermitian basis, E_nn and then (E_mn + E_nm) / sqrt(2) and
+i (E_mn - E_nm) / sqrt(2) for m < n, so that each coordinate is one matrix
+element (to_coords); with T the N x d^2 matrix of effect coordinates,
+S = T^T T is never formed: its data come from thin SVDs, whose condition
+number S would square (6.2e4 -> 3.8e9).
 
 For uniform phases theta_j = j pi / P on a window symmetric about 0, T
 factorises. Let G hold the coordinates of the phase-0 effects, whose vectors
@@ -109,11 +111,10 @@ class OperatorFrame(GramValues):
 def to_coords(A: np.ndarray) -> np.ndarray:
     """Real coordinates Tr(B_a A) of Hermitian (..., d, d) matrices.
 
-    B_a is an orthonormal Hermitian basis, never built: I / sqrt(d), the
-    traceless diagonals (1, ..., 1, -k, 0, ...) / sqrt(k (k + 1)), then
+    B_a is an orthonormal Hermitian basis, never built: E_nn for each n, then
     (E_mn + E_nm) / sqrt(2) and i (E_mn - E_nm) / sqrt(2) for each m < n in
-    row-major order. So the coordinates are Tr A / sqrt(d), the traceless
-    diagonal from partial diagonal sums, then sqrt(2) (Re A_mn, Im A_mn).
+    the row-major order of _pairs. So each coordinate is one matrix element:
+    the real diagonal, then sqrt(2) (Re A_mn, Im A_mn).
     """
     A = np.asarray(A, dtype=complex)
     m, n = _pairs(A.shape[-1])
@@ -122,7 +123,8 @@ def to_coords(A: np.ndarray) -> np.ndarray:
 
 @cache
 def _pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only pairs m < n of np.triu_indices(dim, 1), in row-major order."""
+    """The read-only pairs m < n of np.triu_indices(dim, 1), in row-major order:
+    the one pair index, of the operator coordinates and of maxlik's Newton basis."""
     out = np.triu_indices(dim, 1)
     for a in out:
         a.flags.writeable = False
@@ -132,11 +134,8 @@ def _pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
 def _coords(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """to_coords from the real diagonal and the upper triangle in row-major order."""
     dim = diag.shape[-1]
-    k = np.arange(1, dim)
-    partial = np.cumsum(diag, axis=-1)
     out = np.empty(diag.shape[:-1] + (dim * dim,))
-    out[..., 0] = partial[..., -1] / np.sqrt(dim)
-    out[..., 1:dim] = (partial[..., :-1] - k * diag[..., 1:]) / np.sqrt(k * (k + 1))
+    out[..., :dim] = diag
     upper = np.sqrt(2.0) * upper
     out[..., dim::2], out[..., dim + 1::2] = upper.real, upper.imag
     return out
@@ -158,15 +157,9 @@ def from_coords(c: np.ndarray, dim: int) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.shape[-1] != dim * dim:
         raise InvalidInputError(f"{c.shape[-1]} coordinates do not describe a dim-{dim} operator")
-    k = np.arange(1, dim)
-    w = c[..., 1:dim] / np.sqrt(k * (k + 1))
-    # B_k contributes w_k to diagonal entries j < k and -k w_k to entry k
-    diag = np.repeat(c[..., :1] / np.sqrt(dim), dim, axis=-1)
-    diag[..., :-1] += np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
-    diag[..., 1:] -= k * w
     m, n = _pairs(dim)
     upper = (c[..., dim::2] + 1j * c[..., dim + 1::2]) / np.sqrt(2.0)
-    out = diag[..., None] * np.eye(dim, dtype=complex)
+    out = c[..., :dim, None] * np.eye(dim, dtype=complex)
     out[..., m, n] = upper
     out[..., n, m] = upper.conj()
     return out

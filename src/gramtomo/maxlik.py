@@ -120,7 +120,6 @@ data, where the ML state cannot reproduce the frequencies exactly.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -129,6 +128,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyDataError, InvalidInputError
+from .frames import _pairs
 from .povm import (PovmSet, _born, _effect_sum, born_probabilities, gram_operator,
                    gram_spectrum, weighted_effect_sum)
 
@@ -340,30 +340,6 @@ def _factor(sigma: np.ndarray) -> np.ndarray:
     return V[:, keep] * np.sqrt(w[keep])
 
 
-@functools.cache
-def _horizontal_indices(k: int) -> tuple:
-    """Index arrays of the closed-form horizontal basis at factor rank k: the
-    flat indices into _Horizontal.top of the entries that its directions set;
-    the pairs c < e of np.triu_indices(k, 1); and, for the pair entries, the
-    column and partner indices into s and the phase that give each entry as
-    phase * s[column] / hypot(s[column], s[partner])."""
-    c, e = np.triu_indices(k, 1)
-    # top[m, j, i] holds K[i, j] of direction m: the diagonal direction m sets
-    # (m, j, j), and the real (k - 1 + 2 p) and imaginary (k + 2 p) directions
-    # of pair p set (., e, c) and (., c, e)
-    re = k - 1 + 2 * np.arange(len(c))
-    diag = np.arange(k - 1)[:, None] * k * k + np.arange(k) * (k + 1)
-    idx = np.concatenate([diag.ravel(), (re * k + e) * k + c, (re * k + c) * k + e,
-                          (re * k + k + e) * k + c, (re * k + k + c) * k + e])
-    column = np.concatenate([e, c, e, c])
-    partner = np.concatenate([c, e, c, e])
-    phase = np.repeat([1.0, 1.0, 1j, -1j], len(c))
-    out = idx, c, e, column, partner, phase
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
 class _Horizontal(NamedTuple):
     """An orthonormal basis of the horizontal space at A = U[:, :k] diag(s) V^H
     in closed form, and the Jacobian of p along it (see _horizontal_jacobian).
@@ -409,7 +385,7 @@ def _horizontal_jacobian(A: np.ndarray, Yc: np.ndarray) -> _Horizontal:
     qk = q[:, :k]
     sq = qk.real**2 + qk.imag**2
     p = sq @ s**2
-    idx, c, e, column, partner, phase = _horizontal_indices(k)
+    c, e = _pairs(k)
     nt, n = k * k - 1, len(p)
     jb = np.empty((n, nt + 2 * (r - k) * k))
     # t runs over the columns 1..k-1 of the Householder reflection that takes
@@ -420,16 +396,22 @@ def _horizontal_jacobian(A: np.ndarray, Yc: np.ndarray) -> _Horizontal:
     t[0] -= v
     t.flat[k - 1:: k] += 1.0
     np.matmul(sq * (2.0 * s), t, out=jb[:, : k - 1])
-    sp = s[column]
-    nu = np.hypot(sp, s[partner])
+    nu = np.hypot(s[e], s[c])
     z = qk[:, c]
     np.conjugate(z, out=z)
-    z *= 2.0 * nu[: len(c)]
+    z *= 2.0 * nu
     np.multiply(z, qk[:, e], out=jb[:, k - 1: nt].view(complex))
     np.multiply((2.0 * s * qk)[:, :, None], q[:, None, k:].conj(),
                 out=jb[:, nt:].view(complex).reshape(n, k, r - k))
+    # top[m, j, i] holds K[i, j] of direction m: the diagonal direction m sets
+    # (m, j, j), and the real (re) and imaginary (re + 1) direction of each
+    # pair set (., e, c) and (., c, e)
+    xe, xc = s[e] / nu, s[c] / nu
     top = np.zeros((nt, k, k), dtype=complex)
-    top.flat[idx] = np.concatenate([t.T.ravel(), phase * (sp / nu)])
+    ar, re = np.arange(k), np.arange(k - 1, nt, 2)
+    top[: k - 1, ar, ar] = t.T
+    top[re, e, c], top[re, c, e] = xe, xc
+    top[re + 1, e, c], top[re + 1, c, e] = 1j * xe, -1j * xc
     return _Horizontal(jb, p, q, U, vh, top)
 
 

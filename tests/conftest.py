@@ -69,16 +69,11 @@ def make_random_povm():
 @pytest.fixture(scope="session")
 def hermitian_basis():
     """Builder of the orthonormal Hermitian basis that to_coords and from_coords
-    apply without building it: identity, diagonal traceless, off-diagonal
+    apply without building it: the diagonal units E_nn, then the off-diagonal
     pairs, as a (dim^2, dim, dim) array with Tr(B_a B_b) = delta_ab."""
 
     def build(dim: int) -> np.ndarray:
-        mats = [np.eye(dim, dtype=complex) / np.sqrt(dim)]
-        for k in range(1, dim):
-            v = np.zeros(dim)
-            v[:k] = 1.0
-            v[k] = -float(k)
-            mats.append(np.diag(v.astype(complex)) / np.sqrt(k * (k + 1)))
+        mats = [np.diag(np.eye(dim, dtype=complex)[n]) for n in range(dim)]
         for m in range(dim):
             for n in range(m + 1, dim):
                 E = np.zeros((dim, dim), dtype=complex)

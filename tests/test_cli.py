@@ -230,6 +230,23 @@ class TestConfigValidation:
         conf.write_text(json.dumps({} if target is None else {"target": target}))
         assert _strip_nones(load_config(str(conf)))["target"] == echo
 
+    @pytest.mark.parametrize("target, key", [
+        ({"kind": "fock", "n": 2, "alpha": 3.0}, "alpha"),
+        ({"kind": "fock", "parity": "odd"}, "parity"),
+        ({"kind": "coherent", "alpha": 1.0, "parity": "even"}, "parity"),
+        ({"n": 1}, "n"),
+    ], ids=["fock-alpha", "fock-parity", "coherent-parity", "cat-n"])
+    def test_target_field_its_kind_ignores_rejected(self, target, key, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"dim": 4, "target": target}))
+        out = tmp_path / "out"
+        code, stdout, err = run(["reconstruct", "--config", str(conf), "--out", str(out)],
+                                capsys)
+        kind = target.get("kind", "cat")
+        assert code == 1 and stdout == ""
+        assert err == f"config validation error: target.{key}: not read by a {kind} target\n"
+        assert not out.exists()
+
     def test_defaults_pass_schema(self):
         assert _schema_error(_strip_nones(DEFAULTS), CONFIG_SCHEMA) is None
 

@@ -211,6 +211,18 @@ class TestOperatorFrame:
         frame = operator_frame(reference_povm)
         assert frame.rank == 144
 
+    def test_reference_population_aliasing(self, reference_povm):
+        # coordinate n is the population rho_nn, so 1 - P[n, n] is its weight
+        # outside the frame's range; populations 9 to 14 lie in it
+        P = operator_frame(reference_povm).project(np.eye(225))
+        outside = 1.0 - np.diag(P)[:15]
+        low = [0.0062, 0.1286, 0.3559, 0.3151, 0.3885, 0.3151, 0.3559, 0.1286, 0.0062]
+        assert np.abs(outside[:9] - low).max() < 5e-5
+        assert np.abs(outside[9:]).max() <= 1e-12
+        # |0><0| has 7.9% of its norm outside the range
+        vacuum = to_coords(np.diag(np.eye(15)[0]))
+        assert 0.078 <= np.linalg.norm(vacuum - P @ vacuum) / np.linalg.norm(vacuum) <= 0.080
+
     def test_dual_effects_invert_on_support(self):
         povm = full_rank_homodyne(3)
         frame = operator_frame(povm)

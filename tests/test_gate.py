@@ -175,6 +175,16 @@ def run_reconstruct(gate, case, tmp_path, capsys) -> dict:
     return json.loads((out / "reconstruction.json").read_text())
 
 
+def test_every_case_config_loads(gate, tmp_path):
+    # load_config applies the schema and the target rule: one that refused a
+    # case would fail here rather than in a gate run
+    from gramtomo.cli import load_config
+    for case, (config, _) in gate.CASES.items():
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(config))
+        load_config(str(path))
+
+
 def test_ill_gram12_takes_an_eigensolve_newton_direction(gate, tmp_path, capsys):
     # the case pins a failed Cholesky test of the Newton solve at --seed 0
     result = run_reconstruct(gate, "ill-gram12", tmp_path, capsys)

@@ -565,6 +565,32 @@ class TestNewtonPolish:
         assert [res.stop_reason for res in runs] == ["cap", "cap"]
         assert 0 < runs[0].newton_steps == runs[1].newton_steps
 
+    def test_polish_ends_where_no_step_length_rises(self, monkeypatch):
+        # with no halvings allowed, newton_step tries no length and returns
+        # None past its loop: that polish, with an ascent direction in hand,
+        # rises nowhere and is the run's last
+        decrements = []
+        newton_direction = maxlik._newton_direction
+
+        def counted(*args):
+            out = newton_direction(*args)
+            decrements.append(out[1])
+            return out
+
+        monkeypatch.setattr(maxlik, "NEWTON_BACKTRACKS", 0)
+        monkeypatch.setattr(maxlik, "TOL_GAP", 0.0)
+        monkeypatch.setattr(maxlik, "_newton_direction", counted)
+        povm, psi, rho = small_problem()
+        ds = generate_counts(rho, povm, NoiseModel(kind="poisson", exposure=5000.0, seed=5))
+        res = maxlik_solve(ds, povm, np.eye(povm.dim, dtype=complex)[:, :3], max_iterations=40)
+        assert res.stop_reason == "cap" and res.iterations == 40
+        assert res.newton_steps == 0
+        assert len(decrements) == 1 and decrements[0] > 0.0
+        rounding = maxlik.LIKELIHOOD_ROUNDING * max(1.0, np.abs(res.log_likelihood).max())
+        assert worst_decrease(res.log_likelihood) <= rounding
+        assert np.linalg.eigvalsh(res.rho).min() >= -1e-12
+        assert np.trace(res.rho).real == pytest.approx(1.0, abs=1e-12)
+
 
 def complete_frame(rng, n, r):
     """n x r complex Y with Y^H Y = I: the effects conj(y_i) y_i^T sum to the
