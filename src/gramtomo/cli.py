@@ -240,7 +240,7 @@ def resolve_output_dir(config: dict) -> Path:
 def build_povm_from_config(config: dict) -> PovmSet:
     pc = config["povm"]
     dim = config["dim"]
-    if pc["file"]:
+    if pc["file"] is not None:
         povm = decode_povm(_read_json(pc["file"], "POVM file"))
         if povm.dim != dim:
             raise InvalidInputError(f"POVM file has dim {povm.dim} but the config has "
@@ -349,7 +349,7 @@ def cmd_reconstruct(config: dict) -> dict:
     povm = build_povm_from_config(config)
     target = build_target_from_config(config)
     rho_true = pure_density(target)
-    if config["counts_file"]:
+    if config["counts_file"] is not None:
         dataset = load_counts_file(config["counts_file"], povm)
     else:
         dataset = generate_counts(rho_true, povm, NoiseModel(**config["noise"]))
@@ -452,7 +452,7 @@ def cmd_frames_check(config: dict) -> dict:
     p = born_probabilities(C_proj, povm)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        C_rec = linear_inversion(p, povm, frame)
+        C_rec = linear_inversion(p, frame)
     checks.append(("linear_inversion_round_trip", float(np.abs(C_rec - C_proj).max()),
                    1e-8))
 

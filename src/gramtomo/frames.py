@@ -22,11 +22,12 @@ With k = +-c mod 2P, c = 0..P, class c's diagonal and Re columns are
 c = 0 and P); G_c has the parity of c, so it lies in the span of the even or
 odd bin fold F_c. Classes are orthogonal, so each is one thin SVD of the small
 X_c = |cos c theta| F_c^T G_c (at most 26 x 77 at dim 30, 6 x 51), whose
-U and s serve both halves; neither T nor an (N, d^2) array is formed. The
-fold drops the wrong-parity rounding that bin centres, mirror images to an
-ulp, put in G_c, which the dual effects would amplify by the square of the
-condition number (a dim-30 round trip on (-5, 5) read 3.5e-7 with T's
-columns split by class and no fold, 1.7e-11 with it). The rank is
+U and s serve both halves; the frame keeps only these blocks, so neither T
+nor any (N, d^2) array is formed. The fold drops the wrong-parity rounding
+that bin centres, mirror images to an ulp, put in G_c, which the dual
+effects would amplify by the square of the condition number (a dim-30 round
+trip on (-5, 5) read 3.5e-7 with T's columns split by class and no fold,
+1.7e-11 with it). The rank is
 P (2d - P) for P <= d phases, given enough bins and window (Leonhardt and
 Munroe, PRA 54, 3682, 1996). Every other POVM is one block, the SVD of T.
 """
@@ -36,7 +37,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -55,12 +56,13 @@ class OperatorFrame(GramValues):
     """Vectorized operator frame of a rank-1 POVM, held as its blocks, with the
     spectrum and support of S as GramValues.
 
-    coefficients T[i, a] = Tr(Pi_i B_a), so S = T^T T. A block (columns, rows,
-    U, s, V^T) gives T's columns as W U diag(s) V^T, W the identity for rows
-    None or phi kron F for rows (phi, F); a column in no block has no mode.
+    With T[i, a] = Tr(Pi_i B_a) the coefficients, S = T^T T. A block (columns,
+    rows, U, s, V^T) gives T's columns as W U diag(s) V^T, W the identity for
+    rows None or phi kron F for rows (phi, F); a column in no block has no mode.
     eigenvalues holds each s^2, one per mode of a block, descending (876 at
-    dim 30, 12 x 101, where one SVD of T gives 900). coefficients, eigenvectors
-    (V, (d^2, modes)) and dual_effects (U_r diag(1/s_r) V_r^T) are formed when read.
+    dim 30, 12 x 101, where one SVD of T gives 900). The frame is read through
+    project and dual_sum, block by block: neither T, nor S's eigenvectors, nor
+    the dual effects are formed.
     """
 
     povm: PovmSet
@@ -80,32 +82,13 @@ class OperatorFrame(GramValues):
         return out
 
     def dual_sum(self, p: np.ndarray) -> np.ndarray:
-        """dual_effects^T p, with W^T p as phi^T p.reshape(phases, bins) F."""
+        """Coordinates of sum_i p_i Pi~_i, the dual effects Pi~_i never formed:
+        W^T p is phi^T p.reshape(phases, bins) F."""
         out = np.zeros(self.povm.dim**2)
         for cols, rows, U, s, Vt in self._support_blocks():
             w = p if rows is None else rows[0] @ p.reshape(rows[0].size, -1) @ rows[1]
             out[cols] = ((U / s) @ Vt).T @ w
         return out
-
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        return _effect_coords(self.povm.vectors)
-
-    @cached_property
-    def eigenvectors(self) -> np.ndarray:
-        s = np.concatenate([block[3] for block in self.blocks])
-        modes, start = np.zeros((s.size, self.povm.dim**2)), 0
-        for cols, _, _, _, Vt in self.blocks:
-            modes[start:start + len(Vt), cols], start = Vt, start + len(Vt)
-        return modes[np.argsort(-s, kind="stable")].T
-
-    @cached_property
-    def dual_effects(self) -> np.ndarray:
-        dual = np.zeros((self.povm.n_outcomes, self.povm.dim**2))
-        for cols, rows, U, s, Vt in self._support_blocks():
-            lifted = U / s if rows is None else np.kron(rows[0][:, None], rows[1] @ (U / s))
-            dual[:, cols] = lifted @ Vt
-        return dual
 
 
 def to_coords(A: np.ndarray) -> np.ndarray:
@@ -183,59 +166,48 @@ def operator_frame_apply(A: np.ndarray, povm: PovmSet) -> np.ndarray:
     return weighted_effect_sum(born_probabilities(A, povm), povm)
 
 
-def _frame_blocks(povm: PovmSet) -> list[tuple]:
-    """The operator frame's classes: (columns in to_coords order, phase factors, fold).
-
-    Uniform phases j*pi/P on a window symmetric about 0 give P + 1 classes
-    c = min(k mod 2P, -k mod 2P) (the diagonal has c = 0), with the unit
-    cos and sin of c theta_j (sin dropped for c = 0, P) and the bin fold of
-    parity c. Any other POVM is one class of all dim^2 columns, no factors.
-    """
-    dim, h = povm.dim, povm.homodyne
-    if h is None or h.x_range[0] != -h.x_range[1] or tuple(h.phases) != HomodyneConfig.uniform(
-            len(h.phases), h.bins, h.x_range).phases:
-        return [(np.arange(dim * dim), None, None)]
-    P = len(h.phases)
-    m, n = _pairs(dim)
-    k = (n - m) % (2 * P)
-    classes = np.concatenate([np.zeros(dim, dtype=int), np.repeat(np.minimum(k, 2 * P - k), 2)])
-    # bin b pairs with bin B-1-b; an odd bin count puts the centre bin in the even fold
-    I, J = np.eye(h.bins), np.eye(h.bins)[::-1]
-    even = (I + J)[:, : h.bins - h.bins // 2]
-    folds = (even / np.linalg.norm(even, axis=0), (I - J)[:, : h.bins // 2] / np.sqrt(2.0))
-    theta, blocks = np.asarray(h.phases), []
-    for c in range(P + 1):
-        # sin(c theta_j) vanishes for c = 0 and c = P
-        waves = np.stack([np.cos(c * theta), np.sin(c * theta)], axis=1)[:, : 1 + (c % P > 0)]
-        blocks.append((np.flatnonzero(classes == c), waves / np.linalg.norm(waves, axis=0),
-                       folds[c % 2]))
-    return blocks
-
-
 def _class_matrices(povm: PovmSet) -> Iterator[tuple]:
     """(X, halves) for each class that has rows and columns, one class at a time so
     that each X is freed after its SVD. X is the matrix whose thin SVD gives the
     class; each half is (columns, rows, sign), sign the factor of its V^T or None.
-    The Im half of class c shares the Re half's U and s, with V^T negated where
-    k = c mod 2P. A one-block POVM is T, with one half of all columns, no rows
-    and no sign."""
-    classes = _frame_blocks(povm)
-    if classes[0][1] is None:
-        yield _effect_coords(povm.vectors), [(classes[0][0], None, None)]
+
+    Uniform phases j*pi/P on a window symmetric about 0 give P + 1 classes
+    c = min(k mod 2P, -k mod 2P), k = n - m for pair p = (m, n) of _pairs. The
+    Re half of class c is its pairs' columns dim + 2p (and the diagonal for
+    c = 0), with rows the unit cos(c theta_j) and the bin fold of parity c; the
+    Im half, for c = 1..P-1, is the columns dim + 2p + 1 with the unit
+    sin(c theta_j), sharing the Re half's U and s, with V^T negated where
+    k = c mod 2P. The Im columns of classes 0 and P are zero in T. Any other
+    POVM is one class: X is T, with one half of all columns, no rows and no sign.
+    """
+    dim, h = povm.dim, povm.homodyne
+    if h is None or h.x_range[0] != -h.x_range[1] or tuple(h.phases) != HomodyneConfig.uniform(
+            len(h.phases), h.bins, h.x_range).phases:
+        yield _effect_coords(povm.vectors), [(np.arange(dim * dim), None, None)]
         return
-    dim, P = povm.dim, len(povm.homodyne.phases)
-    G = _effect_coords(povm.vectors[: povm.homodyne.bins].real)
+    P = len(h.phases)
     m, n = _pairs(dim)
-    sign = np.where((n - m) % (2 * P) <= P, -1.0, 1.0)
-    for cols, waves, fold in classes:
-        im = (cols >= dim) & ((cols - dim) % 2 == 1)
-        if not (fold.shape[1] and np.any(~im)):  # no rows (one bin has no odd fold) or columns
+    k = (n - m) % (2 * P)
+    classes, sign = np.minimum(k, 2 * P - k), np.where(k <= P, -1.0, 1.0)
+    # bin b pairs with bin B-1-b; an odd bin count puts the centre bin in the even fold
+    I, J = np.eye(h.bins), np.eye(h.bins)[::-1]
+    even = (I + J)[:, : h.bins - h.bins // 2]
+    folds = (even / np.linalg.norm(even, axis=0), (I - J)[:, : h.bins // 2] / np.sqrt(2.0))
+    G = _effect_coords(povm.vectors[: h.bins].real)
+    theta = np.asarray(h.phases)
+    for c in range(P + 1):
+        p, fold = np.flatnonzero(classes == c), folds[c % 2]
+        re = dim + 2 * p if c else np.concatenate([np.arange(dim), dim + 2 * p])
+        if not (fold.shape[1] and re.size):  # no rows (one bin has no odd fold) or columns
             continue
+        # sin(c theta_j) vanishes for c = 0 and c = P
+        waves = np.stack([np.cos(c * theta), np.sin(c * theta)], axis=1)[:, : 1 + (c % P > 0)]
+        waves = waves / np.linalg.norm(waves, axis=0)
         # |cos c theta|^2 is P for c = 0 and c = P, P / 2 between
-        X = np.sqrt(P / waves.shape[1]) * fold.T @ G[:, cols[~im]]
-        halves = [(cols[~im], (waves[:, 0], fold), None)]
+        X = np.sqrt(P / waves.shape[1]) * fold.T @ G[:, re]
+        halves = [(re, (waves[:, 0], fold), None)]
         if waves.shape[1] == 2:
-            halves.append((cols[im], (waves[:, 1], fold), sign[(cols[im] - dim) // 2]))
+            halves.append((dim + 2 * p + 1, (waves[:, 1], fold), sign[p]))
         yield X, halves
 
 
@@ -261,21 +233,17 @@ def frame_values(povm: PovmSet) -> GramValues:
     return GramValues(**_support(np.concatenate(s), povm.n_outcomes))
 
 
-def linear_inversion(probabilities: np.ndarray, povm: PovmSet,
-                     frame: OperatorFrame | None = None) -> np.ndarray:
-    """rho = sum_i p_i Pi~_i, Hermitian but deliberately not PSD-constrained.
+def linear_inversion(probabilities: np.ndarray, frame: OperatorFrame) -> np.ndarray:
+    """rho = sum_i p_i Pi~_i over the POVM of frame, Hermitian but deliberately
+    not PSD-constrained.
 
-    frame must be the operator frame of povm or of a POVM of equal vectors.
     Over a rank-deficient frame the result is the projection of the true
     operator onto the support (frame.project), with a PartialInversionWarning.
     """
+    povm = frame.povm
     p = np.asarray(probabilities, dtype=float)
     if p.shape != (povm.n_outcomes,):
         raise InvalidInputError("probability vector length does not match the POVM")
-    if frame is None:
-        frame = operator_frame(povm)
-    elif frame.povm is not povm and not np.array_equal(frame.povm.vectors, povm.vectors):
-        raise InvalidInputError("the operator frame belongs to another POVM")
     if frame.rank < povm.dim**2:
         warnings.warn(PartialInversionWarning(
             f"operator frame rank {frame.rank} < {povm.dim**2}: inversion recovers "

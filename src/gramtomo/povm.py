@@ -76,8 +76,8 @@ class PovmSet:
     homodyne is the HomodyneConfig the vectors were built from, recorded by
     build_homodyne_povm and None for every other POVM. It is data, not an
     option: for uniform phases j*pi/P on a window symmetric about 0 the
-    operator frame splits into P + 1 coherence-order blocks (see frames),
-    and a POVM without it is decomposed as one block.
+    operator frame splits into P + 1 coherence-order classes, which
+    frames._class_matrices yields, and a POVM without it is one class.
     """
 
     vectors: np.ndarray
@@ -269,20 +269,17 @@ def gram_matrix_operator_space(povm: PovmSet) -> np.ndarray:
 
 
 # effective_rank counts the eigenvalues of G at or above this multiple of the
-# largest by default, and gram-spectrum reports that count
+# largest, read at call time, and gram-spectrum reports that count
 EFFECTIVE_RANK_DROP_RATIO = 1e-3
 
 
-def effective_rank(analysis: GramValues,
-                   drop_ratio: float = EFFECTIVE_RANK_DROP_RATIO) -> int:
-    """Count of eigenvalues within drop_ratio of the largest.
+def effective_rank(analysis: GramValues) -> int:
+    """Count of eigenvalues within EFFECTIVE_RANK_DROP_RATIO of the largest.
 
     This is the looser, statistical bandwidth (reliably resolved modes),
     distinct from the numerical support rank in the analysis.
     """
-    if not 0.0 < drop_ratio < 1.0:
-        raise InvalidInputError("drop ratio must lie in (0, 1)")
     vals = analysis.eigenvalues
     if vals.size == 0:
         raise InvalidInputError("empty spectrum")
-    return int(np.sum(vals >= drop_ratio * vals[0]))
+    return int(np.sum(vals >= EFFECTIVE_RANK_DROP_RATIO * vals[0]))

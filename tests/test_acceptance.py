@@ -38,6 +38,7 @@ from gramtomo import (NoiseModel, PovmSet, cat_state, dimension_sweep,
                       operator_frame, operator_frame_apply, pure_density,
                       stability_study)
 from gramtomo.cli import main as cli_main
+from gramtomo.frames import _effect_coords
 from gramtomo.maxlik import Dataset
 
 REFERENCE_NOISE = NoiseModel(kind="poisson", exposure=100000.0, seed=0)
@@ -319,24 +320,23 @@ def test_criterion_08_frame_identities(reference_povm, reference_analysis,
     A = (M + M.conj().T) / 2
     basis = hermitian_basis(15)
     coords = np.array([np.trace(b @ A).real for b in basis])
-    V = frame.eigenvectors[:, : frame.rank]
-    A_proj = np.einsum("a,amn->mn", V @ (V.T @ coords), basis)
+    A_proj = np.einsum("a,amn->mn", frame.project(coords), basis)
     p = np.einsum("im,mn,in->i", reference_povm.vectors.conj(), A_proj,
                   reference_povm.vectors).real
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        A_rec = linear_inversion(p, reference_povm, frame)
+        A_rec = linear_inversion(p, frame)
     round_trip_dev = float(np.abs(A_rec - A_proj).max())
 
     brute_dev = 0.0
     for dim, n in [(2, 6), (3, 10), (4, 16)]:
         povm = make_random_povm(rng, dim, n)
-        small = operator_frame(povm)
         M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         B = (M + M.conj().T) / 2
         basis = hermitian_basis(dim)
         coords = np.array([np.trace(b @ B).real for b in basis])
-        s_matrix = small.coefficients.T @ small.coefficients
+        T = _effect_coords(povm.vectors)
+        s_matrix = T.T @ T
         via_matrix = np.einsum("a,amn->mn", s_matrix @ coords, basis)
         brute_dev = max(brute_dev, float(np.abs(
             via_matrix - operator_frame_apply(B, povm)).max()))
@@ -363,7 +363,7 @@ def test_criterion_09_positivity_contrast(reference_povm, cat_target, capsys):
         dataset = generate_counts(rho_true, reference_povm, REFERENCE_NOISE, trial=trial)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rho_li = linear_inversion(dataset.frequencies, reference_povm, frame)
+            rho_li = linear_inversion(dataset.frequencies, frame)
         if np.linalg.eigvalsh(rho_li).min() < -1e-3:
             negative_li += 1
         result = maxlik_solve(dataset, reference_povm)

@@ -247,6 +247,22 @@ class TestConfigValidation:
         assert err == f"config validation error: target.{key}: not read by a {kind} target\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("config", [
+        {"povm": {"phase_count": 3, "bins": 13, "range": [-4, 4], "file": ""}},
+        {"povm": {"phase_count": 3, "bins": 13, "range": [-4, 4]}, "counts_file": ""},
+    ], ids=["povm-file", "counts-file"])
+    def test_empty_path_is_read(self, config, tmp_path, capsys):
+        # "" names the working directory like any relative path, so the read
+        # fails; it is not taken for an unset path
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"dim": 4, **config}))
+        out = tmp_path / "out"
+        code, stdout, err = run(["reconstruct", "--config", str(conf), "--out", str(out)],
+                                capsys)
+        assert code == 3 and stdout == ""
+        assert err.splitlines()[-1] == "io error: [Errno 21] Is a directory: '.'"
+        assert not out.exists()
+
     def test_defaults_pass_schema(self):
         assert _schema_error(_strip_nones(DEFAULTS), CONFIG_SCHEMA) is None
 

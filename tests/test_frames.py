@@ -11,7 +11,7 @@ from gramtomo import (EmptyMeasurementError, HomodyneConfig, InvalidInputError,
                       from_coords, gram_operator, gram_spectrum, hadamard_identity_check,
                       linear_inversion, modal_weighting, operator_frame,
                       operator_frame_apply, restrict_to_subspace, to_coords)
-from gramtomo.frames import _effect_coords, _frame_blocks, frame_values
+from gramtomo.frames import _class_matrices, _effect_coords, frame_values
 from gramtomo.povm import SUPPORT_THRESHOLD, GramValues, born_probabilities, gram_values
 from gramtomo.serialize import decode_povm, encode_povm
 
@@ -45,11 +45,10 @@ def round_trip(povm, frame, seed=0):
     """Largest |linear_inversion(p) - C| for a random Hermitian C on the frame's
     support and its exact Born values p, as frames-check measures it."""
     rng = np.random.default_rng(seed)
-    V = frame.eigenvectors[:, : frame.rank]
-    C = from_coords(V @ (V.T @ to_coords(random_hermitian(rng, povm.dim))), povm.dim)
+    C = from_coords(frame.project(to_coords(random_hermitian(rng, povm.dim))), povm.dim)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PartialInversionWarning)
-        estimate = linear_inversion(born_probabilities(C, povm), povm, frame)
+        estimate = linear_inversion(born_probabilities(C, povm), frame)
     return float(np.abs(estimate - C).max())
 
 
@@ -180,11 +179,11 @@ class TestOperatorFrame:
         rng = np.random.default_rng(31)
         for dim, n in [(2, 5), (3, 9), (4, 16)]:
             povm = make_random_povm(rng, dim, n)
-            frame = operator_frame(povm)
+            T = _effect_coords(povm.vectors)
             B = hermitian_basis(dim)
             A = random_hermitian(rng, dim)
             coords = np.array([np.trace(b @ A).real for b in B])
-            s_matrix = frame.coefficients.T @ frame.coefficients
+            s_matrix = T.T @ T
             via_matrix = np.einsum("a,amn->mn", s_matrix @ coords, B)
             direct = operator_frame_apply(A, povm)
             assert np.abs(via_matrix - direct).max() < 1e-10
@@ -195,7 +194,7 @@ class TestOperatorFrame:
         T = np.empty((reference_povm.n_outcomes, B.shape[0]))
         for a in range(B.shape[0]):
             T[:, a] = np.einsum("ij,ij->i", Y.conj() @ B[a], Y).real
-        assert np.abs(operator_frame(reference_povm).coefficients - T).max() < 1e-15
+        assert np.abs(_effect_coords(Y) - T).max() < 1e-15
 
     def test_s_spectrum_equals_q_spectrum(self, reference_povm):
         from gramtomo import gram_matrix_operator_space
@@ -228,7 +227,8 @@ class TestOperatorFrame:
         frame = operator_frame(povm)
         assert frame.rank == 9
         for i in (0, 17, 44):
-            pi_tilde = from_coords(frame.dual_effects[i], 3)
+            # the dual effect of outcome i is the dual sum of the unit vector e_i
+            pi_tilde = from_coords(frame.dual_sum(np.eye(povm.n_outcomes)[i]), 3)
             back = operator_frame_apply(pi_tilde, povm)
             y = povm.vectors[i]
             assert np.abs(back - np.outer(y, y.conj())).max() < 1e-9
@@ -250,9 +250,9 @@ class TestBlockFrame:
     @pytest.mark.parametrize("dim, phases, bins, half_width", BLOCK_MEASUREMENTS)
     def test_spectrum_matches_full_svd(self, dim, phases, bins, half_width):
         povm = uniform_povm(dim, phases, bins, half_width)
-        assert len(_frame_blocks(povm)) == phases + 1
+        assert len(list(_class_matrices(povm))) == phases + 1
         frame = operator_frame(povm)
-        full = np.linalg.svd(frame.coefficients, compute_uv=False)**2
+        full = np.linalg.svd(_effect_coords(povm.vectors), compute_uv=False)**2
         k = frame.eigenvalues.size
         assert k <= full.size
         assert np.abs(frame.eigenvalues - full[:k]).max() <= 1e-12 * full[0]
@@ -272,44 +272,44 @@ class TestBlockFrame:
     @pytest.mark.parametrize("dim, phases, bins, half_width", EDGE_MEASUREMENTS)
     def test_blocks_partition_and_decouple(self, dim, phases, bins, half_width):
         povm = uniform_povm(dim, phases, bins, half_width)
-        classes = _frame_blocks(povm)
-        assert len(classes) == phases + 1
-        cols = np.concatenate([c for c, _, _ in classes])
-        assert np.array_equal(np.sort(cols), np.arange(dim * dim))
-        for _, waves, fold in classes:
-            W = np.kron(waves, fold)
+        halves = [half for _, class_halves in _class_matrices(povm) for half in class_halves]
+        cols = np.concatenate([c for c, _, _ in halves])
+        assert np.unique(cols).size == cols.size
+        for _, (wave, fold), _ in halves:
+            W = np.kron(wave[:, None], fold)
             assert np.abs(W.T @ W - np.eye(W.shape[1])).max(initial=0.0) < 1e-14
         T = _effect_coords(povm.vectors)
         scale = np.linalg.norm(T, 2)**2
-        for b, (cols_b, _, _) in enumerate(classes):
-            for cols_c, _, _ in classes[b + 1:]:
-                if cols_b.size and cols_c.size:
-                    assert np.abs(T[:, cols_b].T @ T[:, cols_c]).max() <= 1e-14 * scale
+        for b, (cols_b, _, _) in enumerate(halves):
+            for cols_c, _, _ in halves[b + 1:]:
+                assert np.abs(T[:, cols_b].T @ T[:, cols_c]).max(initial=0.0) <= 1e-14 * scale
+        # the Im columns of classes 0 and P, and every column of a class without
+        # rows (an odd class of one bin), are in no half
+        outside = np.setdiff1d(np.arange(dim * dim), cols)
+        assert np.abs(T[:, outside]).max(initial=0.0) <= 1e-14 * np.abs(T).max()
 
     # the reference heads both lists
     @pytest.mark.parametrize("dim, phases, bins, half_width",
                              BLOCK_MEASUREMENTS + EDGE_MEASUREMENTS[1:])
     def test_blockwise_apply_matches_dense_arrays(self, dim, phases, bins, half_width):
-        # linear_inversion and frames-check's support projection, in coordinates
-        # and as a projector, against dual_effects and eigenvectors; the inversion's scale
-        # is the largest sum of |dual_effects| |p| (3e5 times the result on
-        # 2 x 51 over (-2, 2), where the routes differ by 2e-11)
+        # the support projector P is symmetric and idempotent with trace the
+        # rank, and the dual sum of exact data T c is P c: the worst cases,
+        # 2 x 51 and 2 x 50 on (-2, 2), read 1.6e-11 and 2.0e-11 of max |c|
         povm = uniform_povm(dim, phases, bins, half_width)
         frame = operator_frame(povm)
+        projector = frame.project(np.eye(dim**2))
+        assert np.abs(projector - projector.T).max() <= 1e-12
+        assert np.abs(projector @ projector - projector).max() <= 1e-12
+        assert np.trace(projector) == pytest.approx(frame.rank, abs=1e-10)
         rng = np.random.default_rng(dim * phases * bins)
-        p = born_probabilities(random_hermitian(rng, dim), povm)
-        dense = from_coords(frame.dual_effects.T @ p, dim)
-        scale = (np.abs(frame.dual_effects).T @ np.abs(p)).max()
+        c = to_coords(random_hermitian(rng, dim))
+        p = _effect_coords(povm.vectors) @ c
+        assert np.abs(frame.dual_sum(p) - frame.project(c)).max() <= 1e-10 * np.abs(c).max()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            estimate = linear_inversion(p, povm, frame)
-        assert np.abs(estimate - dense).max() <= 1e-12 * scale
-        x = to_coords(random_hermitian(rng, dim))
-        V = frame.eigenvectors[:, : frame.rank]
-        assert np.abs(frame.project(x) - V @ (V.T @ x)).max() <= 1e-12 * np.abs(x).max()
+            estimate = linear_inversion(p, frame)
+        assert np.array_equal(estimate, from_coords(frame.dual_sum(p), dim))
         assert len(caught) == (frame.rank < dim * dim)
-        projector = frame.project(np.eye(dim**2))
-        assert np.abs(projector - V @ V.T).max() <= 1e-12
 
     @pytest.mark.parametrize("dim, phases, bins, half_width",
                              [(15, 2, 51, 2.0), (30, 6, 51, 5.0)])
@@ -328,14 +328,17 @@ class TestBlockFrame:
         restrict_to_subspace(uniform_povm(8, 6, 21, 5.0), np.eye(8, dtype=complex)[:, :6]),
     ], ids=["explicit-phases", "asymmetric-range", "projective", "povm-file", "restricted"])
     def test_single_block_equals_plain_svd(self, povm):
-        assert len(_frame_blocks(povm)) == 1
-        frame = operator_frame(povm)
+        (X, [(cols, rows, sign)]), = _class_matrices(povm)
         T, eigenvalues, eigenvectors, rank, dual = plain_svd_frame(povm)
-        assert np.array_equal(frame.coefficients, T)
+        assert np.array_equal(X, T)
+        assert np.array_equal(cols, np.arange(povm.dim**2)) and rows is None and sign is None
+        frame = operator_frame(povm)
         assert np.array_equal(frame.eigenvalues, eigenvalues)
-        assert np.array_equal(frame.eigenvectors, eigenvectors)
+        (_, _, _, _, Vt), = frame.blocks
+        assert np.array_equal(Vt.T, eigenvectors)
         assert frame.rank == rank
-        assert np.array_equal(frame.dual_effects, dual)
+        p = np.random.default_rng(povm.n_outcomes).uniform(size=povm.n_outcomes)
+        assert np.array_equal(frame.dual_sum(p), dual.T @ p)
 
     def test_restricted_povm_drops_the_recorded_config(self, reference_povm):
         assert reference_povm.homodyne is not None
@@ -389,7 +392,7 @@ class TestLinearInversion:
         p = expected_probabilities(rho, povm)
         # rank 4 < 16: only the diagonal band is recoverable
         with pytest.warns(PartialInversionWarning):
-            est = linear_inversion(p, povm)
+            est = linear_inversion(p, operator_frame(povm))
         assert np.abs(np.diag(est) - np.diag(rho)).max() < 1e-12
 
     def test_full_rank_round_trip(self):
@@ -401,14 +404,14 @@ class TestLinearInversion:
         rho = rho @ rho.conj().T
         rho /= np.trace(rho).real
         p = expected_probabilities(rho, povm)
-        est = linear_inversion(p, povm, frame)
+        est = linear_inversion(p, frame)
         assert np.abs(est - rho).max() < 1e-8
 
     def test_partial_inversion_warns_with_projector(self, reference_povm):
         frame = operator_frame(reference_povm)
         p = np.ones(reference_povm.n_outcomes) / reference_povm.n_outcomes
         with pytest.warns(PartialInversionWarning) as rec:
-            linear_inversion(p, reference_povm, frame)
+            linear_inversion(p, frame)
         assert rec[0].message.args == (
             "operator frame rank 144 < 225: inversion recovers only the support component",)
         proj = frame.project(np.eye(225))
@@ -422,11 +425,10 @@ class TestLinearInversion:
         rho = pure_density(cat_target)
         p = expected_probabilities(rho, reference_povm)
         with pytest.warns(PartialInversionWarning):
-            est = linear_inversion(p, reference_povm, frame)
+            est = linear_inversion(p, frame)
         B = hermitian_basis(15)
         coords = np.array([np.trace(b @ rho).real for b in B])
-        V = frame.eigenvectors[:, : frame.rank]
-        rho_proj = np.einsum("a,amn->mn", V @ (V.T @ coords), B)
+        rho_proj = np.einsum("a,amn->mn", frame.project(coords), B)
         assert np.abs(est - rho_proj).max() < 1e-8
 
     def test_noisy_data_goes_negative(self):
@@ -435,24 +437,31 @@ class TestLinearInversion:
         povm = full_rank_homodyne(4)
         rho = pure_density(cat_state(1.2, "even", 4))
         ds = generate_counts(rho, povm, NoiseModel(kind="poisson", exposure=2000.0, seed=5))
-        est = linear_inversion(ds.frequencies, povm)
+        est = linear_inversion(ds.frequencies, operator_frame(povm))
         assert np.linalg.eigvalsh(est).min() < 0
 
     def test_length_mismatch(self, reference_povm):
         with pytest.raises(InvalidInputError):
-            linear_inversion(np.ones(5), reference_povm)
+            linear_inversion(np.ones(5), operator_frame(reference_povm))
 
-    def test_frame_of_another_povm_rejected(self):
-        from gramtomo import coherent_state, pure_density
-        povm = uniform_povm(6, 6, 51, 5.0)
-        p = expected_probabilities(pure_density(coherent_state(0.5, 6, normalized=True)), povm)
-        # the same shape on (-4, 4) inverts without error to a state off by 0.22
-        with pytest.raises(InvalidInputError, match="another POVM"):
-            linear_inversion(p, povm, operator_frame(uniform_povm(6, 6, 51, 4.0)))
-        # a frame of equal vectors is the same frame
-        twin = operator_frame(PovmSet(povm.vectors, homodyne=povm.homodyne))
-        assert np.array_equal(linear_inversion(p, povm, twin),
-                              linear_inversion(p, povm, operator_frame(povm)))
+    def test_class_route_reads_only_the_phase_zero_effects(self, reference_povm,
+                                                           monkeypatch):
+        # the frame, its values, its projection and the inversion take the
+        # coordinates of the 51 phase-0 effects, never of all 306
+        from gramtomo import frames
+        rows = []
+
+        def recorder(Y):
+            rows.append(Y.shape[0])
+            return _effect_coords(Y)
+
+        monkeypatch.setattr(frames, "_effect_coords", recorder)
+        frame = operator_frame(reference_povm)
+        frame_values(reference_povm)
+        frame.project(np.ones(225))
+        with pytest.warns(PartialInversionWarning):
+            linear_inversion(np.ones(306) / 306, frame)
+        assert rows == [51, 51]
 
 
 class TestHadamardIdentity:

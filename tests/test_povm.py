@@ -291,16 +291,21 @@ class TestGramMatrices:
 class TestEffectiveRank:
     def test_flat_spectrum(self):
         analysis = gram_spectrum(PovmSet(np.eye(7, dtype=complex)))
-        assert effective_rank(analysis, 0.5) == 7
+        assert effective_rank(analysis) == 7
 
     def test_direct_definition(self):
         analysis = gram_spectrum(PovmSet(np.diag(np.sqrt([1.0, 0.5, 1e-6]))))
-        assert effective_rank(analysis, 1e-3) == 2
+        assert effective_rank(analysis) == 2
 
     def test_reference_regression_value(self, reference_analysis):
         # pinned from the first verified run: the clean homodyne model keeps
         # every mode above the 1e-3 bandwidth cut
-        assert effective_rank(reference_analysis, 1e-3) == 15
+        assert effective_rank(reference_analysis) == 15
+
+    def test_drop_ratio_read_at_call_time(self, monkeypatch):
+        analysis = gram_spectrum(PovmSet(np.diag(np.sqrt([1.0, 0.5, 1e-6]))))
+        monkeypatch.setattr("gramtomo.povm.EFFECTIVE_RANK_DROP_RATIO", 0.6)
+        assert effective_rank(analysis) == 1
 
 
 class TestMarginalConsistency:

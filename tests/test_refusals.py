@@ -32,10 +32,6 @@ def short_row(tmp_path):
     (lambda _: HomodyneConfig((0.0, float("nan")), 3, (-1.0, 1.0)), InvalidInputError,
      "phases must be finite"),
     (lambda _: HomodyneConfig.uniform(0), InvalidInputError, "phase count must be >= 1"),
-    (lambda _: effective_rank(GramValues(np.ones(2), 2, 1e-12), drop_ratio=1.0),
-     InvalidInputError, "drop ratio must lie in (0, 1)"),
-    (lambda _: effective_rank(GramValues(np.ones(2), 2, 1e-12), drop_ratio=0.0),
-     InvalidInputError, "drop ratio must lie in (0, 1)"),
     (lambda _: effective_rank(GramValues(np.zeros(0), 0, 0.0)), InvalidInputError,
      "empty spectrum"),
     (lambda _: coherent_state(1.0, dim=0), InvalidInputError, "dim must be >= 1"),
@@ -60,8 +56,8 @@ def short_row(tmp_path):
      InvalidInputError, "trials must be >= 1"),
     (short_row, InvalidInputError, "count file row '0,0' is not phase,bin,count"),
 ], ids=["homodyne-no-phases", "homodyne-nan-phase", "uniform-zero-phases",
-        "drop-ratio-one", "drop-ratio-zero", "empty-spectrum", "coherent-dim-0",
-        "wigner-non-square", "wigner-imaginary-residue", "log-likelihood-length",
+        "empty-spectrum", "coherent-dim-0", "wigner-non-square",
+        "wigner-imaginary-residue", "log-likelihood-length",
         "log-likelihood-all-zero", "subspace-basis-shape", "born-residual-zero-state",
         "extremal-residual-zero-state", "frame-apply-dimension", "sweep-zero-trials",
         "counts-two-cells"])

@@ -1,10 +1,12 @@
-"""Byte-identity gate: run the fifteen gate configs and print a sha256 per output file.
+"""Byte-identity gate: run the sixteen gate configs and print a sha256 per output file.
 
 `python tools/gate.py OUT [--src SRC]` runs the CLI with PYTHONPATH=SRC (default
 src/), one BLAS thread and --seed 0 from OUT, with --out <case>/<command>, and
-prints "<sha256>  <path>" for the 86 files. Each output echoes that relative
-directory, so the listing does not depend on OUT: to compare two source trees
-by hash, run them into two directories and diff the printed lines.
+prints "<sha256>  <path>" for the 88 files. A case whose config names a
+counts_file reads tools/gate-counts.csv, copied to that path under OUT. Each
+output echoes its relative directory, so the listing does not depend on OUT:
+to compare two source trees by hash, run them into two directories and diff
+the printed lines.
 
 `python tools/gate.py --compare BEFORE AFTER` reads two such output trees and
 prints, for each file that differs, the largest absolute deviation over its
@@ -29,10 +31,12 @@ import hashlib
 import json
 import json.decoder
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+COUNTS = Path(__file__).with_name("gate-counts.csv")
 ALL = ("gram-spectrum", "reconstruct", "sweep", "stability", "frames-check")
 # the determinism (criterion 10) config
 SMALL = {"dim": 4, "target": {"kind": "cat", "alpha": 1.2, "parity": "even"},
@@ -93,6 +97,8 @@ CASES = {
     "fock-target": ({"target": {"kind": "fock", "n": 3}}, ("reconstruct",)),
     "complex-alpha": ({"target": {"kind": "cat", "parity": "odd", "alpha": [1.0, 1.5]}},
                       ("reconstruct",)),
+    # measured counts in place of simulated ones, on the 39 outcomes of SMALL
+    "counts-file": ({**SMALL, "counts_file": "counts-file/counts.csv"}, ("reconstruct",)),
 }
 
 
@@ -233,6 +239,8 @@ def main() -> int:
     for case, (config, commands) in CASES.items():
         (out / case).mkdir(parents=True, exist_ok=True)
         (out / case / "config.json").write_text(json.dumps(config))
+        if "counts_file" in config:
+            shutil.copyfile(COUNTS, out / config["counts_file"])
         for command in commands:
             proc = subprocess.run(
                 [sys.executable, "-m", "gramtomo.cli", command, "--config",
