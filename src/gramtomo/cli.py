@@ -65,8 +65,8 @@ class ConfigValidationError(InvalidInputError):
 # the JSON-Schema keywords and types (serialize._JSON_TYPES) that
 # _schema_error implements; a schema that uses any other is refused when it is
 # loaded, so none is silently ignored
-_SCHEMA_KEYWORDS = {"$schema", "type", "properties", "additionalProperties", "enum", "oneOf",
-                    "items", "minItems", "maxItems", "minimum", "exclusiveMinimum"}
+_SCHEMA_KEYWORDS = {"$schema", "type", "properties", "additionalProperties", "enum", "items",
+                    "minItems", "maxItems", "minimum", "exclusiveMinimum"}
 
 
 def _type_names(schema: dict) -> list[str]:
@@ -81,7 +81,7 @@ def _supported_schema(schema: dict) -> dict:
     if unknown or schema.get("additionalProperties", False) is not False:
         raise ValueError(f"config schema uses unsupported keywords or types {sorted(unknown)}, "
                          "or an additionalProperties other than false")
-    for sub in [*schema.get("properties", {}).values(), *schema.get("oneOf", []),
+    for sub in [*schema.get("properties", {}).values(),
                 *([schema["items"]] if "items" in schema else [])]:
         _supported_schema(sub)
     return schema
@@ -95,10 +95,6 @@ def _schema_error(value, schema: dict, where: str = "") -> str | None:
         return f"{at}: {value!r} is not of type {' or '.join(names)}"
     if "enum" in schema and value not in schema["enum"]:
         return f"{at}: {value!r} is not one of {schema['enum']}"
-    if "oneOf" in schema:
-        matches = sum(_schema_error(value, sub) is None for sub in schema["oneOf"])
-        if matches != 1:
-            return f"{at}: {value!r} matches {matches} of the allowed forms, not one"
     if _is_json_type(value, "number"):
         if "minimum" in schema and value < schema["minimum"]:
             return f"{at}: {value!r} is less than the minimum of {schema['minimum']}"
@@ -136,17 +132,15 @@ TARGET_DEFAULTS = {"cat": {"alpha": 2.0, "parity": "even"}, "coherent": {"alpha"
 DEFAULTS = {
     "dim": 15,
     "target": {"kind": "cat", **TARGET_DEFAULTS["cat"]},
-    "povm": {"kind": "homodyne", "phases": None, "phase_count": 6, "bins": 51,
-             "range": [-5.0, 5.0], "file": None},
+    "povm": {"kind": "homodyne", "phase_count": 6, "bins": 51, "range": [-5.0, 5.0]},
     "noise": {"kind": "poisson", "exposure": 100000.0, "seed": 0},
     "solver": {"max_iterations": MAX_ITERATIONS},
-    "reconstruction": {"basis": "full", "dimension": None},
+    "reconstruction": {"basis": "full"},
     "sweep": {"dims": list(range(1, 13)), "trials": 8, "bases": ["gram", "fock"]},
     "stability": {"basis": "gram", "dimension": 3, "trials": 4},
     "wigner_grid": {"x_range": [-5.0, 5.0], "p_range": [-5.0, 5.0],
                     "x_points": 81, "p_points": 81},
-    "counts_file": None,
-    "output": {"directory": None, "format": "csv"},
+    "output": {"format": "csv"},
 }
 
 
@@ -180,7 +174,8 @@ def _read_json(path: str, what: str):
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
     """Read the config file, apply the overrides, validate once and merge over
     the defaults (precedence: override > file > default). A target field that
-    its kind does not read (TARGET_DEFAULTS) is refused."""
+    its kind does not read (TARGET_DEFAULTS) is refused. Measured counts have
+    no target: a config that names counts_file and no target is given none."""
     raw = _read_json(path, "config file") if path is not None else {}
     if isinstance(raw, dict):
         # a section the file sets to a non-object keeps its value, so that
@@ -195,7 +190,10 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     unread = [key for key in target if key != "kind" and key not in TARGET_DEFAULTS[kind]]
     if unread:
         raise ConfigValidationError(f"target.{unread[0]}: not read by a {kind} target")
-    return _merge({**DEFAULTS, "target": {"kind": kind, **TARGET_DEFAULTS[kind]}}, raw)
+    defaults = {**DEFAULTS, "target": {"kind": kind, **TARGET_DEFAULTS[kind]}}
+    if "counts_file" in raw and "target" not in raw:
+        del defaults["target"]
+    return _merge(defaults, raw)
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict:
@@ -217,21 +215,13 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
                     f"--dims {args.dims!r} is not a comma-separated list of integers") from exc
         sections["sweep"] = {"dims": dims, "trials": args.trials,
                              "bases": None if args.basis is None else [args.basis]}
-    return {key: section for key, section in _strip_nones(sections).items() if section}
-
-
-def _strip_nones(config: dict) -> dict:
-    # None placeholders (unset optional fields) are not part of the schema
-    out = {}
-    for key, value in config.items():
-        if value is None:
-            continue
-        out[key] = _strip_nones(value) if isinstance(value, dict) else value
-    return out
+    # an unset flag (None) sets nothing
+    return {key: kept for key, section in sections.items()
+            if (kept := {name: value for name, value in section.items() if value is not None})}
 
 
 def resolve_output_dir(config: dict) -> Path:
-    directory = config["output"]["directory"]
+    directory = config["output"].get("directory")
     if directory is None:
         directory = os.environ.get(ENV_OUTPUT_DIR) or "gramtomo-out"
     return Path(directory)
@@ -240,7 +230,7 @@ def resolve_output_dir(config: dict) -> Path:
 def build_povm_from_config(config: dict) -> PovmSet:
     pc = config["povm"]
     dim = config["dim"]
-    if pc["file"] is not None:
+    if pc.get("file") is not None:
         povm = decode_povm(_read_json(pc["file"], "POVM file"))
         if povm.dim != dim:
             raise InvalidInputError(f"POVM file has dim {povm.dim} but the config has "
@@ -248,7 +238,7 @@ def build_povm_from_config(config: dict) -> PovmSet:
         return povm
     if pc["kind"] == "projective":
         return PovmSet(np.eye(dim, dtype=complex))
-    if pc["phases"] is not None:
+    if pc.get("phases") is not None:
         hconf = HomodyneConfig(phases=tuple(float(v) for v in pc["phases"]),
                                bins=pc["bins"], x_range=tuple(pc["range"]))
     else:
@@ -259,7 +249,11 @@ def build_povm_from_config(config: dict) -> PovmSet:
 
 def build_target_from_config(config: dict) -> np.ndarray:
     """The normalized truncated target; warns on stderr where the truncation
-    drops more than TRUNCATION_LEAK_WARNING of the state's weight."""
+    drops more than TRUNCATION_LEAK_WARNING of the state's weight. A config
+    without one (counts_file and no target) is refused."""
+    if "target" not in config:
+        raise InvalidInputError("the config names counts_file and no target, so it has no "
+                                "state to simulate or compare with")
     tc = config["target"]
     dim = config["dim"]
     if tc["kind"] == "fock":
@@ -342,17 +336,17 @@ def cmd_gram_spectrum(config: dict) -> dict:
 
 def cmd_reconstruct(config: dict) -> dict:
     rc = config["reconstruction"]
-    if (rc["basis"] == "full") != (rc["dimension"] is None):
+    if (rc["basis"] == "full") != (rc.get("dimension") is None):
         raise InvalidInputError(
-            f"reconstruction.basis {rc['basis']!r} with dimension {rc['dimension']}: "
-            "'full' takes a null dimension, 'gram' and 'fock' a subspace dimension")
+            f"reconstruction.basis {rc['basis']!r} with dimension {rc.get('dimension')}: "
+            "'full' takes no dimension, 'gram' and 'fock' a subspace dimension")
     povm = build_povm_from_config(config)
-    target = build_target_from_config(config)
-    rho_true = pure_density(target)
-    if config["counts_file"] is not None:
+    # a counts-only config holds no target, and its run reports no fidelity
+    target = build_target_from_config(config) if "target" in config else None
+    if config.get("counts_file") is not None:
         dataset = load_counts_file(config["counts_file"], povm)
     else:
-        dataset = generate_counts(rho_true, povm, NoiseModel(**config["noise"]))
+        dataset = generate_counts(pure_density(target), povm, NoiseModel(**config["noise"]))
     subspace = (None if rc["basis"] == "full"
                 else subspace_basis(rc["basis"], rc["dimension"], povm))
     start = time.perf_counter()
@@ -360,7 +354,8 @@ def cmd_reconstruct(config: dict) -> dict:
     print(f"reconstruction wall time: {time.perf_counter() - start:.3f} s",
           file=sys.stderr)
     payload = encode_reconstruction(result)
-    payload["fidelity_to_target"] = fidelity(target, result.rho)
+    if target is not None:
+        payload["fidelity_to_target"] = fidelity(target, result.rho)
     grid = build_grid_from_config(config)
     return {"reconstruction": payload,
             "wigner": WignerGrid(grid.xs, grid.ps, wigner(result.rho, grid))}
@@ -530,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config, _flag_overrides(args))
         write = functools.partial(write_outputs, resolve_output_dir(config),
                                   file_format=config["output"]["format"],
-                                  config_echo=_strip_nones(config))
+                                  config_echo=config)
         try:
             outputs = COMMANDS[args.command](config)
         except NumericalConsistencyError as exc:

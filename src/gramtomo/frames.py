@@ -127,12 +127,12 @@ def _coords(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
 def _effect_coords(Y: np.ndarray) -> np.ndarray:
     """to_coords of every effect |y_i><y_i| without the (N, dim, dim) products.
 
-    Row m of the upper triangle is y_m conj(y_n) for n > m, the same
-    broadcast products as the full outer product, so the bits agree.
+    The upper triangle is y_m conj(y_n) over the pairs m < n of _pairs, the
+    same products as the full outer product, so the bits agree.
     """
     Yc = Y.conj()
-    upper = [Y[:, m, None] * Yc[:, m + 1:] for m in range(Y.shape[1])]
-    return _coords((Y * Yc).real, np.concatenate(upper, axis=1))
+    m, n = _pairs(Y.shape[1])
+    return _coords((Y * Yc).real, Y[:, m] * Yc[:, n])
 
 
 def from_coords(c: np.ndarray, dim: int) -> np.ndarray:

@@ -20,8 +20,7 @@ from gramtomo import (HomodyneConfig, NoiseModel, PovmSet, build_homodyne_povm, 
                       coherent_state, effective_rank, fidelity, fock_state, generate_counts,
                       gram_spectrum, operator_frame, pure_density)
 from gramtomo.cli import (CONFIG_SCHEMA, CONFIG_SCHEMA_PATH, DEFAULTS, _schema_error,
-                          _strip_nones, _supported_schema, build_povm_from_config,
-                          load_config, main)
+                          _supported_schema, build_povm_from_config, load_config, main)
 from gramtomo.frames import frame_values
 from gramtomo.serialize import encode_povm
 
@@ -228,7 +227,7 @@ class TestConfigValidation:
     def test_target_echo_names_the_fields_its_kind_reads(self, target, echo, tmp_path):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({} if target is None else {"target": target}))
-        assert _strip_nones(load_config(str(conf)))["target"] == echo
+        assert load_config(str(conf))["target"] == echo
 
     @pytest.mark.parametrize("target, key", [
         ({"kind": "fock", "n": 2, "alpha": 3.0}, "alpha"),
@@ -264,15 +263,31 @@ class TestConfigValidation:
         assert not out.exists()
 
     def test_defaults_pass_schema(self):
-        assert _schema_error(_strip_nones(DEFAULTS), CONFIG_SCHEMA) is None
+        assert _schema_error(DEFAULTS, CONFIG_SCHEMA) is None
+
+    def test_defaults_hold_values_only(self):
+        # an unset optional field is absent, not a None placeholder at any depth
+        assert "null" not in json.dumps(DEFAULTS)
+
+    def test_explicit_null_is_echoed_as_written(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({**SMALL, "reconstruction": {"basis": "full",
+                                                                "dimension": None}}))
+        out = tmp_path / "out"
+        code, _, err = run(["gram-spectrum", "--config", str(conf), "--out", str(out)], capsys)
+        assert code == 0, err
+        echo = json.loads((out / "rank_report.json").read_text())["config"]
+        assert echo["reconstruction"] == {"basis": "full", "dimension": None}
 
     @pytest.mark.parametrize("schema", [
         {"type": "object", "properties": {"file": {"type": "string", "pattern": "json$"}}},
         {"type": "object", "required": ["dim"]},
         {"type": "object", "additionalProperties": {"type": "integer"}},
         {"type": "object", "properties": {"on": {"type": "boolean"}}},
-        {"oneOf": [{"type": "number"}, {"type": "array", "uniqueItems": True}]},
-    ], ids=["pattern", "required", "additionalProperties-schema", "boolean", "in-oneOf"])
+        {"oneOf": [{"type": "number"}, {"type": "array"}]},
+        {"type": "array", "items": {"type": "number", "multipleOf": 0.5}},
+    ], ids=["pattern", "required", "additionalProperties-schema", "boolean", "oneOf",
+            "in-items"])
     def test_unsupported_schema_keyword_refused(self, schema):
         # the checker implements only the keywords the config schema uses; any
         # other would be ignored, so a schema holding one is refused outright
@@ -300,10 +315,7 @@ class TestConfigValidation:
 
     def test_readme_defaults_match(self):
         block = re.search(r"defaults shown:\n\n```json\n(.*?)\n```", README, re.S).group(1)
-        expected = _strip_nones(DEFAULTS)
-        expected["reconstruction"]["dimension"] = None
-        expected["output"]["directory"] = None
-        assert json.loads(block) == expected
+        assert json.loads(block) == DEFAULTS
 
 
 def _schema_paths(schema: dict, path: tuple = ()) -> list[tuple]:
@@ -382,19 +394,28 @@ class TestSchemaOracle:
         Draft202012Validator.check_schema(CONFIG_SCHEMA)
 
     @pytest.mark.parametrize("schema,value", [
-        ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1),
-        ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1.5),
-        ({"oneOf": [{"type": "string"}, {"type": "null"}]}, 1),
         ({"type": "object", "properties": {"a": {"type": "integer"}}}, {"b": 1.5}),
         ({"type": ["integer", "null"], "minimum": 1}, None),
         ({"type": "array", "items": {"enum": ["a"]}, "maxItems": 1}, ["a", "a"]),
-    ], ids=["oneOf-two-match", "oneOf-one-matches", "oneOf-none-match",
-            "extra-keys-allowed", "null-skips-minimum", "maxItems"])
+    ], ids=["extra-keys-allowed", "null-skips-minimum", "maxItems"])
     def test_keywords_agree_on_small_schemas(self, schema, value):
-        # cases the config schema cannot show: overlapping oneOf branches and an
-        # object without additionalProperties
+        # cases the config schema cannot show, such as an object without
+        # additionalProperties
         accepted = _schema_error(value, _supported_schema(schema)) is None
         assert accepted == Draft202012Validator(schema).is_valid(value)
+
+    @pytest.mark.parametrize("alpha", [2, 2.5, -1, [1, 2], [1.0, 2.5], [], [1], [1, 2, 3],
+                                       [1, "a"], "x", True, None, {}])
+    def test_alpha_type_list_accepts_what_one_of_did(self, alpha):
+        # alpha was a oneOf of a number and a pair of numbers; the type list
+        # with the pair's items and counts accepts the same values
+        one_of = {"oneOf": [{"type": "number"},
+                            {"type": "array", "items": {"type": "number"},
+                             "minItems": 2, "maxItems": 2}]}
+        schema = CONFIG_SCHEMA["properties"]["target"]["properties"]["alpha"]
+        accepted = Draft202012Validator(one_of).is_valid(alpha)
+        assert Draft202012Validator(schema).is_valid(alpha) == accepted
+        assert (_schema_error(alpha, schema) is None) == accepted
 
     def test_agrees_with_jsonschema(self):
         # the checker's one deliberate difference: an integer is a JSON integer,
@@ -407,7 +428,7 @@ class TestSchemaOracle:
         rng = random.Random(20261019)
         paths = _schema_paths(CONFIG_SCHEMA)
         accepted = refused_integral_floats = 0
-        for base in (_strip_nones(DEFAULTS), SMALL):
+        for base in (DEFAULTS, SMALL):
             for _ in range(2500):
                 config = _mutate(base, rng, paths)
                 error = _schema_error(config, CONFIG_SCHEMA)
@@ -796,6 +817,52 @@ class TestCountsFile:
             # the echo names the counts file and the output directory
             del written[name]["config"]
         assert written["indented"] == written["plain"]
+
+    def counts_config(self, tmp_path, target: bool) -> Path:
+        """SMALL reading the committed gate counts, with its target or with none."""
+        conf = {key: value for key, value in SMALL.items() if target or key != "target"}
+        conf["counts_file"] = str(ROOT / "tools" / "gate-counts.csv")
+        path = tmp_path / f"counts-{target}.json"
+        path.write_text(json.dumps(conf))
+        return path
+
+    def test_counts_without_target_report_no_fidelity(self, tmp_path, capsys):
+        written = {}
+        for target in (True, False):
+            out = tmp_path / f"out-{target}"
+            config = self.counts_config(tmp_path, target)
+            code, _, err = run(["reconstruct", "--config", str(config), "--out", str(out)],
+                               capsys)
+            assert code == 0, err
+            written[target] = (json.loads((out / "reconstruction.json").read_text()),
+                               (out / "wigner.csv").read_text().splitlines())
+        (configured, configured_grid), (bare, bare_grid) = written[True], written[False]
+        # no target is invented: the field is absent, and so is the echo's target
+        assert "fidelity_to_target" not in bare and "target" not in bare["config"]
+        assert configured["config"]["target"] == SMALL["target"]
+        pairs = np.array(configured["density_matrix"])
+        rho = pairs[..., 0] + 1j * pairs[..., 1]
+        assert configured["fidelity_to_target"] == pytest.approx(
+            fidelity(cat_state(1.2, "even", 4), rho), abs=1e-12)
+        # the target changes nothing else
+        for payload in (configured, bare):
+            del payload["config"]
+        del configured["fidelity_to_target"]
+        assert configured == bare and configured_grid[1:] == bare_grid[1:]
+
+    @pytest.mark.parametrize("command, code", [("sweep", 1), ("stability", 1),
+                                               ("gram-spectrum", 0), ("frames-check", 0)])
+    def test_counts_without_target_run_what_reads_no_target(self, command, code, tmp_path,
+                                                            capsys):
+        # sweep and stability simulate from the target, so they refuse a config
+        # without one; the measurement's own commands run as before
+        out = tmp_path / "out"
+        result = run([command, "--config", str(self.counts_config(tmp_path, False)),
+                      "--out", str(out)], capsys)
+        assert result[0] == code, result[2]
+        if code:
+            assert result[1] == "" and result[2].startswith("invalid input: ")
+            assert "no target" in result[2] and not out.exists()
 
     def test_row_count_mismatch_names_both_lengths(self, small_config, tmp_path,
                                                    capsys):

@@ -1,8 +1,8 @@
-"""Byte-identity gate: run the sixteen gate configs and print a sha256 per output file.
+"""Byte-identity gate: run the seventeen gate configs and print a sha256 per output file.
 
 `python tools/gate.py OUT [--src SRC]` runs the CLI with PYTHONPATH=SRC (default
 src/), one BLAS thread and --seed 0 from OUT, with --out <case>/<command>, and
-prints "<sha256>  <path>" for the 88 files. A case whose config names a
+prints "<sha256>  <path>" for the 90 files. A case whose config names a
 counts_file reads tools/gate-counts.csv, copied to that path under OUT. Each
 output echoes its relative directory, so the listing does not depend on OUT:
 to compare two source trees by hash, run them into two directories and diff
@@ -97,8 +97,12 @@ CASES = {
     "fock-target": ({"target": {"kind": "fock", "n": 3}}, ("reconstruct",)),
     "complex-alpha": ({"target": {"kind": "cat", "parity": "odd", "alpha": [1.0, 1.5]}},
                       ("reconstruct",)),
-    # measured counts in place of simulated ones, on the 39 outcomes of SMALL
+    # measured counts in place of simulated ones, on the 39 outcomes of SMALL,
+    # with SMALL's target and with none, where no fidelity is written
     "counts-file": ({**SMALL, "counts_file": "counts-file/counts.csv"}, ("reconstruct",)),
+    "counts-file-no-target": ({**{key: value for key, value in SMALL.items() if key != "target"},
+                               "counts_file": "counts-file-no-target/counts.csv"},
+                              ("reconstruct",)),
 }
 
 
