@@ -57,9 +57,9 @@ TRUNCATION_LEAK_WARNING = 1e-3
 
 
 class ConfigValidationError(InvalidInputError):
-    """A config that breaks the config schema or sets a target field that its
-    kind does not read; the message starts with the dotted key path of the
-    offending value."""
+    """A config that breaks the config schema or sets a target or POVM field
+    that its form does not read; the message starts with the dotted key path
+    of the offending value."""
 
 
 # the JSON-Schema keywords and types (serialize._JSON_TYPES) that
@@ -123,16 +123,25 @@ def _schema_error(value, schema: dict, where: str = "") -> str | None:
 CONFIG_SCHEMA_PATH = Path(__file__).with_name("config-schema.json")
 CONFIG_SCHEMA = _supported_schema(json.loads(CONFIG_SCHEMA_PATH.read_text()))
 
-# the fields each target kind reads, with their defaults; a config may set
-# only those of its kind and is given only their defaults, so the echo names
-# no field the target ignores
-TARGET_DEFAULTS = {"cat": {"alpha": 2.0, "parity": "even"}, "coherent": {"alpha": 2.0},
-                   "fock": {"n": 0}}
+# the forms of the sections that have them, the first a section's default:
+# the fields each form reads and their defaults, where "a|b" reads a or b and
+# a config that sets a has b neither read nor given its default. A config may
+# set only the fields of its form and is given only their defaults, so the
+# echo names only what the run reads. A POVM that names a file has the file
+# form; otherwise a section's kind names its form.
+FORMS = {
+    "target": {"cat": ("kind alpha parity", {"kind": "cat", "alpha": 2.0, "parity": "even"}),
+               "coherent": ("kind alpha", {"kind": "coherent", "alpha": 2.0}),
+               "fock": ("kind n", {"kind": "fock", "n": 0})},
+    "povm": {
+        "homodyne": ("kind phases|phase_count bins range",
+                     {"kind": "homodyne", "phase_count": 6, "bins": 51, "range": [-5.0, 5.0]}),
+        "projective": ("kind", {"kind": "projective"}),
+        "file": ("file", {})},
+}
 
 DEFAULTS = {
     "dim": 15,
-    "target": {"kind": "cat", **TARGET_DEFAULTS["cat"]},
-    "povm": {"kind": "homodyne", "phase_count": 6, "bins": 51, "range": [-5.0, 5.0]},
     "noise": {"kind": "poisson", "exposure": 100000.0, "seed": 0},
     "solver": {"max_iterations": MAX_ITERATIONS},
     "reconstruction": {"basis": "full"},
@@ -173,8 +182,8 @@ def _read_json(path: str, what: str):
 
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
     """Read the config file, apply the overrides, validate once and merge over
-    the defaults (precedence: override > file > default). A target field that
-    its kind does not read (TARGET_DEFAULTS) is refused. Measured counts have
+    the defaults (precedence: override > file > default). A target or POVM
+    field that its form (FORMS) does not read is refused. Measured counts have
     no target: a config that names counts_file and no target is given none."""
     raw = _read_json(path, "config file") if path is not None else {}
     if isinstance(raw, dict):
@@ -185,14 +194,21 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     error = _schema_error(raw, CONFIG_SCHEMA)
     if error is not None:
         raise ConfigValidationError(error)
-    target = raw.get("target", {})
-    kind = target.get("kind", DEFAULTS["target"]["kind"])
-    unread = [key for key in target if key != "kind" and key not in TARGET_DEFAULTS[kind]]
-    if unread:
-        raise ConfigValidationError(f"target.{unread[0]}: not read by a {kind} target")
-    defaults = {**DEFAULTS, "target": {"kind": kind, **TARGET_DEFAULTS[kind]}}
-    if "counts_file" in raw and "target" not in raw:
-        del defaults["target"]
+    defaults = dict(DEFAULTS)
+    for section, forms in FORMS.items():
+        if section == "target" and "counts_file" in raw and section not in raw:
+            continue
+        given = raw.get(section, {})
+        form = "file" if "file" in given else given.get("kind", next(iter(forms)))
+        reads, form_defaults = forms[form]
+        displaced = {b: a for a, b in (g.split("|") for g in reads.split() if "|" in g)
+                     if a in given}
+        for key in given:
+            if key in displaced or key not in reads.replace("|", " ").split():
+                reason = (f"beside {section}.{displaced[key]}" if key in displaced
+                          else f"by a {form} {'POVM' if section == 'povm' else section}")
+                raise ConfigValidationError(f"{section}.{key}: not read {reason}")
+        defaults[section] = {k: v for k, v in form_defaults.items() if k not in displaced}
     return _merge(defaults, raw)
 
 
@@ -230,7 +246,7 @@ def resolve_output_dir(config: dict) -> Path:
 def build_povm_from_config(config: dict) -> PovmSet:
     pc = config["povm"]
     dim = config["dim"]
-    if pc.get("file") is not None:
+    if "file" in pc:
         povm = decode_povm(_read_json(pc["file"], "POVM file"))
         if povm.dim != dim:
             raise InvalidInputError(f"POVM file has dim {povm.dim} but the config has "
@@ -238,12 +254,9 @@ def build_povm_from_config(config: dict) -> PovmSet:
         return povm
     if pc["kind"] == "projective":
         return PovmSet(np.eye(dim, dtype=complex))
-    if pc.get("phases") is not None:
-        hconf = HomodyneConfig(phases=tuple(float(v) for v in pc["phases"]),
-                               bins=pc["bins"], x_range=tuple(pc["range"]))
-    else:
-        hconf = HomodyneConfig.uniform(phase_count=pc["phase_count"], bins=pc["bins"],
-                                       x_range=tuple(pc["range"]))
+    bins, x_range = pc["bins"], tuple(pc["range"])
+    hconf = (HomodyneConfig(tuple(float(v) for v in pc["phases"]), bins, x_range)
+             if "phases" in pc else HomodyneConfig.uniform(pc["phase_count"], bins, x_range))
     return build_homodyne_povm(hconf, dim)
 
 
@@ -347,6 +360,8 @@ def cmd_reconstruct(config: dict) -> dict:
         dataset = load_counts_file(config["counts_file"], povm)
     else:
         dataset = generate_counts(pure_density(target), povm, NoiseModel(**config["noise"]))
+    # an invalid grid is refused before the solve, not after it
+    grid = build_grid_from_config(config)
     subspace = (None if rc["basis"] == "full"
                 else subspace_basis(rc["basis"], rc["dimension"], povm))
     start = time.perf_counter()
@@ -356,7 +371,6 @@ def cmd_reconstruct(config: dict) -> dict:
     payload = encode_reconstruction(result)
     if target is not None:
         payload["fidelity_to_target"] = fidelity(target, result.rho)
-    grid = build_grid_from_config(config)
     return {"reconstruction": payload,
             "wigner": WignerGrid(grid.xs, grid.ps, wigner(result.rho, grid))}
 

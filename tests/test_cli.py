@@ -19,8 +19,8 @@ from jsonschema.validators import extend
 from gramtomo import (HomodyneConfig, NoiseModel, PovmSet, build_homodyne_povm, cat_state,
                       coherent_state, effective_rank, fidelity, fock_state, generate_counts,
                       gram_spectrum, operator_frame, pure_density)
-from gramtomo.cli import (CONFIG_SCHEMA, CONFIG_SCHEMA_PATH, DEFAULTS, _schema_error,
-                          _supported_schema, build_povm_from_config, load_config, main)
+from gramtomo.cli import (CONFIG_SCHEMA, CONFIG_SCHEMA_PATH, _schema_error, _supported_schema,
+                          build_povm_from_config, build_target_from_config, load_config, main)
 from gramtomo.frames import frame_values
 from gramtomo.serialize import encode_povm
 
@@ -246,8 +246,31 @@ class TestConfigValidation:
         assert err == f"config validation error: target.{key}: not read by a {kind} target\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("povm, message", [
+        ({"kind": "projective", "bins": 13}, "povm.bins: not read by a projective POVM"),
+        ({"kind": "homodyne", "file": "povm.json"}, "povm.kind: not read by a file POVM"),
+        ({"file": "povm.json", "range": [-4.0, 4.0]}, "povm.range: not read by a file POVM"),
+        ({"phase_count": 3, "phases": [0.0, 1.0]},
+         "povm.phase_count: not read beside povm.phases"),
+        ({"phases": [0.0, 1.0], "phase_count": 3},
+         "povm.phase_count: not read beside povm.phases"),
+        ({"kind": "projective", "phases": [0.0, 1.0]},
+         "povm.phases: not read by a projective POVM"),
+    ], ids=["projective-bins", "file-kind", "file-range", "phase_count-phases",
+            "phases-phase_count", "projective-phases"])
+    def test_povm_field_its_form_ignores_rejected(self, povm, message, tmp_path, capsys):
+        # the file is never read: the config is refused before any command runs
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"dim": 4, "povm": povm}))
+        out = tmp_path / "out"
+        code, stdout, err = run(["reconstruct", "--config", str(conf), "--out", str(out)],
+                                capsys)
+        assert code == 1 and stdout == ""
+        assert err == f"config validation error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("config", [
-        {"povm": {"phase_count": 3, "bins": 13, "range": [-4, 4], "file": ""}},
+        {"povm": {"file": ""}},
         {"povm": {"phase_count": 3, "bins": 13, "range": [-4, 4]}, "counts_file": ""},
     ], ids=["povm-file", "counts-file"])
     def test_empty_path_is_read(self, config, tmp_path, capsys):
@@ -263,11 +286,11 @@ class TestConfigValidation:
         assert not out.exists()
 
     def test_defaults_pass_schema(self):
-        assert _schema_error(DEFAULTS, CONFIG_SCHEMA) is None
+        assert _schema_error(load_config(None), CONFIG_SCHEMA) is None
 
     def test_defaults_hold_values_only(self):
         # an unset optional field is absent, not a None placeholder at any depth
-        assert "null" not in json.dumps(DEFAULTS)
+        assert "null" not in json.dumps(load_config(None))
 
     def test_explicit_null_is_echoed_as_written(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"
@@ -315,7 +338,57 @@ class TestConfigValidation:
 
     def test_readme_defaults_match(self):
         block = re.search(r"defaults shown:\n\n```json\n(.*?)\n```", README, re.S).group(1)
-        assert json.loads(block) == DEFAULTS
+        assert json.loads(block) == load_config(None)
+
+
+class ReadRecord(dict):
+    """A config section that records each key whose value is read from it; a
+    test of a key's presence reads no value."""
+
+    def __init__(self, section: dict):
+        super().__init__(section)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        if key in self:
+            self.read.add(key)
+        return super().get(key, default)
+
+
+class TestEchoOracle:
+    """The echo of a target or POVM section names exactly the keys that its
+    builder reads, kind included where the builder reads it."""
+
+    @pytest.mark.parametrize("target", [
+        {}, {"parity": "odd", "alpha": 1.2}, {"kind": "coherent"},
+        {"kind": "coherent", "alpha": [1.0, 0.5]}, {"kind": "fock"}, {"kind": "fock", "n": 2},
+    ], ids=["cat", "cat-set", "coherent", "coherent-complex", "fock", "fock-n"])
+    def test_target_echo_is_what_the_builder_reads(self, target, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"dim": 4, "target": target}))
+        config = load_config(str(conf))
+        config["target"] = ReadRecord(config["target"])
+        build_target_from_config(config)
+        assert set(config["target"]) == config["target"].read
+
+    @pytest.mark.parametrize("povm", [
+        {}, {"phase_count": 3, "bins": 13, "range": [-4.0, 4.0]},
+        {"phases": [0.0, 0.4, 0.9]}, {"kind": "homodyne", "phases": [0.0, 1.5], "bins": 7},
+        {"kind": "projective"}, {"file": "povm.json"},
+    ], ids=["uniform", "uniform-set", "phases", "phases-set", "projective", "file"])
+    def test_povm_echo_is_what_the_builder_reads(self, povm, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        small = build_homodyne_povm(HomodyneConfig.uniform(3, 13, (-4.0, 4.0)), 4)
+        Path("povm.json").write_text(json.dumps(encode_povm(small)))
+        Path("conf.json").write_text(json.dumps({"dim": 4, "povm": povm}))
+        config = load_config("conf.json")
+        config["povm"] = ReadRecord(config["povm"])
+        build_povm_from_config(config)
+        assert set(config["povm"]) == config["povm"].read
 
 
 def _schema_paths(schema: dict, path: tuple = ()) -> list[tuple]:
@@ -428,7 +501,7 @@ class TestSchemaOracle:
         rng = random.Random(20261019)
         paths = _schema_paths(CONFIG_SCHEMA)
         accepted = refused_integral_floats = 0
-        for base in (DEFAULTS, SMALL):
+        for base in (load_config(None), SMALL):
             for _ in range(2500):
                 config = _mutate(base, rng, paths)
                 error = _schema_error(config, CONFIG_SCHEMA)
@@ -624,6 +697,18 @@ class TestReconstructCommand:
         assert data[0].startswith("x,")
         assert data[1].startswith("p,")
         assert len(data) == 2 + 7
+
+    def test_grid_refused_before_the_solve(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({**SMALL, "wigner_grid": {"x_range": [3.0, -3.0]}}))
+        out = tmp_path / "out"
+        code, stdout, err = run(["reconstruct", "--config", str(conf), "--out", str(out)],
+                                capsys)
+        assert code == 1 and stdout == ""
+        # the only line before the refusal is the target's truncation warning
+        assert err.splitlines()[-1] == "invalid input: grid ranges must be increasing intervals"
+        assert "wall time" not in err
+        assert not out.exists()
 
     def test_stop_fields_written(self, small_config, tmp_path, capsys):
         # at a 50-iteration cap, before the first Newton polish (whose interval
@@ -935,8 +1020,7 @@ class TestPovmFile:
             povm_path = tmp_path / f"povm{k}.json"
             povm_path.write_text(text)
             conf = tmp_path / f"conf{k}.json"
-            conf.write_text(json.dumps({"dim": dim, "povm": {"kind": "homodyne",
-                                                             "file": str(povm_path)}}))
+            conf.write_text(json.dumps({"dim": dim, "povm": {"file": str(povm_path)}}))
             code, _, err = run(["gram-spectrum", "--config", str(conf), "--out",
                                 str(tmp_path / "out")], capsys)
             assert code == 1, text
@@ -946,8 +1030,7 @@ class TestPovmFile:
         povm_path = tmp_path / "povm6.json"
         povm_path.write_text(json.dumps(encode_povm(PovmSet(np.eye(6, dtype=complex)))))
         conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"dim": 3, "povm": {"kind": "homodyne",
-                                                       "file": str(povm_path)}}))
+        conf.write_text(json.dumps({"dim": 3, "povm": {"file": str(povm_path)}}))
         out = tmp_path / "out"
         code, _, err = run(["gram-spectrum", "--config", str(conf), "--out", str(out)],
                            capsys)
@@ -959,8 +1042,7 @@ class TestPovmFile:
         povm_path = tmp_path / "zero.json"
         povm_path.write_text(json.dumps(encode_povm(PovmSet(np.zeros((4, 3), dtype=complex)))))
         conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"dim": 3, "povm": {"kind": "homodyne",
-                                                       "file": str(povm_path)}}))
+        conf.write_text(json.dumps({"dim": 3, "povm": {"file": str(povm_path)}}))
         for command in ("gram-spectrum", "frames-check", "reconstruct"):
             proc = subprocess.run(
                 [sys.executable, "-m", "gramtomo.cli", command, "--config", str(conf),

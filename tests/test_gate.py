@@ -176,13 +176,25 @@ def run_reconstruct(gate, case, tmp_path, capsys) -> dict:
 
 
 def test_every_case_config_loads(gate, tmp_path):
-    # load_config applies the schema and the target rule: one that refused a
+    # load_config applies the schema and the form rule: one that refused a
     # case would fail here rather than in a gate run
     from gramtomo.cli import load_config
     for case, (config, _) in gate.CASES.items():
         path = tmp_path / f"{case}.json"
         path.write_text(json.dumps(config))
         load_config(str(path))
+
+
+def test_povm_file_is_small_povm(gate):
+    # the committed POVM file holds SMALL's inline POVM, effect for effect (as
+    # written on the host that made it; another BLAS may move the last bits)
+    from gramtomo.cli import build_povm_from_config, load_config
+    from gramtomo.serialize import decode_povm
+    inline = build_povm_from_config(load_config(None, {"dim": gate.SMALL["dim"],
+                                                       "povm": gate.SMALL["povm"]}))
+    stored = decode_povm(json.loads(gate.POVM.read_text()))
+    assert stored.dim == inline.dim
+    assert np.abs(stored.vectors - inline.vectors).max() <= 1e-15
 
 
 def test_ill_gram12_takes_an_eigensolve_newton_direction(gate, tmp_path, capsys):

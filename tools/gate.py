@@ -1,12 +1,13 @@
-"""Byte-identity gate: run the seventeen gate configs and print a sha256 per output file.
+"""Byte-identity gate: run the eighteen gate configs and print a sha256 per output file.
 
 `python tools/gate.py OUT [--src SRC]` runs the CLI with PYTHONPATH=SRC (default
 src/), one BLAS thread and --seed 0 from OUT, with --out <case>/<command>, and
-prints "<sha256>  <path>" for the 90 files. A case whose config names a
-counts_file reads tools/gate-counts.csv, copied to that path under OUT. Each
-output echoes its relative directory, so the listing does not depend on OUT:
-to compare two source trees by hash, run them into two directories and diff
-the printed lines.
+prints "<sha256>  <path>" for the 96 files. A case whose config names a
+counts_file reads tools/gate-counts.csv, and one whose POVM names a file reads
+tools/gate-povm.json (SMALL's POVM as encode_povm writes it), each copied to
+that path under OUT. Each output echoes its relative directory, so the listing
+does not depend on OUT: to compare two source trees by hash, run them into two
+directories and diff the printed lines.
 
 `python tools/gate.py --compare BEFORE AFTER` reads two such output trees and
 prints, for each file that differs, the largest absolute deviation over its
@@ -37,6 +38,7 @@ import sys
 from pathlib import Path
 
 COUNTS = Path(__file__).with_name("gate-counts.csv")
+POVM = Path(__file__).with_name("gate-povm.json")
 ALL = ("gram-spectrum", "reconstruct", "sweep", "stability", "frames-check")
 # the determinism (criterion 10) config
 SMALL = {"dim": 4, "target": {"kind": "cat", "alpha": 1.2, "parity": "even"},
@@ -103,6 +105,10 @@ CASES = {
     "counts-file-no-target": ({**{key: value for key, value in SMALL.items() if key != "target"},
                                "counts_file": "counts-file-no-target/counts.csv"},
                               ("reconstruct",)),
+    # SMALL's POVM read from a file: the codec, and the one-block operator
+    # frame on homodyne effects, since a file records no homodyne layout
+    "povm-file": ({**SMALL, "povm": {"file": "povm-file/povm.json"}},
+                  ("gram-spectrum", "frames-check", "reconstruct")),
 }
 
 
@@ -245,6 +251,8 @@ def main() -> int:
         (out / case / "config.json").write_text(json.dumps(config))
         if "counts_file" in config:
             shutil.copyfile(COUNTS, out / config["counts_file"])
+        if "file" in config.get("povm", {}):
+            shutil.copyfile(POVM, out / config["povm"]["file"])
         for command in commands:
             proc = subprocess.run(
                 [sys.executable, "-m", "gramtomo.cli", command, "--config",
