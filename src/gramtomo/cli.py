@@ -44,7 +44,7 @@ from .maxlik import MAX_ITERATIONS, Dataset, maxlik_solve
 from .povm import (EFFECTIVE_RANK_DROP_RATIO, HomodyneConfig, PovmSet, born_probabilities,
                    build_homodyne_povm, effective_rank, gram_operator, gram_spectrum,
                    gram_values, subspace_basis)
-from .serialize import (_JSON_TYPES, Table, WignerGrid, _is_json_type, decode_povm,
+from .serialize import (Table, WignerGrid, _schema_error, _supported_schema, decode_povm,
                         encode_reconstruction, write_outputs)
 from .simulate import (NoiseModel, dimension_sweep, generate_counts, stability_study,
                        trial_generator)
@@ -60,63 +60,6 @@ class ConfigValidationError(InvalidInputError):
     """A config that breaks the config schema or sets a target or POVM field
     that its form does not read; the message starts with the dotted key path
     of the offending value."""
-
-
-# the JSON-Schema keywords and types (serialize._JSON_TYPES) that
-# _schema_error implements; a schema that uses any other is refused when it is
-# loaded, so none is silently ignored
-_SCHEMA_KEYWORDS = {"$schema", "type", "properties", "additionalProperties", "enum", "items",
-                    "minItems", "maxItems", "minimum", "exclusiveMinimum"}
-
-
-def _type_names(schema: dict) -> list[str]:
-    names = schema.get("type", [])
-    return [names] if isinstance(names, str) else names
-
-
-def _supported_schema(schema: dict) -> dict:
-    """The schema, once it and all its subschemas keep to what _schema_error
-    implements; raises ValueError otherwise."""
-    unknown = (set(schema) - _SCHEMA_KEYWORDS) | (set(_type_names(schema)) - set(_JSON_TYPES))
-    if unknown or schema.get("additionalProperties", False) is not False:
-        raise ValueError(f"config schema uses unsupported keywords or types {sorted(unknown)}, "
-                         "or an additionalProperties other than false")
-    for sub in [*schema.get("properties", {}).values(),
-                *([schema["items"]] if "items" in schema else [])]:
-        _supported_schema(sub)
-    return schema
-
-
-def _schema_error(value, schema: dict, where: str = "") -> str | None:
-    """The first way that value breaks schema, led by its dotted key path, or None."""
-    at = where or "config"
-    names = _type_names(schema)
-    if names and not any(_is_json_type(value, name) for name in names):
-        return f"{at}: {value!r} is not of type {' or '.join(names)}"
-    if "enum" in schema and value not in schema["enum"]:
-        return f"{at}: {value!r} is not one of {schema['enum']}"
-    if _is_json_type(value, "number"):
-        if "minimum" in schema and value < schema["minimum"]:
-            return f"{at}: {value!r} is less than the minimum of {schema['minimum']}"
-        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
-            return f"{at}: {value!r} is not above {schema['exclusiveMinimum']}"
-    if isinstance(value, list):
-        if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
-            return f"{at}: {value!r} has {len(value)} items, outside the allowed count"
-        errors = (_schema_error(item, schema["items"], f"{at}[{index}]")
-                  for index, item in enumerate(value if "items" in schema else []))
-        return next(filter(None, errors), None)
-    if isinstance(value, dict):
-        properties = schema.get("properties", {})
-        for key, item in value.items():
-            path = f"{where}.{key}" if where else key
-            if key in properties:
-                error = _schema_error(item, properties[key], path)
-            else:
-                error = f"{path}: unknown key" if "additionalProperties" in schema else None
-            if error:
-                return error
-    return None
 
 
 # the only copy of the config schema; README and --config --help name this file

@@ -293,12 +293,12 @@ def r_operator(rho: np.ndarray, dataset: Dataset, povm: PovmSet) -> np.ndarray:
 def restrict_to_subspace(povm: PovmSet, basis: np.ndarray) -> PovmSet:
     """Project every effect vector onto an orthonormal subspace basis.
 
-    basis has shape (dim, d) with orthonormal columns; the returned POVM
-    lives in dimension d, with vectors V^H y_i, and its Gram operator
-    equals V^H G V.
+    basis has shape (dim, d), d >= 1, with orthonormal columns; the
+    returned POVM lives in dimension d, with vectors V^H y_i, and its Gram
+    operator equals V^H G V.
     """
     basis = np.asarray(basis, dtype=complex)
-    if basis.ndim != 2 or basis.shape[0] != povm.dim:
+    if basis.ndim != 2 or basis.shape[0] != povm.dim or basis.shape[1] < 1:
         raise InvalidInputError("basis must be (ambient dim, d)")
     d = basis.shape[1]
     if np.abs(basis.conj().T @ basis - np.eye(d)).max() > 1e-10:

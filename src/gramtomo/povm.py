@@ -42,8 +42,8 @@ class HomodyneConfig:
             raise InvalidInputError("phases must be strictly increasing")
         if self.bins < 1:
             raise InvalidInputError("bin count must be >= 1")
-        lo, hi = self.x_range
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        x = np.asarray(self.x_range, dtype=float)
+        if x.shape != (2,) or not (np.all(np.isfinite(x)) and x[0] < x[1]):
             raise InvalidInputError("quadrature range must be a finite increasing interval")
 
     @classmethod

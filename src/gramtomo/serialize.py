@@ -1,4 +1,4 @@
-"""Deterministic JSON/CSV emission and the matrix interchange encoding.
+"""Deterministic JSON/CSV emission, the matrix interchange encoding and the JSON input checker.
 
 Complex numbers are encoded as [re, im] pairs; floats are written with
 repr (shortest round-trip form); JSON keys are sorted. Reruns with the
@@ -49,8 +49,8 @@ def encode_complex_matrix(m: np.ndarray) -> list[list[list[float]]]:
     return [encode_complex_vector(row) for row in np.asarray(m, dtype=complex)]
 
 
-# the JSON types as the config schema and the POVM file read them; an
-# "integer" is a JSON integer: 4.0 is not one, though JSON-Schema accepts it
+# the JSON types as the schemas read them; an "integer" is a JSON integer:
+# 4.0 is not one, though JSON-Schema accepts it
 _JSON_TYPES = {"object": dict, "array": list, "string": str, "null": type(None),
                "number": (int, float), "integer": int}
 
@@ -60,19 +60,72 @@ def _is_json_type(value, name: str) -> bool:
     return not isinstance(value, bool) and isinstance(value, _JSON_TYPES[name])
 
 
-def _json_number(value, name="number"):
-    """value if it is a JSON number (name="integer": integer): true is no
-    number, and 2.0 or "2" no integer."""
-    if not _is_json_type(value, name):
-        raise TypeError(f"{value!r} is not a JSON {name}")
-    return value
+# the JSON-Schema keywords and types (_JSON_TYPES) that _schema_error
+# implements; a schema that uses any other is refused when it is loaded, so
+# none is silently ignored
+_SCHEMA_KEYWORDS = {"$schema", "type", "properties", "additionalProperties", "enum", "items",
+                    "minItems", "maxItems", "minimum", "exclusiveMinimum"}
 
 
-def decode_complex_vector(pairs) -> np.ndarray:
-    try:
-        return np.array([complex(_json_number(re), _json_number(im)) for re, im in pairs])
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed complex vector encoding: {exc}") from exc
+def _type_names(schema: dict) -> list[str]:
+    names = schema.get("type", [])
+    return [names] if isinstance(names, str) else names
+
+
+def _supported_schema(schema: dict) -> dict:
+    """The schema, once it and all its subschemas keep to what _schema_error
+    implements; raises ValueError otherwise."""
+    unknown = (set(schema) - _SCHEMA_KEYWORDS) | (set(_type_names(schema)) - set(_JSON_TYPES))
+    if unknown or schema.get("additionalProperties", False) is not False:
+        raise ValueError(f"schema uses unsupported keywords or types {sorted(unknown)}, "
+                         "or an additionalProperties other than false")
+    for sub in [*schema.get("properties", {}).values(),
+                *([schema["items"]] if "items" in schema else [])]:
+        _supported_schema(sub)
+    return schema
+
+
+def _schema_error(value, schema: dict, where: str = "", document: str = "config") -> str | None:
+    """The first way that value breaks schema, led by its dotted key path (the
+    document's name at the top level), or None."""
+    at = where or document
+    names = _type_names(schema)
+    if names and not any(_is_json_type(value, name) for name in names):
+        return f"{at}: {value!r} is not of type {' or '.join(names)}"
+    if "enum" in schema and value not in schema["enum"]:
+        return f"{at}: {value!r} is not one of {schema['enum']}"
+    if _is_json_type(value, "number"):
+        if "minimum" in schema and value < schema["minimum"]:
+            return f"{at}: {value!r} is less than the minimum of {schema['minimum']}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return f"{at}: {value!r} is not above {schema['exclusiveMinimum']}"
+    if isinstance(value, list):
+        if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
+            return f"{at}: {value!r} has {len(value)} items, outside the allowed count"
+        errors = (_schema_error(item, schema["items"], f"{at}[{index}]")
+                  for index, item in enumerate(value if "items" in schema else []))
+        return next(filter(None, errors), None)
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key, item in value.items():
+            path = f"{where}.{key}" if where else key
+            if key in properties:
+                error = _schema_error(item, properties[key], path)
+            else:
+                error = f"{path}: unknown key" if "additionalProperties" in schema else None
+            if error:
+                return error
+    return None
+
+
+# the POVM file as encode_povm writes it; other keys, top-level or per
+# effect, are accepted and ignored
+POVM_SCHEMA = _supported_schema({"type": "object", "properties": {
+    "dim": {"type": "integer", "minimum": 1},
+    "effects": {"type": "array", "minItems": 1, "items": {"type": "object", "properties": {
+        "vector": {"type": "array", "items": {"type": "array", "items": {"type": "number"},
+                                              "minItems": 2, "maxItems": 2}},
+        "bin_width": {"type": ["number", "null"], "exclusiveMinimum": 0}}}}}})
 
 
 def encode_povm(povm: PovmSet) -> dict:
@@ -80,20 +133,19 @@ def encode_povm(povm: PovmSet) -> dict:
             "effects": [{"vector": encode_complex_vector(v)} for v in povm.vectors]}
 
 
-def decode_povm(data: dict) -> PovmSet:
-    """Inverse of encode_povm; other per-effect keys are accepted and ignored."""
+def decode_povm(data) -> PovmSet:
+    """Inverse of encode_povm. A document that POVM_SCHEMA refuses, that
+    lacks a key, or whose vectors do not all have dim pairs is refused."""
+    error = _schema_error(data, POVM_SCHEMA, document="POVM file")
+    if error is not None:
+        raise InvalidInputError(f"malformed POVM encoding: {error}")
     try:
-        dim = _json_number(data["dim"], "integer")
-        effects = data["effects"]
-        vectors = [decode_complex_vector(e["vector"]) for e in effects]
-        if any(e.get("bin_width") is not None and _json_number(e["bin_width"]) <= 0
-               for e in effects):
-            raise InvalidInputError("bin width must be positive")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed POVM encoding: {exc}") from exc
-    if dim < 1 or any(v.shape != (dim,) for v in vectors):
+        dim, vectors = data["dim"], [effect["vector"] for effect in data["effects"]]
+    except KeyError as exc:
+        raise InvalidInputError(f"malformed POVM encoding: missing key {exc}") from exc
+    if any(len(v) != dim for v in vectors):
         raise InvalidInputError("all effects must share the ambient dimension")
-    return PovmSet(np.reshape(vectors, (len(vectors), dim)))
+    return PovmSet(np.array([[complex(re, im) for re, im in v] for v in vectors]))
 
 
 def encode_reconstruction(result: ReconstructionResult) -> dict:

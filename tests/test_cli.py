@@ -16,13 +16,13 @@ import pytest
 from jsonschema import Draft202012Validator
 from jsonschema.validators import extend
 
-from gramtomo import (HomodyneConfig, NoiseModel, PovmSet, build_homodyne_povm, cat_state,
-                      coherent_state, effective_rank, fidelity, fock_state, generate_counts,
-                      gram_spectrum, operator_frame, pure_density)
+from gramtomo import (HomodyneConfig, InvalidInputError, NoiseModel, PovmSet,
+                      build_homodyne_povm, cat_state, coherent_state, effective_rank, fidelity,
+                      fock_state, generate_counts, gram_spectrum, operator_frame, pure_density)
 from gramtomo.cli import (CONFIG_SCHEMA, CONFIG_SCHEMA_PATH, _schema_error, _supported_schema,
                           build_povm_from_config, build_target_from_config, load_config, main)
 from gramtomo.frames import frame_values
-from gramtomo.serialize import encode_povm
+from gramtomo.serialize import POVM_SCHEMA, decode_povm, encode_povm
 
 ROOT = Path(__file__).parent.parent
 README = (ROOT / "README.md").read_text()
@@ -460,6 +460,36 @@ def _holds_integral_float(value) -> bool:
     return isinstance(value, list) and any(map(_holds_integral_float, value))
 
 
+def _agreement_with_jsonschema(schema: dict, bases, draws: int,
+                               rng: random.Random) -> tuple[list, int]:
+    """Check _schema_error against jsonschema on draws documents mutated from
+    each base; returns the accepted documents and the count refused only by
+    the integer rule. That rule is the checker's one deliberate difference:
+    an integer is a JSON integer, so 4.0 is not one; where a document holds an
+    integral float, the checker agrees with a Draft202012Validator that has
+    this integer rule instead."""
+    plain = Draft202012Validator(schema)
+    integer = Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool))
+    strict = extend(Draft202012Validator, type_checker=integer)(schema)
+    paths = _schema_paths(schema)
+    accepted, refused_integral_floats = [], 0
+    for base in bases:
+        for _ in range(draws):
+            document = _mutate(base, rng, paths)
+            error = _schema_error(document, schema)
+            if error is None:
+                accepted.append(document)
+            if not _holds_integral_float(document):
+                assert (error is None) == plain.is_valid(document), (document, error)
+                continue
+            assert (error is None) == strict.is_valid(document), (document, error)
+            if error is not None and plain.is_valid(document):
+                assert re.search(r": -?\d+\.0 is not of type integer", error), error
+                refused_integral_floats += 1
+    return accepted, refused_integral_floats
+
+
 class TestSchemaOracle:
     """The config checker against jsonschema's Draft 2020-12 validator."""
 
@@ -491,30 +521,34 @@ class TestSchemaOracle:
         assert (_schema_error(alpha, schema) is None) == accepted
 
     def test_agrees_with_jsonschema(self):
-        # the checker's one deliberate difference: an integer is a JSON integer,
-        # so 4.0 is not one; where a config holds an integral float, the checker
-        # agrees with a Draft202012Validator that has this integer rule instead
-        plain = Draft202012Validator(CONFIG_SCHEMA)
-        integer = Draft202012Validator.TYPE_CHECKER.redefine(
-            "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool))
-        strict = extend(Draft202012Validator, type_checker=integer)(CONFIG_SCHEMA)
-        rng = random.Random(20261019)
-        paths = _schema_paths(CONFIG_SCHEMA)
-        accepted = refused_integral_floats = 0
-        for base in (load_config(None), SMALL):
-            for _ in range(2500):
-                config = _mutate(base, rng, paths)
-                error = _schema_error(config, CONFIG_SCHEMA)
-                accepted += error is None
-                if not _holds_integral_float(config):
-                    assert (error is None) == plain.is_valid(config), (config, error)
-                    continue
-                assert (error is None) == strict.is_valid(config), (config, error)
-                if error is not None and plain.is_valid(config):
-                    assert re.search(r": -?\d+\.0 is not of type integer", error), error
-                    refused_integral_floats += 1
-        assert 250 < accepted < 4750
+        accepted, refused_integral_floats = _agreement_with_jsonschema(
+            CONFIG_SCHEMA, (load_config(None), SMALL), 2500, random.Random(20261019))
+        assert 250 < len(accepted) < 4750
         assert refused_integral_floats > 50
+
+
+class TestPovmSchemaOracle:
+    """The POVM file's checker against jsonschema's Draft 2020-12 validator."""
+
+    def test_schema_is_valid_2020_12(self):
+        Draft202012Validator.check_schema(POVM_SCHEMA)
+
+    def test_agrees_with_jsonschema(self):
+        rng = np.random.default_rng(20261022)
+        bases = [encode_povm(PovmSet(np.eye(2, dtype=complex))),
+                 encode_povm(PovmSet(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))))]
+        accepted, refused_integral_floats = _agreement_with_jsonschema(
+            POVM_SCHEMA, bases, 750, random.Random(20261022))
+        assert 150 < len(accepted) < 1350
+        assert refused_integral_floats > 10
+        # an accepted document decodes or is refused as invalid input: one
+        # without a key, or with vectors of other lengths than dim
+        for document in accepted:
+            try:
+                decode_povm(document)
+            except InvalidInputError as exc:
+                assert re.fullmatch(r"malformed POVM encoding: missing key '\w+'|all effects "
+                                    r"must share the ambient dimension", str(exc)), exc
 
 
 class TestGramSpectrumCommand:
@@ -996,35 +1030,65 @@ class TestCountsFile:
         assert "inline homodyne" in err
 
 
+UNIT = [[1.0, 0.0], [0.0, 0.0]]
+
+
 class TestPovmFile:
-    def test_corrupted_povm_file_rejected(self, tmp_path, capsys):
-        unit = [[1.0, 0.0], [0.0, 0.0]]
-        corrupted = [(json.dumps(data), 2) for data in (
-            {"dim": 2, "effects": [{"vector": [[1.0, 0.0], [0.0]]}]},
-            {"dim": 2, "effects": [{"vector": unit + [[0.0, 0.0]]}]},
-            {"dim": 2, "effects": []},
-            {"dim": 2, "effects": [{"vector": unit, "bin_width": 0.0}]},
-            {"dim": 2, "effects": [{"vector": unit, "bin_width": True}]},
-            {"dim": "two", "effects": [{"vector": unit}]},
-            # dim must be a JSON integer and each cell a JSON number, as the
-            # config schema reads them
-            {"dim": 2.7, "effects": [{"vector": unit}]},
-            {"dim": 2.0, "effects": [{"vector": unit}]},
-            {"dim": "2", "effects": [{"vector": unit}]},
-            {"dim": 2, "effects": [{"vector": [[True, 0.0], [0.0, 0.0]]}]},
-            {"dim": 2, "effects": [{"vector": [[1.0, False], [0.0, 0.0]]}]},
-            {"dim": 2, "effects": [{"vector": [["1", 0.0], [0.0, 0.0]]}]},
-        )] + [('{"dim": true, "effects": [{"vector": [[1.0, 0.0]]}]}', 1),
-              ('{"dim": 2, "effects": [', 2)]
-        for k, (text, dim) in enumerate(corrupted):
-            povm_path = tmp_path / f"povm{k}.json"
-            povm_path.write_text(text)
-            conf = tmp_path / f"conf{k}.json"
-            conf.write_text(json.dumps({"dim": dim, "povm": {"file": str(povm_path)}}))
-            code, _, err = run(["gram-spectrum", "--config", str(conf), "--out",
-                                str(tmp_path / "out")], capsys)
-            assert code == 1, text
-            assert "invalid input" in err
+    @pytest.mark.parametrize("document, dim, message", [
+        ({"dim": 2, "effects": [{"vector": [[1.0, 0.0], [0.0]]}]}, 2,
+         "effects[0].vector[1]: [0.0] has 1 items, outside the allowed count"),
+        ({"dim": 2, "effects": [{"vector": [[1.0, 0.0, 0.0], [0.0, 0.0]]}]}, 2,
+         "effects[0].vector[0]: [1.0, 0.0, 0.0] has 3 items, outside the allowed count"),
+        ({"dim": 2, "effects": [{"vector": UNIT + [[0.0, 0.0]]}]}, 2,
+         "all effects must share the ambient dimension"),
+        ({"dim": 2, "effects": []}, 2, "effects: [] has 0 items, outside the allowed count"),
+        ({"dim": 2, "effects": [{"vector": UNIT, "bin_width": 0.0}]}, 2,
+         "effects[0].bin_width: 0.0 is not above 0"),
+        ({"dim": 2, "effects": [{"vector": UNIT, "bin_width": True}]}, 2,
+         "effects[0].bin_width: True is not of type number or null"),
+        ({"dim": "two", "effects": [{"vector": UNIT}]}, 2, "dim: 'two' is not of type integer"),
+        # dim must be a JSON integer and each cell a JSON number, as the
+        # config schema reads them
+        ({"dim": 2.7, "effects": [{"vector": UNIT}]}, 2, "dim: 2.7 is not of type integer"),
+        ({"dim": 2.0, "effects": [{"vector": UNIT}]}, 2, "dim: 2.0 is not of type integer"),
+        ({"dim": "2", "effects": [{"vector": UNIT}]}, 2, "dim: '2' is not of type integer"),
+        ({"dim": 2, "effects": [{"vector": [[True, 0.0], [0.0, 0.0]]}]}, 2,
+         "effects[0].vector[0][0]: True is not of type number"),
+        ({"dim": 2, "effects": [{"vector": [[1.0, False], [0.0, 0.0]]}]}, 2,
+         "effects[0].vector[0][1]: False is not of type number"),
+        ({"dim": 2, "effects": [{"vector": [["1", 0.0], [0.0, 0.0]]}]}, 2,
+         "effects[0].vector[0][0]: '1' is not of type number"),
+        ({"dim": True, "effects": [{"vector": [[1.0, 0.0]]}]}, 1,
+         "dim: True is not of type integer"),
+        ({"dim": 2, "effects": [{"vector": UNIT}, {"bin_width": 0.5}]}, 2,
+         "missing key 'vector'"),
+        ([1, 2], 2, "POVM file: [1, 2] is not of type object"),
+    ], ids=["short-pair", "long-pair", "long-vector", "no-effects", "bin-width-zero",
+            "bin-width-true", "dim-word", "dim-fraction", "dim-integral-float",
+            "dim-string", "re-true", "im-false", "re-string", "dim-true", "missing-vector",
+            "list-document"])
+    def test_corrupted_povm_file_rejected(self, document, dim, message, tmp_path, capsys):
+        # a refusal is led by the path of the offending value in the document
+        povm_path = tmp_path / "povm.json"
+        povm_path.write_text(json.dumps(document))
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"dim": dim, "povm": {"file": str(povm_path)}}))
+        code, _, err = run(["gram-spectrum", "--config", str(conf), "--out",
+                            str(tmp_path / "out")], capsys)
+        assert code == 1
+        prefix = "" if message.startswith("all effects") else "malformed POVM encoding: "
+        assert err.splitlines()[-1] == f"invalid input: {prefix}{message}"
+        assert not (tmp_path / "out").exists()
+
+    def test_truncated_povm_file_rejected(self, tmp_path, capsys):
+        povm_path = tmp_path / "povm.json"
+        povm_path.write_text('{"dim": 2, "effects": [')
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"dim": 2, "povm": {"file": str(povm_path)}}))
+        code, _, err = run(["gram-spectrum", "--config", str(conf), "--out",
+                            str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert err.splitlines()[-1].startswith("invalid input: POVM file is not valid JSON: ")
 
     def test_file_dim_must_match_config(self, tmp_path, capsys):
         povm_path = tmp_path / "povm6.json"

@@ -31,6 +31,8 @@ def short_row(tmp_path):
      "at least one phase is required"),
     (lambda _: HomodyneConfig((0.0, float("nan")), 3, (-1.0, 1.0)), InvalidInputError,
      "phases must be finite"),
+    (lambda _: HomodyneConfig((0.0,), 3, (-1.0, 0.0, 1.0)), InvalidInputError,
+     "quadrature range must be a finite increasing interval"),
     (lambda _: HomodyneConfig.uniform(0), InvalidInputError, "phase count must be >= 1"),
     (lambda _: effective_rank(GramValues(np.zeros(0), 0, 0.0)), InvalidInputError,
      "empty spectrum"),
@@ -45,6 +47,8 @@ def short_row(tmp_path):
      "state assigns zero probability to every outcome"),
     (lambda _: restrict_to_subspace(BLIND, np.eye(3)[:, :1]), InvalidInputError,
      "basis must be (ambient dim, d)"),
+    (lambda _: restrict_to_subspace(BLIND, np.zeros((2, 0))), InvalidInputError,
+     "basis must be (ambient dim, d)"),
     (lambda _: born_residual(np.zeros((2, 2)), Dataset(np.ones(1)), BLIND),
      InvalidInputError, "state assigns zero probability to every outcome"),
     (lambda _: extremal_residual(np.zeros((2, 2)), Dataset(np.ones(1)), BLIND),
@@ -55,10 +59,10 @@ def short_row(tmp_path):
                                NoiseModel(kind="exact"), trials=0),
      InvalidInputError, "trials must be >= 1"),
     (short_row, InvalidInputError, "count file row '0,0' is not phase,bin,count"),
-], ids=["homodyne-no-phases", "homodyne-nan-phase", "uniform-zero-phases",
-        "empty-spectrum", "coherent-dim-0", "wigner-non-square",
-        "wigner-imaginary-residue", "log-likelihood-length",
-        "log-likelihood-all-zero", "subspace-basis-shape", "born-residual-zero-state",
+], ids=["homodyne-no-phases", "homodyne-nan-phase", "homodyne-range-not-pair",
+        "uniform-zero-phases", "empty-spectrum", "coherent-dim-0", "wigner-non-square",
+        "wigner-imaginary-residue", "log-likelihood-length", "log-likelihood-all-zero",
+        "subspace-basis-shape", "subspace-no-columns", "born-residual-zero-state",
         "extremal-residual-zero-state", "frame-apply-dimension", "sweep-zero-trials",
         "counts-two-cells"])
 def test_refusal(call, error, message, tmp_path):

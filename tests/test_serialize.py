@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,7 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from gramtomo.cli import cmd_reconstruct, load_config
 from gramtomo import Dataset, PovmSet, maxlik_solve
-from gramtomo.serialize import encode_reconstruction, float_text, write_csv, write_wigner_csv
+from gramtomo.serialize import (decode_povm, encode_povm, encode_reconstruction, float_text,
+                                write_csv, write_wigner_csv)
 
 
 def repr_text(values) -> list[str]:
@@ -35,6 +37,24 @@ FLOATS = st.one_of(
                   elements=FLOATS))
 def test_float_text_is_repr(a):
     assert float_text(a) == repr_text(a)
+
+
+FINITE = st.one_of(
+    st.floats(width=64, allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                     1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.complex128, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                  elements=st.builds(complex, FINITE, FINITE)))
+def test_povm_codec_round_trips_bits(vectors):
+    # every finite effect vector, signed zeros and subnormals included, and
+    # fewer effects than dimensions, comes back bit for bit through JSON text
+    povm = PovmSet(vectors)
+    decoded = decode_povm(json.loads(json.dumps(encode_povm(povm))))
+    assert decoded.vectors.tobytes() == povm.vectors.tobytes()
 
 
 def test_float_text_edges():
