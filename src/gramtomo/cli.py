@@ -38,12 +38,10 @@ import numpy as np
 from .errors import InvalidInputError, NumericalConsistencyError
 from .fock import (PhaseSpaceGrid, cat_state, coherent_state, fidelity, fock_state,
                    kept_weight, pure_density, wigner)
-from .frames import (dual_frame, frame_values, from_coords, linear_inversion,
-                     modal_weighting, operator_frame, operator_frame_apply, to_coords)
+from .frames import frame_values, from_coords, linear_inversion, operator_frame, to_coords
 from .maxlik import MAX_ITERATIONS, Dataset, maxlik_solve
 from .povm import (EFFECTIVE_RANK_DROP_RATIO, HomodyneConfig, PovmSet, born_probabilities,
-                   build_homodyne_povm, effective_rank, gram_operator, gram_spectrum,
-                   gram_values, subspace_basis)
+                   build_homodyne_povm, effective_rank, gram_values, subspace_basis)
 from .serialize import (Table, WignerGrid, _schema_error, _supported_schema, decode_povm,
                         encode_reconstruction, write_outputs)
 from .simulate import (NoiseModel, dimension_sweep, generate_counts, stability_study,
@@ -373,48 +371,24 @@ def cmd_stability(config: dict) -> dict:
 
 
 def cmd_frames_check(config: dict) -> dict:
+    # two checks of the frame built here: its trace against the effects, and
+    # linear inversion of exact data for a random operator on its support
     povm = build_povm_from_config(config)
-    dim = povm.dim
-    analysis = gram_spectrum(povm)
-    duals = dual_frame(povm, analysis)
     frame = operator_frame(povm)
-    rng = trial_generator(config["noise"]["seed"], 0)
-
-    def random_hermitian() -> np.ndarray:
-        M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        return (M + M.conj().T) / 2.0
-
     # Tr S from the frame's modes against sum_i Tr(Pi_i^2) = sum_i |y_i|^4,
     # relative to the latter
     trace = np.sum(np.sum(np.abs(povm.vectors) ** 2, axis=1) ** 2)
     checks = [("frame_trace", float(abs(np.sum(frame.eigenvalues) - trace) / trace), 1e-12)]
 
-    Us = analysis.support_vectors
-    projector = Us @ Us.conj().T
-    reassembled = povm.vectors.T @ duals.conj()
-    checks.append(("dual_frame_projector", float(np.abs(reassembled - projector).max()),
-                   1e-9))
-
-    A, Bop = random_hermitian(), random_hermitian()
-    lhs = np.trace(operator_frame_apply(A, povm).conj().T @ Bop)
-    rhs = np.trace(A.conj().T @ operator_frame_apply(Bop, povm))
-    checks.append(("s_self_adjoint", float(abs(lhs - rhs)), 1e-10))
-
-    C_proj = from_coords(frame.project(to_coords(random_hermitian())), dim)
+    rng = trial_generator(config["noise"]["seed"], 0)
+    M = rng.normal(size=(povm.dim, povm.dim)) + 1j * rng.normal(size=(povm.dim, povm.dim))
+    C_proj = from_coords(frame.project(to_coords((M + M.conj().T) / 2.0)), povm.dim)
     p = born_probabilities(C_proj, povm)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         C_rec = linear_inversion(p, frame)
     checks.append(("linear_inversion_round_trip", float(np.abs(C_rec - C_proj).max()),
                    1e-8))
-
-    D = random_hermitian()
-    _, weighted = modal_weighting(D, analysis)
-    U = analysis.eigenvectors
-    # G summed from the effects, independent of the SVD behind the analysis
-    G = gram_operator(povm)
-    dev = float(np.abs((U @ weighted @ U.conj().T) - G @ D @ G).max())
-    checks.append(("modal_weighting_congruence", dev, 1e-9))
 
     rows = [{"name": name, "deviation": float(dev), "tolerance": tol, "pass": bool(dev < tol)}
             for name, dev, tol in checks]
@@ -449,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("reconstruct", "maximum-likelihood reconstruction with Wigner output"),
         ("sweep", "reconstruction fidelity versus subspace dimension"),
         ("stability", "repeated noisy reconstructions at fixed dimension"),
-        ("frames-check", "frame-identity test suite (nonzero exit on failure)"),
+        ("frames-check", "check the operator frame: its trace and a linear-inversion "
+                         "round trip (exit 2 on failure)"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file (see src/gramtomo/config-schema.json)")

@@ -265,8 +265,7 @@ def modal_weighting(rho: np.ndarray, analysis: GramAnalysis) -> tuple[np.ndarray
 
     Returns (rho~, weighted) with weighted_kl = lambda_k lambda_l rho~_kl,
     which equals U^H (G rho G) U: weakly measured modes are suppressed
-    quadratically. frames-check tests that congruence against a G summed
-    from the effects.
+    quadratically.
     """
     rho = np.asarray(rho, dtype=complex)
     U = analysis.eigenvectors

@@ -135,7 +135,8 @@ def encode_povm(povm: PovmSet) -> dict:
 
 def decode_povm(data) -> PovmSet:
     """Inverse of encode_povm. A document that POVM_SCHEMA refuses, that
-    lacks a key, or whose vectors do not all have dim pairs is refused."""
+    lacks a key, whose vectors do not all have dim pairs, or that holds an
+    integer no float holds is refused."""
     error = _schema_error(data, POVM_SCHEMA, document="POVM file")
     if error is not None:
         raise InvalidInputError(f"malformed POVM encoding: {error}")
@@ -145,7 +146,12 @@ def decode_povm(data) -> PovmSet:
         raise InvalidInputError(f"malformed POVM encoding: missing key {exc}") from exc
     if any(len(v) != dim for v in vectors):
         raise InvalidInputError("all effects must share the ambient dimension")
-    return PovmSet(np.array([[complex(re, im) for re, im in v] for v in vectors]))
+    try:
+        vectors = np.array([[complex(re, im) for re, im in v] for v in vectors])
+    except OverflowError as exc:  # a JSON integer that no float holds
+        raise InvalidInputError("malformed POVM encoding: a vector holds an integer "
+                                "beyond the float range") from exc
+    return PovmSet(vectors)
 
 
 def encode_reconstruction(result: ReconstructionResult) -> dict:

@@ -683,8 +683,8 @@ class TestValuesOnlySpectra:
         def refuse(povm):
             raise AssertionError("gram-spectrum took a full decomposition")
 
-        for name in ("gramtomo.cli.gram_spectrum", "gramtomo.povm.gram_spectrum",
-                     "gramtomo.cli.operator_frame", "gramtomo.frames.operator_frame"):
+        for name in ("gramtomo.povm.gram_spectrum", "gramtomo.cli.operator_frame",
+                     "gramtomo.frames.operator_frame"):
             monkeypatch.setattr(name, refuse)
         svd = np.linalg.svd
 
@@ -1063,12 +1063,19 @@ class TestPovmFile:
         ({"dim": 2, "effects": [{"vector": UNIT}, {"bin_width": 0.5}]}, 2,
          "missing key 'vector'"),
         ([1, 2], 2, "POVM file: [1, 2] is not of type object"),
+        ({"dim": 1, "effects": [{"vector": [[10**400, 0]]}]}, 1,
+         "a vector holds an integer beyond the float range"),
     ], ids=["short-pair", "long-pair", "long-vector", "no-effects", "bin-width-zero",
             "bin-width-true", "dim-word", "dim-fraction", "dim-integral-float",
             "dim-string", "re-true", "im-false", "re-string", "dim-true", "missing-vector",
-            "list-document"])
+            "list-document", "integer-beyond-float"])
     def test_corrupted_povm_file_rejected(self, document, dim, message, tmp_path, capsys):
         # a refusal is led by the path of the offending value in the document
+        # where the schema finds it, from the library and from the CLI alike
+        prefix = "" if message.startswith("all effects") else "malformed POVM encoding: "
+        with pytest.raises(InvalidInputError) as refused:
+            decode_povm(document)
+        assert str(refused.value) == prefix + message
         povm_path = tmp_path / "povm.json"
         povm_path.write_text(json.dumps(document))
         conf = tmp_path / "conf.json"
@@ -1076,8 +1083,12 @@ class TestPovmFile:
         code, _, err = run(["gram-spectrum", "--config", str(conf), "--out",
                             str(tmp_path / "out")], capsys)
         assert code == 1
-        prefix = "" if message.startswith("all effects") else "malformed POVM encoding: "
-        assert err.splitlines()[-1] == f"invalid input: {prefix}{message}"
+        if "float range" in message:
+            # the CLI refuses the literal as it reads the file
+            assert err.splitlines()[-1] == (f"invalid input: POVM file holds {10**400}, "
+                                            "which is not a finite number")
+        else:
+            assert err.splitlines()[-1] == f"invalid input: {prefix}{message}"
         assert not (tmp_path / "out").exists()
 
     def test_truncated_povm_file_rejected(self, tmp_path, capsys):
@@ -1333,8 +1344,7 @@ class TestFramesCheckCommand:
         report = json.loads((out / "frames_report.json").read_text())
         assert report["all_pass"] is True
         assert [c["name"] for c in report["checks"]] == [
-            "frame_trace", "dual_frame_projector", "s_self_adjoint",
-            "linear_inversion_round_trip", "modal_weighting_congruence"]
+            "frame_trace", "linear_inversion_round_trip"]
         assert all(c["pass"] for c in report["checks"])
 
     @pytest.mark.parametrize("half_width", [5.0, 9.0])
@@ -1369,7 +1379,7 @@ class TestFramesCheckCommand:
         code, _, _ = run(["frames-check", "--config", str(conf), "--out", str(out)], capsys)
         assert code == 0
         report = json.loads((out / "frames_report.json").read_text())
-        assert report["all_pass"] is True and len(report["checks"]) == 5
+        assert report["all_pass"] is True and len(report["checks"]) == 2
 
     def test_failure_exits_2_and_writes_report(self, small_config, tmp_path, capsys,
                                                monkeypatch):
@@ -1388,23 +1398,40 @@ class TestFramesCheckCommand:
         report = json.loads((out / "frames_report.json").read_text())
         assert report["all_pass"] is False
 
-    def test_scaled_povm_reports_failing_congruence(self, tmp_path, capsys):
-        # the dim-6 reference POVM with every effect vector scaled by 100: the
-        # absolute tolerances then fail, and the report must still be written
+    def test_scaled_povm_passes(self, tmp_path, capsys):
+        # the dim-6 reference POVM with every effect vector scaled: the trace is
+        # relative to its own scale, and the round trip's operator and
+        # reconstruction do not scale
         povm = build_homodyne_povm(HomodyneConfig.uniform(6, 51, (-5.0, 5.0)), 6)
-        povm_path = tmp_path / "povm.json"
-        povm_path.write_text(json.dumps(encode_povm(PovmSet(100.0 * povm.vectors))))
+        for scale in (100.0, 1e4):
+            povm_path = tmp_path / f"povm-{scale}.json"
+            povm_path.write_text(json.dumps(encode_povm(PovmSet(scale * povm.vectors))))
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps({"dim": 6, "povm": {"file": str(povm_path)}}))
+            out = tmp_path / f"out-{scale}"
+            code, _, err = run(["frames-check", "--config", str(conf), "--out", str(out)],
+                               capsys)
+            assert code == 0, (scale, err)
+            report = json.loads((out / "frames_report.json").read_text())
+            assert report["all_pass"] is True
+            assert all(c["pass"] for c in report["checks"])
+
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        # the report reads only the frame's small class SVDs, whose bits do not
+        # depend on the thread count (the gate's dim30 case)
         conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"dim": 6, "povm": {"file": str(povm_path)}}))
+        conf.write_text(json.dumps({"dim": 30, "povm": {"range": [-6.0, 6.0]}}))
         out = tmp_path / "out"
-        code, _, err = run(["frames-check", "--config", str(conf), "--out", str(out)],
-                           capsys)
-        assert code == 2
-        assert "modal_weighting_congruence" in err
-        report = json.loads((out / "frames_report.json").read_text())
-        assert report["all_pass"] is False
-        row = {c["name"]: c for c in report["checks"]}["modal_weighting_congruence"]
-        assert row["pass"] is False and row["deviation"] >= row["tolerance"]
+        written = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "gramtomo.cli", "frames-check", "--config", str(conf),
+                 "--out", str(out)],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads), capture_output=True,
+                text=True)
+            assert proc.returncode == 0, proc.stderr
+            written.append((out / "frames_report.json").read_bytes())
+        assert written[0] == written[1]
 
 
 class TestJsonFormat:

@@ -16,6 +16,11 @@ from gramtomo.povm import SUPPORT_THRESHOLD, GramValues, born_probabilities, gra
 from gramtomo.serialize import decode_povm, encode_povm
 
 
+# the reference POVM's effect vectors are scaled by each of these in the
+# identity tests, whose tolerances are relative to the identity's own scale
+SCALES = (1.0, 100.0, 1e4)
+
+
 def random_hermitian(rng, dim):
     M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (M + M.conj().T) / 2
@@ -100,14 +105,18 @@ class TestDualFrame:
         expected = np.array([e0 / 2, e0 / 2, e1])
         assert np.abs(dual - expected).max() < 1e-12
 
-    def test_reference_projector_reassembly_both_orderings(self, reference_povm, reference_analysis):
-        dual = dual_frame(reference_povm, reference_analysis)
-        Us = reference_analysis.support_vectors
-        P = Us @ Us.conj().T
-        left = reference_povm.vectors.T @ dual.conj()
-        right = dual.T @ reference_povm.vectors.conj()
-        assert np.abs(left - P).max() < 1e-9
-        assert np.abs(left - right).max() < 1e-10
+    def test_reference_projector_reassembly_both_orderings(self, reference_povm):
+        # the duals scale as 1 / scale, so the projector needs no scale
+        for scale in SCALES:
+            povm = PovmSet(scale * reference_povm.vectors)
+            analysis = gram_spectrum(povm)
+            dual = dual_frame(povm, analysis)
+            Us = analysis.support_vectors
+            P = Us @ Us.conj().T
+            left = povm.vectors.T @ dual.conj()
+            right = dual.T @ povm.vectors.conj()
+            assert np.abs(left - P).max() < 1e-9, scale
+            assert np.abs(left - right).max() < 1e-10, scale
 
     def test_zero_support(self):
         povm = PovmSet(np.zeros((2, 3), dtype=complex))
@@ -166,14 +175,19 @@ class TestOperatorFrame:
         with pytest.raises(InvalidInputError, match="Hermitian"):
             operator_frame_apply(1j * np.eye(15), reference_povm)
 
-    def test_self_adjoint_hilbert_schmidt(self, make_random_povm):
-        rng = np.random.default_rng(21)
-        for dim in (3, 5):
-            povm = make_random_povm(rng, dim, 2 * dim * dim)
-            A, B = random_hermitian(rng, dim), random_hermitian(rng, dim)
-            lhs = np.trace(operator_frame_apply(A, povm).conj().T @ B)
-            rhs = np.trace(A.conj().T @ operator_frame_apply(B, povm))
-            assert abs(lhs - rhs) < 1e-10
+    def test_self_adjoint_hilbert_schmidt(self, make_random_povm, reference_povm):
+        # <S(A), B> scales as scale^4: its rounding is measured relative to it
+        for scale in SCALES:
+            rng = np.random.default_rng(21)
+            for dim in (3, 5, 15):
+                povm = reference_povm if dim == 15 else make_random_povm(rng, dim, 2 * dim * dim)
+                povm = PovmSet(scale * povm.vectors)
+                A, B = random_hermitian(rng, dim), random_hermitian(rng, dim)
+                lhs = np.trace(operator_frame_apply(A, povm).conj().T @ B)
+                rhs = np.trace(A.conj().T @ operator_frame_apply(B, povm))
+                assert abs(lhs - rhs) <= 1e-12 * abs(lhs), (scale, dim)
+                if scale == 1.0:
+                    assert abs(lhs - rhs) < 1e-10, dim
 
     def test_matrix_matches_apply_brute_force(self, make_random_povm, hermitian_basis):
         rng = np.random.default_rng(31)
@@ -499,13 +513,21 @@ class TestModalWeighting:
         assert np.abs(weighted[1:, :]).max() < 1e-14
         assert np.abs(weighted[:, 1:]).max() < 1e-14
 
-    def test_reference_congruence(self, reference_povm, reference_analysis):
-        rng = np.random.default_rng(9)
-        rho = random_hermitian(rng, 15)
-        _, weighted = modal_weighting(rho, reference_analysis)
-        G = gram_operator(reference_povm)
-        U = reference_analysis.eigenvectors
-        assert np.abs(U @ weighted @ U.conj().T - G @ rho @ G).max() < 1e-9
+    def test_reference_congruence(self, reference_povm):
+        # G rho G scales as scale^4: its rounding is measured relative to it
+        rho = random_hermitian(np.random.default_rng(9), 15)
+        for scale in SCALES:
+            povm = PovmSet(scale * reference_povm.vectors)
+            analysis = gram_spectrum(povm)
+            _, weighted = modal_weighting(rho, analysis)
+            # G summed from the effects, independent of the SVD behind the analysis
+            G = gram_operator(povm)
+            GrhoG = G @ rho @ G
+            U = analysis.eigenvectors
+            deviation = np.abs(U @ weighted @ U.conj().T - GrhoG).max()
+            assert deviation <= 1e-12 * np.abs(GrhoG).max(), scale
+            if scale == 1.0:
+                assert deviation < 1e-9
 
     def test_dimension_mismatch(self, reference_analysis):
         with pytest.raises(InvalidInputError):
